@@ -61,11 +61,6 @@ class ThresholdGraph:
     def copy(self) -> "ThresholdGraph":
         return ThresholdGraph(self.adjacency.copy(), self.threshold)
 
-    def debug_edge_list(self) -> str:
-        us, vs = np.nonzero(np.triu(self.adjacency))
-        lines = [f"{self.n}"] + [f"{u} {v}" for u, v in zip(us, vs)]
-        return "\n".join(lines)
-
 
 class MetricThresholdView:
     """Threshold graph over an instance, with rows computed on demand.

@@ -14,7 +14,8 @@ materialized on demand.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -531,65 +532,129 @@ def _walk_dp(allowed, visits):
 _PATH_DP_CAP = 14            # component size for the exact path-cover DP
 
 
-def _merge_pass(paths, allowed):
-    # one sweep of endpoint-compatible joins, rescanning while a path grows
+class _Adjacency(NamedTuple):
+    """A symmetric graph on 0..m-1, as rows of bools and as neighbour bitmasks.
+
+    rows[a][b] is True exactly when bit b of bits[a] is set. The bitmasks
+    answer "is any vertex of this set adjacent to any of that set" with one
+    integer AND, which is how the path search skips pairs that cannot join.
+    """
+
+    rows: list
+    bits: list
+
+
+def _clone_adjacency(allowed, owner):
+    """Adjacency of the clone graph: clone a stands for a visit to owner[a].
+
+    Clones a and b are adjacent when their owners differ and are allowed
+    neighbours. Clones of one owner are twins, so they share one row list
+    and one bitmask: memory is O(k * m) rather than O(m^2).
+    """
+    allowed = np.asarray(allowed, dtype=bool)
+    ow = np.asarray(owner, dtype=np.intp)
+    per_owner = {}
+    for u in dict.fromkeys(owner):
+        row = allowed[u][ow] & (ow != u)
+        mask = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        per_owner[u] = (row.tolist(), mask)
+    return _Adjacency([per_owner[u][0] for u in owner],
+                      [per_owner[u][1] for u in owner])
+
+
+def _merge_pass(paths, adj):
+    # one sweep of endpoint-compatible joins, rescanning while a path grows;
+    # later[j] holds the ends of paths j.. (a superset once paths are popped,
+    # which only costs a wasted scan), so path i skips the rest of the sweep
+    # as soon as its ends have no neighbour among them
+    rows, bits = adj
+    ends = [(1 << p[0]) | (1 << p[-1]) for p in paths]
+    later = ends + [0]
+    for j in range(len(paths) - 1, -1, -1):
+        later[j] |= later[j + 1]
     merged = False
     i = 0
     while i < len(paths):
         j = i + 1
         while j < len(paths):
-            pi, pj = paths[i], paths[j]
-            if allowed[pi[-1]][pj[0]]:
-                paths[i] = pi + pj
-            elif allowed[pi[-1]][pj[-1]]:
-                paths[i] = pi + pj[::-1]
-            elif allowed[pi[0]][pj[0]]:
-                paths[i] = pi[::-1] + pj
-            elif allowed[pi[0]][pj[-1]]:
-                paths[i] = pj + pi
-            else:
+            pi = paths[i]
+            near = bits[pi[0]] | bits[pi[-1]]
+            if not near & later[j]:
+                break
+            while j < len(paths) and not near & ends[j]:
                 j += 1
-                continue
+            if j == len(paths):
+                break
+            pj = paths[j]
+            if rows[pi[-1]][pj[0]]:
+                paths[i] = pi + pj
+            elif rows[pi[-1]][pj[-1]]:
+                paths[i] = pi + pj[::-1]
+            elif rows[pi[0]][pj[0]]:
+                paths[i] = pi[::-1] + pj
+            else:
+                paths[i] = pj + pi
             paths.pop(j)
+            ends.pop(j)
+            later.pop(j)
             merged = True
         i += 1
     return merged
 
 
-def _rotation_variants(path, allowed):
-    """All paths reachable by rotations that keep path[0] fixed, one per endpoint."""
+def _rotation_variants(path, rows):
+    """Paths reachable by Pósa rotations that keep path[0] fixed, one per endpoint.
+
+    Yielded lazily in breadth-first order: `path` itself, then for each
+    yielded variant q, the rotations q[:pos + 1] + reversed(q[pos + 1:])
+    about every pivot q[pos] adjacent to q[-1], in pivot order, skipping
+    those whose new endpoint q[pos + 1] was reached before. A queued
+    rotation is held as (q, pos) and sliced only when it is yielded, so a
+    caller that stops at the first useful variant pays O(L) per variant it
+    looked at rather than per variant reachable.
+    """
     seen = {path[-1]}
-    queue = [list(path)]
+    queue = [(path, None)]
     qi = 0
     while qi < len(queue):
-        q = queue[qi]
+        q, pos = queue[qi]
         qi += 1
-        a = q[-1]
-        for pos in range(len(q) - 2):
-            if allowed[a][q[pos]]:
-                rot = q[:pos + 1] + q[pos + 1:][::-1]
-                if rot[-1] not in seen:
-                    seen.add(rot[-1])
-                    queue.append(rot)
-    return queue
+        if pos is not None:
+            q = q[:pos + 1] + q[:pos:-1]
+        yield q
+        row = rows[q[-1]]
+        for pos in compress(range(len(q) - 2), map(row.__getitem__, q)):
+            e = q[pos + 1]
+            if e not in seen:
+                seen.add(e)
+                queue.append((q, pos))
 
 
-def _rotate_merge_once(paths, allowed):
-    # expose fresh endpoints by chains of rotations, then merge
+def _rotate_merge_once(paths, adj):
+    # expose fresh endpoints by chains of rotations; join the first variant
+    # whose end meets another path, trying paths in list order, head first
+    rows, bits = adj
+    every_end = 0
+    for p in paths:
+        every_end |= (1 << p[0]) | (1 << p[-1])
     for i in range(len(paths)):
         if len(paths[i]) < 3:
             continue
+        others = every_end & ~((1 << paths[i][0]) | (1 << paths[i][-1]))
         for flip in (False, True):
             base = paths[i][::-1] if flip else paths[i]
-            for rot in _rotation_variants(base, allowed):
+            for rot in _rotation_variants(base, rows):
                 e = rot[-1]
+                if not bits[e] & others:
+                    continue
+                row = rows[e]
                 for j in range(len(paths)):
                     if j == i:
                         continue
                     r = paths[j]
-                    if allowed[e][r[0]]:
+                    if row[r[0]]:
                         paths[i] = rot + r
-                    elif allowed[e][r[-1]]:
+                    elif row[r[-1]]:
                         paths[i] = rot + r[::-1]
                     else:
                         continue
@@ -598,13 +663,21 @@ def _rotate_merge_once(paths, allowed):
     return False
 
 
-def _greedy_paths(vertices, allowed):
-    """Disjoint paths covering `vertices`: endpoint merges plus rotations."""
+def _greedy_paths(vertices, adj):
+    """Disjoint paths covering `vertices`: endpoint merges plus rotations.
+
+    Starts from singletons in `vertices` order and alternates a sweep of
+    endpoint merges with one rotation merge: Pósa rotations of each path in
+    turn (its reverse second), taken in breadth-first order, until the
+    first variant whose end is adjacent to an end of another path, which
+    it joins. The search for that merge stops there; the covers are the
+    same as those of building every rotation first, only cheaper.
+    """
     paths = [[v] for v in vertices]
     while len(paths) > 1:
-        if _merge_pass(paths, allowed):
+        if _merge_pass(paths, adj):
             continue
-        if not _rotate_merge_once(paths, allowed):
+        if not _rotate_merge_once(paths, adj):
             break
     return paths
 
@@ -678,7 +751,7 @@ def _min_path_cover_exact(cverts, allowed):
     return cover[full], paths
 
 
-def _restart_paths(comp, allowed, initial):
+def _restart_paths(comp, adj, initial):
     """Best greedy cover over seeded shuffles of the vertex order.
 
     The trial count shrinks with component size to keep the tier
@@ -691,7 +764,7 @@ def _restart_paths(comp, allowed, initial):
     order = list(comp)
     for _ in range(trials):
         rng.shuffle(order)
-        paths = _greedy_paths(list(order), allowed)
+        paths = _greedy_paths(list(order), adj)
         if len(paths) < len(best):
             best = paths
             if len(best) == 1:
@@ -699,7 +772,7 @@ def _restart_paths(comp, allowed, initial):
     return best
 
 
-def _path_cover_lower(comp, allowed):
+def _path_cover_lower(comp, adj):
     """Certified lower bound on the minimum path cover of one component.
 
     Deleting a set W splits the rest into pieces no path can rejoin, and
@@ -709,8 +782,10 @@ def _path_cover_lower(comp, allowed):
     the degree-one count: a path has two ends, so ceil(leaves / 2) paths
     are forced.
     """
-    leaves = sum(1 for v in comp
-                 if sum(1 for w in comp if allowed[v][w]) == 1)
+    inside = 0
+    for v in comp:
+        inside |= 1 << v
+    leaves = sum(1 for v in comp if (adj.bits[v] & inside).bit_count() == 1)
     bound = max(1, (leaves + 1) // 2)
     drops = [()]
     if len(comp) <= 160:
@@ -722,30 +797,51 @@ def _path_cover_lower(comp, allowed):
         rest = [v for v in comp if v not in W]
         if not rest:
             continue
-        pieces = len(_vertex_components(rest, allowed))
+        pieces = sum(1 for _ in _component_masks(rest, adj.bits))
         bound = max(bound, pieces - len(W))
     return bound
 
 
-def _vertex_components(vertices, allowed):
-    remaining = list(vertices)
-    comps = []
-    seen = set()
-    for v0 in remaining:
-        if v0 in seen:
+def _component_masks(vertices, bits):
+    """Connected components of the subgraph induced by `vertices`, as bitmasks.
+
+    Components come in the order of their first vertex in `vertices`. Each
+    is grown one breadth-first layer at a time, so the cost is
+    O(|vertices| * m / 64) word operations.
+    """
+    left = 0
+    for v in vertices:
+        left |= 1 << v
+    for v0 in vertices:
+        if not left >> v0 & 1:
             continue
-        comp = [v0]
-        seen.add(v0)
-        stack = [v0]
-        while stack:
-            x = stack.pop()
-            for w in remaining:
-                if w not in seen and allowed[x][w]:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+        comp = layer = 1 << v0
+        while layer:
+            reach = 0
+            while layer:
+                low = layer & -layer
+                reach |= bits[low.bit_length() - 1]
+                layer ^= low
+            layer = reach & left & ~comp
+            comp |= layer
+        left &= ~comp
+        yield comp
+
+
+def _members(mask):
+    """Set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _vertex_components(vertices, adj):
+    """Connected components of the subgraph induced by `vertices`, each a
+    sorted list, in the order of their first vertex in `vertices`."""
+    return [_members(comp) for comp in _component_masks(vertices, adj.bits)]
 
 
 _CLONE_CAP = 2048            # clone count admitted to the hub path-cover tier
@@ -790,26 +886,24 @@ def _hub_path_cover(spec):
         if v != h:
             owner.extend([v] * spec.visits[v])
     m = len(owner)
-    ow = np.asarray(owner, dtype=np.intp)
-    cadj = (np.asarray(spec.allowed)[ow[:, None], ow[None, :]]
-            & (ow[:, None] != ow[None, :])).tolist()
+    adj = _clone_adjacency(spec.allowed, owner)
 
-    comps = _vertex_components(list(range(m)), cadj)
+    comps = _vertex_components(list(range(m)), adj)
     if len(comps) > t:
         return None  # every path stays inside one component
-    covers = [_greedy_paths(comp, cadj) for comp in comps]
+    covers = [_greedy_paths(comp, adj) for comp in comps]
     if sum(len(cv) for cv in covers) > t:
         refined = []
         floors = []
         for comp, greedy in zip(comps, covers):
             if len(greedy) > 1 and len(comp) <= _PATH_DP_CAP:
-                cnt, exact = _min_path_cover_exact(comp, cadj)
+                cnt, exact = _min_path_cover_exact(comp, adj.rows)
                 best = exact if cnt < len(greedy) else greedy
                 refined.append(best)
                 floors.append(len(best))
             elif len(greedy) > 1:
-                refined.append(_restart_paths(comp, cadj, greedy))
-                floors.append(_path_cover_lower(comp, cadj))
+                refined.append(_restart_paths(comp, adj, greedy))
+                floors.append(_path_cover_lower(comp, adj))
             else:
                 refined.append(greedy)
                 floors.append(1)
@@ -817,9 +911,13 @@ def _hub_path_cover(spec):
         if sum(len(cv) for cv in covers) > t:
             if sum(floors) > t:
                 return None  # t below the sum of certified lower bounds
+            open_sizes = [len(comp) for comp, cv, floor in zip(comps, covers, floors)
+                          if len(cv) > floor]
             raise ContractViolation(
-                "hub quotient has a component whose minimum path cover "
-                "resists both the exact range and the certified bounds")
+                f"hub path-cover tier undecided: k={k}, hub visits t={t}, "
+                f"m={m} clones; greedy cover {sum(len(cv) for cv in covers)} "
+                f"paths > t >= certified floor {sum(floors)}; unresolved "
+                f"component sizes {open_sizes}")
 
     paths = [list(p) for cv in covers for p in cv]
     i = 0

@@ -13,8 +13,6 @@ import numpy as np
 
 from .instance import Instance
 
-_BLOCK = 128
-
 
 @dataclass
 class Net:

@@ -3,7 +3,9 @@
 Everything here avoids the library's own algorithms: feasibility is decided
 by enumerating walks, optimal scatter by trying every cyclic order, and
 Hamiltonicity by trying every permutation. Slow on purpose, trustworthy on
-purpose.
+purpose. The one exception is the reference hub path search at the end,
+an earlier, eager version of the library's own heuristic, kept to pin its
+outputs.
 """
 
 import itertools
@@ -155,3 +157,119 @@ def ring_far_instance(c, k, extra, seed):
     tour.extend(ring_ids[(2 * t) % k] for t in range(k))  # odd k: stride 2
     tour.append(far_ids[f - 1])
     return inst, np.array(tour, dtype=np.intp), 1.0
+
+
+# Reference hub path-cover search: the list-slicing implementation that the
+# library's lazy version must reproduce path for path. `allowed` is a list of
+# lists of bools indexed by vertex.
+
+def ref_merge_pass(paths, allowed):
+    merged = False
+    i = 0
+    while i < len(paths):
+        j = i + 1
+        while j < len(paths):
+            pi, pj = paths[i], paths[j]
+            if allowed[pi[-1]][pj[0]]:
+                paths[i] = pi + pj
+            elif allowed[pi[-1]][pj[-1]]:
+                paths[i] = pi + pj[::-1]
+            elif allowed[pi[0]][pj[0]]:
+                paths[i] = pi[::-1] + pj
+            elif allowed[pi[0]][pj[-1]]:
+                paths[i] = pj + pi
+            else:
+                j += 1
+                continue
+            paths.pop(j)
+            merged = True
+        i += 1
+    return merged
+
+
+def ref_rotation_variants(path, allowed):
+    """Every rotation keeping path[0] fixed, one per endpoint, built eagerly."""
+    seen = {path[-1]}
+    queue = [list(path)]
+    qi = 0
+    while qi < len(queue):
+        q = queue[qi]
+        qi += 1
+        a = q[-1]
+        for pos in range(len(q) - 2):
+            if allowed[a][q[pos]]:
+                rot = q[:pos + 1] + q[pos + 1:][::-1]
+                if rot[-1] not in seen:
+                    seen.add(rot[-1])
+                    queue.append(rot)
+    return queue
+
+
+def ref_rotate_merge_once(paths, allowed):
+    for i in range(len(paths)):
+        if len(paths[i]) < 3:
+            continue
+        for flip in (False, True):
+            base = paths[i][::-1] if flip else paths[i]
+            for rot in ref_rotation_variants(base, allowed):
+                e = rot[-1]
+                for j in range(len(paths)):
+                    if j == i:
+                        continue
+                    r = paths[j]
+                    if allowed[e][r[0]]:
+                        paths[i] = rot + r
+                    elif allowed[e][r[-1]]:
+                        paths[i] = rot + r[::-1]
+                    else:
+                        continue
+                    paths.pop(j)
+                    return True
+    return False
+
+
+def ref_greedy_paths(vertices, allowed):
+    paths = [[v] for v in vertices]
+    while len(paths) > 1:
+        if ref_merge_pass(paths, allowed):
+            continue
+        if not ref_rotate_merge_once(paths, allowed):
+            break
+    return paths
+
+
+def ref_restart_paths(comp, allowed, initial):
+    best = initial
+    m = len(comp)
+    trials = 200 if m <= 64 else 40 if m <= 160 else 12 if m <= 320 else 4
+    rng = np.random.default_rng(0)
+    order = list(comp)
+    for _ in range(trials):
+        rng.shuffle(order)
+        paths = ref_greedy_paths(list(order), allowed)
+        if len(paths) < len(best):
+            best = paths
+            if len(best) == 1:
+                break
+    return best
+
+
+def ref_vertex_components(vertices, allowed):
+    remaining = list(vertices)
+    comps = []
+    seen = set()
+    for v0 in remaining:
+        if v0 in seen:
+            continue
+        comp = [v0]
+        seen.add(v0)
+        stack = [v0]
+        while stack:
+            x = stack.pop()
+            for w in remaining:
+                if w not in seen and allowed[x][w]:
+                    seen.add(w)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps

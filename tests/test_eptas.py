@@ -131,9 +131,13 @@ def test_epsilon_validation():
 
 def test_out_of_envelope_instance_aborts_loudly():
     # a mid-size cluster instance whose quotient resists every exact tier;
-    # the contract is to abort rather than return an uncertified answer
+    # the contract is to abort rather than return an uncertified answer,
+    # and the message names the tier and the shape of what it could not settle
     inst = generate("clustered", 80, 2, seed=6)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation,
+                       match=r"hub path-cover tier undecided: k=49, hub visits t=27, "
+                             r"m=53 clones; greedy cover 28 paths > t >= certified "
+                             r"floor 25; unresolved component sizes \[32\]"):
         maximize_scatter(inst, 0.1)
 
 

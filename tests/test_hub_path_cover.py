@@ -1,0 +1,141 @@
+"""The hub path-cover tier: its answers, and its path search against the
+eager list-slicing reference in helpers.py."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from scatter_tsp import VisitSpec
+from scatter_tsp.many_visits import (
+    _clone_adjacency,
+    _greedy_paths,
+    _hub_path_cover,
+    _restart_paths,
+    _vertex_components,
+)
+from helpers import (
+    closed_walk_feasible,
+    ref_greedy_paths,
+    ref_restart_paths,
+    ref_vertex_components,
+    validate_multiwalk,
+)
+
+
+def clone_graph(quotient, visits):
+    """Clone adjacency built the way _hub_path_cover builds it."""
+    owner = [v for v in range(len(visits)) for _ in range(visits[v])]
+    return _clone_adjacency(quotient, owner)
+
+
+def assert_matches_reference(adj, subset_seed, restarts=True):
+    m = len(adj.rows)
+    comps = _vertex_components(list(range(m)), adj)
+    assert comps == ref_vertex_components(list(range(m)), adj.rows)
+    for comp in comps:
+        greedy = _greedy_paths(comp, adj)
+        ref = ref_greedy_paths(comp, adj.rows)
+        assert greedy == ref
+        if restarts and len(ref) > 1:  # the tier restarts only covers it could improve
+            assert (_restart_paths(comp, adj, greedy)
+                    == ref_restart_paths(comp, adj.rows, ref))
+    # the induced subgraphs _path_cover_lower counts pieces of
+    rng = np.random.default_rng(subset_seed)
+    rest = [v for v in rng.permutation(m).tolist() if rng.random() < 0.8]
+    assert _vertex_components(rest, adj) == ref_vertex_components(rest, adj.rows)
+
+
+@st.composite
+def clone_graphs(draw):
+    # m stays at most 120 so that the eager reference, which repeats its
+    # search up to 200 times in _restart_paths, keeps each example short;
+    # test_large_clone_graphs_match_reference covers m >= 300
+    k = draw(st.integers(1, 12))
+    upper = draw(st.lists(st.booleans(), min_size=k * (k - 1) // 2,
+                          max_size=k * (k - 1) // 2))
+    quotient = np.zeros((k, k), dtype=bool)
+    quotient[np.triu_indices(k, 1)] = upper
+    quotient |= quotient.T
+    visits = draw(st.lists(st.integers(1, min(40, 120 // k)), min_size=k, max_size=k))
+    return clone_graph(quotient, visits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(clone_graphs(), st.integers(0, 2 ** 32 - 1))
+def test_path_search_matches_reference(adj, subset_seed):
+    assert_matches_reference(adj, subset_seed)
+
+
+@pytest.mark.parametrize("seed", [2, 3])  # one Hamiltonian path, one 2-path cover
+def test_large_clone_graphs_match_reference(seed):
+    # restarts repeat the same search on shuffled orders; at this size the
+    # reference would spend about 10 s on them, so only one order is compared
+    rng = np.random.default_rng(seed)
+    k = 12
+    quotient = np.triu(rng.random((k, k)) < 0.3, 1)
+    quotient |= quotient.T
+    visits = rng.integers(20, 41, size=k).tolist()
+    assert sum(visits) >= 300
+    assert_matches_reference(clone_graph(quotient, visits), seed, restarts=False)
+
+
+class _Walk:
+    def __init__(self, walk):
+        self.walk = walk
+
+    def walk_edge_count(self):
+        return len(self.walk) - 1
+
+
+def hub_spec(edges, visits):
+    """Vertex 0 is the hub: adjacent to every other vertex."""
+    k = len(visits)
+    adj = np.zeros((k, k), dtype=bool)
+    adj[0, 1:] = adj[1:, 0] = True
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return VisitSpec(adj, visits)
+
+
+def test_pure_star_walk():
+    spec = hub_spec([(1, 2)], [5, 2, 1, 2])  # t = 5 = total_rest
+    walk = _hub_path_cover(spec)
+    validate_multiwalk(spec, _Walk(walk))
+    assert walk[::2] == [0] * 6  # the hub separates every other visit
+
+
+def test_hub_visits_beyond_the_rest_are_infeasible():
+    assert _hub_path_cover(hub_spec([(1, 2)], [4, 1, 2])) is None
+
+
+def test_more_components_than_hub_visits_is_infeasible():
+    # three mutually non-adjacent leaves each need a path of their own
+    spec = hub_spec([], [2, 1, 1, 1])
+    assert _hub_path_cover(spec) is None
+    assert not closed_walk_feasible(spec.allowed, spec.visits)
+
+
+def test_no_universal_vertex():
+    cycle = np.roll(np.eye(4, dtype=bool), 1, axis=1)
+    spec = VisitSpec(cycle | cycle.T, [1, 2, 1, 2])
+    assert _hub_path_cover(spec) == "no_hub"
+
+
+def test_small_hub_specs_match_walk_enumeration():
+    rng = np.random.default_rng(7)
+    feasible = infeasible = 0
+    for _ in range(150):
+        k = int(rng.integers(2, 6))
+        others = np.triu(rng.random((k, k)) < 0.5, 1)
+        edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(others)) if u > 0]
+        visits = [int(v) for v in rng.integers(1, 4, size=k)]
+        spec = hub_spec(edges, visits)
+        walk = _hub_path_cover(spec)
+        if closed_walk_feasible(spec.allowed, spec.visits):
+            assert walk is not None
+            validate_multiwalk(spec, _Walk(walk))
+            feasible += 1
+        else:
+            assert walk is None
+            infeasible += 1
+    assert feasible >= 20 and infeasible >= 20
