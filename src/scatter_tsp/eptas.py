@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import (
+    BLOCK_ROWS,
     ContractViolation,
     Instance,
     candidate_distances,
@@ -34,7 +35,7 @@ from .instance import (
     tour_edge_lengths,
     validate_tour,
 )
-from .graphs import (
+from .graphs import (  # noqa: F401  threshold_graph: importable here as before
     MetricThresholdView,
     bc_lift,
     dirac_hamiltonian,
@@ -42,8 +43,6 @@ from .graphs import (
 )
 from .nets import greedy_delta_net
 from .many_visits import VisitSpec, many_visits_tour
-
-_SCAN_BLOCK = 256
 
 
 @dataclass
@@ -89,17 +88,24 @@ class DecisionOutcome:
     net_size: int | None = None
 
 
-def find_low_degree_point(instance: Instance, ell: float) -> int | None:
-    """Lowest-index point with more than n/2 points within distance ell."""
+def find_low_degree_point(instance: Instance, ell: float, degrees=None) -> int | None:
+    """Lowest-index point with more than n/2 points within distance ell.
+
+    When there is none and `degrees` (an integer array of length n) is
+    given, it is filled with every point's degree in the threshold graph at
+    ell, the same numbers threshold_graph(instance, ell).degrees() gives.
+    """
     n = instance.n
-    for start in range(0, n, _SCAN_BLOCK):
-        ids = range(start, min(start + _SCAN_BLOCK, n))
-        rows = instance.distance_rows(ids)
-        inside = ~meets_threshold(rows, ell)
-        counts = inside.sum(axis=1)
-        hit = np.flatnonzero(2 * counts > n)
+    # d(i, i) = 0 meets the threshold only when ell is within tolerance of 0
+    self_edge = int(meets_threshold(0.0, ell))
+    for start in range(0, n, BLOCK_ROWS):
+        rows = instance.distance_rows(range(start, min(start + BLOCK_ROWS, n)))
+        meets = np.count_nonzero(meets_threshold(rows, ell), axis=1)
+        hit = np.flatnonzero(2 * (n - meets) > n)
         if len(hit):
             return start + int(hit[0])
+        if degrees is not None:
+            degrees[start:start + len(meets)] = meets - self_edge
     return None
 
 
@@ -126,11 +132,14 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
     """Yes with a (1-epsilon)*ell witness, or No certifying OPT < ell."""
     n = instance.n
     ell = params.ell
-    p = find_low_degree_point(instance, ell)
+    degrees = np.empty(n, dtype=np.intp)
+    p = find_low_degree_point(instance, ell, degrees)
 
     if p is None:
-        # every threshold degree is >= n/2: constructive Dirac cycle
-        tour = dirac_hamiltonian(threshold_graph(instance, ell))
+        # every threshold degree is >= n/2: constructive Dirac cycle, on
+        # rows computed on demand and the degrees the scan just counted
+        view = MetricThresholdView(instance, ell)
+        tour = dirac_hamiltonian(view, degrees)
         return _validated(instance, params, tour, "dirac", None)
 
     ctx = low_degree_context(instance, p, ell)
@@ -155,7 +164,11 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
     visits = [len(net.preimages[int(c)]) for c in centers]
     if nq:
         visits.append(nq)
-    walk_res = many_visits_tour(VisitSpec(allowed, visits))
+    try:
+        walk_res = many_visits_tour(VisitSpec(allowed, visits))
+    except ContractViolation as exc:
+        raise ContractViolation(
+            f"probe ell={ell!r}, net size k={k}, hub points {nq}: {exc}") from exc
     if walk_res is None:
         return DecisionOutcome(answer=False, witness=None, witness_scatter=None,
                                branch="many_visits", net_size=k)

@@ -9,13 +9,12 @@ a low-degree point.
 import numpy as np
 
 from .instance import (
+    BLOCK_ROWS,
     ContractViolation,
     Instance,
     meets_threshold,
     validate_tour,
 )
-
-_BLOCK = 256
 
 # chronological list of (u, v) edges layered on top of a base graph,
 # consumed by bc_lift in reverse
@@ -43,6 +42,9 @@ class ThresholdGraph:
     def row(self, i: int) -> np.ndarray:
         return self.adjacency[i]
 
+    def rows(self, ids) -> np.ndarray:
+        return self.adjacency[np.asarray(ids, dtype=np.intp)]
+
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adjacency[i, j])
 
@@ -66,7 +68,8 @@ class MetricThresholdView:
     """Threshold graph over an instance, with rows computed on demand.
 
     Behaves like ThresholdGraph for read access but never materializes the
-    n x n matrix, which is what the large-n lifting path needs.
+    n x n matrix, which is what the large-n Dirac and lifting paths need.
+    Its rows and edge flags equal threshold_graph's bit for bit.
     """
 
     def __init__(self, instance: Instance, threshold: float):
@@ -74,44 +77,32 @@ class MetricThresholdView:
         self.n = instance.n
         self.threshold = float(threshold)
 
-    def row(self, i: int) -> np.ndarray:
-        r = meets_threshold(self.instance.distance_rows([i])[0], self.threshold)
-        r[i] = False
+    def rows(self, ids) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.intp)
+        r = meets_threshold(self.instance.distance_rows(ids), self.threshold)
+        r[np.arange(len(ids)), ids] = False
         return r
 
+    def row(self, i: int) -> np.ndarray:
+        return self.rows([i])[0]
+
     def has_edge(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        d = self.instance.distance_rows([i])[0, j]
-        return bool(meets_threshold(d, self.threshold))
+        return bool(self.edge_flags([i], [j])[0])
 
     def edge_flags(self, us, vs) -> np.ndarray:
-        d = pair_distances(self.instance, us, vs)
+        d = self.instance.distance_pairs(us, vs)
         return meets_threshold(d, self.threshold) & (np.asarray(us) != np.asarray(vs))
 
     def degree_of(self, i: int) -> int:
         return int(self.row(i).sum())
 
-
-def pair_distances(instance: Instance, us, vs) -> np.ndarray:
-    """Elementwise distances d(us[t], vs[t])."""
-    us = np.asarray(us, dtype=np.intp)
-    vs = np.asarray(vs, dtype=np.intp)
-    if instance.metric_kind == "explicit":
-        return instance.matrix[us, vs]
-    a = instance.points[us]
-    b = instance.points[vs]
-    if instance.metric_kind == "hamming":
-        return np.abs(a.astype(np.int64) - b.astype(np.int64)).sum(axis=1).astype(float)
-    diff = np.abs(a - b)
-    p = instance.p
-    if p == 2.0:
-        return np.sqrt((diff * diff).sum(axis=1))
-    if np.isinf(p):
-        return diff.max(axis=1)
-    if p == 1.0:
-        return diff.sum(axis=1)
-    return (diff ** p).sum(axis=1) ** (1.0 / p)
+    def degrees(self) -> np.ndarray:
+        """All n degrees, one block of rows at a time."""
+        deg = np.empty(self.n, dtype=np.intp)
+        for lo in range(0, self.n, BLOCK_ROWS):
+            ids = np.arange(lo, min(lo + BLOCK_ROWS, self.n))
+            deg[lo:lo + len(ids)] = np.count_nonzero(self.rows(ids), axis=1)
+        return deg
 
 
 def threshold_graph(instance: Instance, ell: float) -> ThresholdGraph:
@@ -120,8 +111,8 @@ def threshold_graph(instance: Instance, ell: float) -> ThresholdGraph:
         raise ValueError(f"threshold must be nonnegative, got {ell}")
     n = instance.n
     adj = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, _BLOCK):
-        ids = np.arange(lo, min(lo + _BLOCK, n))
+    for lo in range(0, n, BLOCK_ROWS):
+        ids = np.arange(lo, min(lo + BLOCK_ROWS, n))
         adj[lo:lo + len(ids)] = meets_threshold(instance.distance_rows(ids), ell)
     np.fill_diagonal(adj, False)
     return ThresholdGraph(adj, ell)
@@ -245,30 +236,33 @@ def eulerian_tour(graph: Multigraph) -> list:
     return circuit
 
 
-def dirac_hamiltonian(graph: ThresholdGraph) -> np.ndarray:
+def dirac_hamiltonian(graph, degrees=None) -> np.ndarray:
     """Hamiltonian cycle of a graph with minimum degree >= n/2.
 
+    `graph` is a ThresholdGraph or a MetricThresholdView; `degrees`, when
+    given, are its exact vertex degrees, which spares a sweep over all rows.
     Starts from the identity cyclic order and repeatedly repairs a
     non-adjacent consecutive pair with the classic crossing rotation; the
     degree condition guarantees each repair exists and each strictly
-    reduces the number of bad pairs.
+    reduces the number of bad pairs. A repair reads only the rows of its
+    pair's two endpoints.
     """
     n = graph.n
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    deg = graph.degrees()
+    deg = graph.degrees() if degrees is None else np.asarray(degrees)
     worst = int(np.argmin(deg))
     if 2 * int(deg[worst]) < n:
         raise ValueError(
             f"vertex {worst} has degree {int(deg[worst])} < n/2 = {n / 2}")
-    return _dirac_core(graph.adjacency)
+    return _dirac_core(graph)
 
 
-def _dirac_core(adj: np.ndarray) -> np.ndarray:
-    n = adj.shape[0]
+def _dirac_core(graph) -> np.ndarray:
+    n = graph.n
     order = np.arange(n)
     nxt = np.roll(order, -1)
-    bad_mask = ~adj[order, nxt]
+    bad_mask = ~graph.edge_flags(order, nxt)
     bad = {_key(int(order[i]), int(nxt[i])) for i in np.nonzero(bad_mask)[0]}
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
@@ -282,9 +276,11 @@ def _dirac_core(adj: np.ndarray) -> np.ndarray:
         if order[(i + 1) % n] != b:
             a, b = b, a
             i = pos[a]
-        order = np.roll(order, -i)
-        # now order[0] = a, order[1] = b, pair (a, b) is a non-edge
-        cand = adj[a, order] & adj[b, np.roll(order, -1)]
+        # rotate so that order[0] = a, order[1] = b, pair (a, b) a non-edge
+        # (concatenate does what np.roll does, without its per-call overhead)
+        order = np.concatenate((order[i:], order[:i]))
+        row_a, row_b = graph.rows([a, b])
+        cand = row_a[order] & row_b[np.concatenate((order[1:], order[:1]))]
         cand[0] = False
         j = int(np.argmax(cand))
         if not cand[j]:
@@ -485,7 +481,7 @@ def normalize_tour(instance: Instance, tour, ell: float, p: int) -> np.ndarray:
     outside2 = meets_threshold(dp, 2.0 * ell)  # complement of the 2*ell ball
     if 2 * int(inside.sum()) <= n:
         raise ValueError(f"point {p} is not low-degree for ell={ell}")
-    edge_d = pair_distances(instance, order, np.roll(order, -1))
+    edge_d = instance.distance_pairs(order, np.roll(order, -1))
     if not meets_threshold(edge_d, ell).all():
         raise ValueError("tour scatter is below ell")
 

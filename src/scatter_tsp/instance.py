@@ -17,6 +17,9 @@ import numpy as np
 
 REL_TOL = 1e-9          # threshold comparisons absorb this much relative roundoff
 DEDUP_REL_TOL = 1e-12   # distances closer than this (relatively) are one candidate
+# rows per block of a full distance sweep: at n = 10^4 a 64-row block and
+# its one temporary take 5 MB each
+BLOCK_ROWS = 64
 
 _METRIC_KINDS = ("lp", "hamming", "explicit")
 
@@ -45,6 +48,7 @@ class Instance:
         self.p = None
         self.points = None
         self.matrix = None
+        self._columns = None
 
         if metric_kind == "explicit":
             if matrix is None:
@@ -94,6 +98,9 @@ class Instance:
             raise ValueError(f"need at least 3 points, got {self.n}")
         pts.setflags(write=False)
         self.points = pts
+        # one contiguous float64 row per coordinate: the distance kernels
+        # read whole coordinates at a time
+        self._columns = np.ascontiguousarray(pts.T, dtype=np.float64)
 
     @classmethod
     def lp(cls, points, p=2.0) -> "Instance":
@@ -107,46 +114,47 @@ class Instance:
     def explicit(cls, matrix, strict_metric: bool = False) -> "Instance":
         return cls("explicit", matrix=matrix, strict_metric=strict_metric)
 
-    def distance_rows(self, ids) -> np.ndarray:
-        """Distances from each point in `ids` to every point, as a len(ids) x n block.
+    def distance_rows(self, ids, start: int = 0) -> np.ndarray:
+        """Distances from each point in `ids` to points start..n-1, as a
+        len(ids) x (n - start) block.
 
-        This is the workhorse all bulk distance computations go through; callers
-        keep blocks small enough that the temporary arrays stay cheap.
+        This is the workhorse all bulk distance computations go through;
+        callers sweep in blocks of BLOCK_ROWS rows, so the block and its one
+        temporary stay small. Every entry is computed on its own, so a
+        distance does not depend on the block it was computed in, and
+        d(i, j) == d(j, i) bit for bit.
         """
         ids = np.asarray(ids, dtype=np.intp)
         if self.metric_kind == "explicit":
-            return self.matrix[ids]
+            return self.matrix[ids, start:]
+        cols = self._columns
         if self.metric_kind == "hamming":
-            a = self.points[ids].astype(np.float64)
-            b = self.points.astype(np.float64)
+            a = cols[:, ids].T
+            b = cols[:, start:]
             # 0/1 vectors: d_H(a, b) = |a| + |b| - 2 a.b, exact in float64
-            ra = a.sum(axis=1)[:, None]
-            rb = b.sum(axis=1)[None, :]
-            d = ra + rb - 2.0 * (a @ b.T)
-            np.maximum(d, 0.0, out=d)
+            d = a @ b
+            d *= -2.0
+            d += a.sum(axis=1)[:, None]
+            d += b.sum(axis=0)[None, :]
             return d
-        a = self.points[ids]
-        b = self.points
-        p = self.p
-        if p == 2.0:
-            acc = np.zeros((len(ids), self.n))
-            for c in range(self.dim):
-                diff = a[:, c][:, None] - b[:, c][None, :]
-                acc += diff * diff
-            return np.sqrt(acc)
-        if p == 1.0 or math.isinf(p):
-            acc = np.zeros((len(ids), self.n))
-            for c in range(self.dim):
-                diff = np.abs(a[:, c][:, None] - b[:, c][None, :])
-                if math.isinf(p):
-                    np.maximum(acc, diff, out=acc)
-                else:
-                    acc += diff
-            return acc
-        acc = np.zeros((len(ids), self.n))
-        for c in range(self.dim):
-            acc += np.abs(a[:, c][:, None] - b[:, c][None, :]) ** p
-        return acc ** (1.0 / p)
+        a = cols[:, ids]
+        b = cols[:, start:]
+        out = np.empty((len(ids), b.shape[1]))
+        return _lp_kernel(((a[c][:, None], b[c][None, :]) for c in range(self.dim)),
+                          self.p, out)
+
+    def distance_pairs(self, us, vs) -> np.ndarray:
+        """Elementwise distances d(us[t], vs[t]), bit for bit as distance_rows
+        computes them."""
+        us = np.asarray(us, dtype=np.intp)
+        vs = np.asarray(vs, dtype=np.intp)
+        if self.metric_kind == "explicit":
+            return self.matrix[us, vs]
+        cols = self._columns
+        # hamming is l1 on 0/1 vectors, exact in float64 like its rows
+        p = 1.0 if self.metric_kind == "hamming" else self.p
+        out = np.empty(np.broadcast_shapes(us.shape, vs.shape))
+        return _lp_kernel(((cols[c, us], cols[c, vs]) for c in range(self.dim)), p, out)
 
     def full_matrix(self) -> np.ndarray:
         """All pairwise distances; intended for small n only."""
@@ -183,12 +191,45 @@ def _check_triangle(m: np.ndarray) -> None:
                 f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})")
 
 
+def _lp_kernel(cols, p: float, out: np.ndarray) -> np.ndarray:
+    """l_p distances accumulated into `out` one coordinate at a time.
+
+    `cols` yields one (x, y) pair of coordinate arrays per dimension, which
+    broadcast to out's shape. Every entry goes through the same ufuncs in
+    the same order whatever that shape is, so a row block and a list of
+    pairs agree bit for bit. Terms are >= +0, so starting from the first
+    term equals starting from zero.
+    """
+    inf = math.isinf(p)
+    c = -1
+    for c, (x, y) in enumerate(cols):
+        if c == 1:
+            tmp = np.empty_like(out)
+        term = tmp if c else out
+        np.subtract(x, y, out=term)
+        if p == 2.0:
+            np.multiply(term, term, out=term)
+        else:
+            np.abs(term, out=term)
+            if not (p == 1.0 or inf):
+                term **= p
+        if c:
+            (np.maximum if inf else np.add)(out, term, out=out)
+    if c < 0:
+        out.fill(0.0)   # dim = 0: every point is the origin
+    if p == 2.0:
+        np.sqrt(out, out=out)
+    elif not (p == 1.0 or inf):
+        out **= 1.0 / p
+    return out
+
+
 def distance(instance: Instance, i: int, j: int) -> float:
     """Metric distance between points i and j."""
     n = instance.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"point index out of range: ({i}, {j}), n={n}")
-    return float(instance.distance_rows([i])[0, j])
+    return float(instance.distance_pairs([i], [j])[0])
 
 
 def validate_tour(n: int, tour) -> np.ndarray:
@@ -201,30 +242,12 @@ def validate_tour(n: int, tour) -> np.ndarray:
 def tour_edge_lengths(instance: Instance, tour) -> np.ndarray:
     """Lengths of the n cyclic edges of a tour, in tour order."""
     order = validate_tour(instance.n, tour)
-    nxt = np.roll(order, -1)
-    if instance.metric_kind == "explicit":
-        return instance.matrix[order, nxt]
-    if instance.metric_kind == "hamming":
-        a = instance.points[order].astype(np.float64)
-        b = instance.points[nxt].astype(np.float64)
-        return np.abs(a - b).sum(axis=1)
-    diff = np.abs(instance.points[order] - instance.points[nxt])
-    p = instance.p
-    if p == 2.0:
-        return np.sqrt((diff * diff).sum(axis=1))
-    if math.isinf(p):
-        return diff.max(axis=1)
-    if p == 1.0:
-        return diff.sum(axis=1)
-    return (diff ** p).sum(axis=1) ** (1.0 / p)
+    return instance.distance_pairs(order, np.roll(order, -1))
 
 
 def scatter(instance: Instance, tour) -> float:
     """Minimum cyclic adjacent distance of the tour."""
     return float(tour_edge_lengths(instance, tour).min())
-
-
-_CANDIDATE_BLOCK = 256
 
 
 def candidate_distances(instance: Instance) -> np.ndarray:
@@ -235,9 +258,11 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     """
     n = instance.n
     uniq = []
-    for lo in range(0, n, _CANDIDATE_BLOCK):
-        ids = np.arange(lo, min(lo + _CANDIDATE_BLOCK, n))
-        uniq.append(np.unique(instance.distance_rows(ids)))
+    for lo in range(0, n, BLOCK_ROWS):
+        ids = np.arange(lo, min(lo + BLOCK_ROWS, n))
+        # distances are symmetric bit for bit, so the columns left of the
+        # block hold pairs an earlier block has already read
+        uniq.append(np.unique(instance.distance_rows(ids, lo)))
     vals = np.unique(np.concatenate(uniq))
     vals = vals[vals > 0.0]
     if instance.has_duplicate_points():

@@ -3,8 +3,9 @@
 Everything here avoids the library's own algorithms: feasibility is decided
 by enumerating walks, optimal scatter by trying every cyclic order, and
 Hamiltonicity by trying every permutation. Slow on purpose, trustworthy on
-purpose. The one exception is the reference hub path search at the end,
-an earlier, eager version of the library's own heuristic, kept to pin its
+purpose. The exceptions are the reference versions at the end: earlier
+implementations of the library's own routines (the eager hub path search,
+the full-row candidate sweep and the dense Dirac path), kept to pin their
 outputs.
 """
 
@@ -14,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from scatter_tsp import CubicBipartiteGraph, Instance
+from scatter_tsp import ContractViolation, CubicBipartiteGraph, Instance, threshold_graph
+from scatter_tsp.instance import DEDUP_REL_TOL
 
 
 def closed_walk_feasible(allowed, visits):
@@ -273,3 +275,67 @@ def ref_vertex_components(vertices, allowed):
                     stack.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+# Reference distance sweeps: the candidate sweep over full rows in 256-row
+# blocks, and the Dirac cycle built on the dense threshold graph, as the
+# library had them before they moved to half rows and on-demand rows.
+
+def ref_candidate_distances(instance):
+    n = instance.n
+    uniq = []
+    for lo in range(0, n, 256):
+        ids = np.arange(lo, min(lo + 256, n))
+        uniq.append(np.unique(instance.distance_rows(ids)))
+    vals = np.unique(np.concatenate(uniq))
+    vals = vals[vals > 0.0]
+    if instance.has_duplicate_points():
+        vals = np.concatenate(([0.0], vals))
+    kept = []
+    for v in vals:
+        if not kept or v - kept[-1] > DEDUP_REL_TOL * max(1.0, v):
+            kept.append(float(v))
+    return np.array(kept)
+
+
+def ref_dirac_tour(instance, ell):
+    """Dirac cycle of the dense threshold graph at ell."""
+    adj = threshold_graph(instance, ell).adjacency
+    n = adj.shape[0]
+    deg = adj.sum(axis=1)
+    worst = int(np.argmin(deg))
+    if 2 * int(deg[worst]) < n:
+        raise ValueError(
+            f"vertex {worst} has degree {int(deg[worst])} < n/2 = {n / 2}")
+    order = np.arange(n)
+    nxt = np.roll(order, -1)
+    bad_mask = ~adj[order, nxt]
+    bad = {_ref_key(int(order[i]), int(nxt[i])) for i in np.nonzero(bad_mask)[0]}
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    guard = len(bad) + 1
+    while bad:
+        guard -= 1
+        if guard < 0:
+            raise ContractViolation("cycle repair failed to make progress")
+        a, b = bad.pop()
+        i = pos[a]
+        if order[(i + 1) % n] != b:
+            a, b = b, a
+            i = pos[a]
+        order = np.roll(order, -i)
+        cand = adj[a, order] & adj[b, np.roll(order, -1)]
+        cand[0] = False
+        j = int(np.argmax(cand))
+        if not cand[j]:
+            raise ContractViolation(
+                f"no crossing rotation for pair ({a}, {b}); degree condition broken")
+        old = _ref_key(int(order[j]), int(order[(j + 1) % n]))
+        bad.discard(old)
+        order[1:j + 1] = order[j:0:-1]
+        pos[order] = np.arange(n)
+    return order
+
+
+def _ref_key(u, v):
+    return (u, v) if u < v else (v, u)

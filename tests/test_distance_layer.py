@@ -1,0 +1,175 @@
+"""The distance layer: one metric kernel for rows and pairs, the half-row
+candidate sweep, the degrees of the low-degree scan, and the Dirac cycle on
+rows computed on demand, each against the reference versions in helpers.py."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from scatter_tsp import (
+    DecisionParams,
+    Instance,
+    MetricThresholdView,
+    candidate_distances,
+    decide_scatter,
+    dirac_hamiltonian,
+    find_low_degree_point,
+    meets_threshold,
+    threshold_graph,
+    tour_edge_lengths,
+)
+from helpers import ref_candidate_distances, ref_dirac_tour
+
+METRICS = ["l1", "l2", "l3", "linf", "hamming", "explicit"]
+
+
+def make_instance(metric, n, dim, seed, duplicates, near_ties, lattice):
+    """Seeded instance; lattice coordinates give many exactly equal distances."""
+    rng = np.random.default_rng(seed)
+    if metric == "hamming":
+        pts = rng.integers(0, 2, size=(n, dim))
+    elif lattice:
+        pts = rng.integers(0, 4, size=(n, dim)).astype(float)
+    else:
+        pts = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3)
+    if duplicates:
+        pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
+    if near_ties and metric != "hamming":
+        # distances within DEDUP_REL_TOL of each other, merged into one candidate
+        src = rng.integers(0, n, n // 4)
+        pts[rng.integers(0, n, n // 4)] = pts[src] * (1.0 + 1e-14)
+    if metric == "hamming":
+        return Instance.hamming(pts)
+    if metric == "explicit":
+        return Instance.explicit(Instance.lp(pts, p=2.0).full_matrix())
+    p = math.inf if metric == "linf" else float(metric[1:])
+    return Instance.lp(pts, p=p)
+
+
+instances = st.builds(
+    make_instance,
+    metric=st.sampled_from(METRICS),
+    n=st.integers(3, 150),
+    dim=st.integers(1, 4),
+    seed=st.integers(0, 2 ** 32 - 1),
+    duplicates=st.booleans(),
+    near_ties=st.booleans(),
+    lattice=st.booleans(),
+)
+
+
+def probe_ells(inst):
+    """Candidate distances spread over the range, one just above a candidate,
+    and one below the tolerance, where every point meets its own threshold."""
+    cand = candidate_distances(inst)
+    picks = cand[np.linspace(0, len(cand) - 1, 5).astype(int)]
+    return [5e-10, float(cand[-1]) * (1.0 + 1e-6)] + [float(c) for c in picks if c > 0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(inst=instances)
+def test_half_row_candidate_sweep_matches_full_rows(inst):
+    assert np.array_equal(candidate_distances(inst), ref_candidate_distances(inst))
+
+
+def test_candidate_sweep_crosses_block_edges():
+    # n = 64k +- 1 and 2 * 64: pairs straddle the 64-row blocks of the sweep
+    for n in (63, 65, 128, 129, 191):
+        for metric in METRICS:
+            inst = make_instance(metric, n, 3, n, True, True, metric == "l1")
+            assert np.array_equal(candidate_distances(inst), ref_candidate_distances(inst))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances)
+def test_scan_degrees_and_dirac_on_view_match_dense_graph(inst):
+    n = inst.n
+    for ell in probe_ells(inst):
+        dense = threshold_graph(inst, ell).degrees()
+        self_edge = int(meets_threshold(0.0, ell))
+        low = np.flatnonzero(2 * (n - dense - self_edge) > n)
+        degrees = np.full(n, -1, dtype=np.intp)
+        p = find_low_degree_point(inst, ell, degrees)
+        assert p == (int(low[0]) if len(low) else None)
+        view = MetricThresholdView(inst, ell)
+        assert np.array_equal(view.degrees(), dense)
+        if p is None:
+            assert np.array_equal(degrees, dense)
+            want = ref_dirac_tour(inst, ell)
+            assert np.array_equal(dirac_hamiltonian(view, degrees), want)
+            assert np.array_equal(dirac_hamiltonian(view), want)
+        else:
+            assert 2 * int(dense.min()) < n
+            with pytest.raises(ValueError):
+                ref_dirac_tour(inst, ell)
+            with pytest.raises(ValueError):
+                dirac_hamiltonian(view)
+
+
+def test_dirac_on_view_repairs_like_dense_path():
+    # spread points at low thresholds: Dirac probes with many bad pairs
+    repaired = 0
+    for seed in range(4):
+        inst = make_instance("l2", 150, 2, seed, False, False, False)
+        for ell in candidate_distances(inst)[::500]:
+            degrees = np.empty(inst.n, dtype=np.intp)
+            if find_low_degree_point(inst, ell, degrees) is not None:
+                continue
+            view = MetricThresholdView(inst, ell)
+            ident = np.arange(inst.n)
+            repaired += int((~view.edge_flags(ident, np.roll(ident, -1))).sum())
+            assert np.array_equal(dirac_hamiltonian(view, degrees),
+                                  ref_dirac_tour(inst, ell))
+    assert repaired > 50
+
+
+def test_view_below_half_degree_raises():
+    inst = make_instance("l2", 40, 2, 7, False, False, False)
+    top = float(candidate_distances(inst)[-1])
+    for ell in (top, 2.0 * top):
+        view = MetricThresholdView(inst, ell)
+        assert 2 * int(view.degrees().min()) < inst.n
+        with pytest.raises(ValueError):
+            dirac_hamiltonian(view)
+
+
+KERNEL_CASES = ([(f"l{p}", dim) for dim in (2, 8, 12, 20) for p in (1, 2, 3)]
+                + [("linf", dim) for dim in (2, 8, 12, 20)]
+                + [("hamming", 12), ("explicit", 3)])
+
+
+@pytest.mark.parametrize("metric,dim", KERNEL_CASES)
+def test_rows_and_pairs_agree_bit_for_bit(metric, dim):
+    # numpy's pairwise sum over >= 8 coordinates rounds differently from a
+    # coordinate-by-coordinate sum; both entry points must use the latter
+    n = 200
+    inst = make_instance(metric, n, dim, dim, False, False, False)
+    full = inst.full_matrix()
+    assert np.array_equal(full, full.T)
+    us, vs = np.triu_indices(n, 1)
+    assert np.array_equal(inst.distance_pairs(us, vs), full[us, vs])
+    tour = np.random.default_rng(dim).permutation(n)
+    assert np.array_equal(tour_edge_lengths(inst, tour), full[tour, np.roll(tour, -1)])
+    ell = float(np.median(full[us, vs]))
+    dense = threshold_graph(inst, ell)
+    view = MetricThresholdView(inst, ell)
+    assert np.array_equal(view.edge_flags(us, vs), dense.edge_flags(us, vs))
+    assert np.array_equal(view.rows(np.arange(n)), dense.adjacency)
+
+
+def test_dirac_probe_memory_is_linear_in_n():
+    # the dense threshold graph alone would be 100 MB at n = 10^4
+    inst = Instance.lp(np.vstack([
+        np.tile([0.0, 0.0], (4800, 1)), np.tile([0.4, 0.0], (300, 1)),
+        np.tile([0.2, 1.0], (2400, 1)), np.tile([0.2, -1.0], (2500, 1))]))
+    tracemalloc.start()
+    try:
+        out = decide_scatter(inst, DecisionParams(0.4, 0.05))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.answer and out.branch == "dirac"
+    assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"

@@ -1,5 +1,7 @@
 """Decision procedure and threshold search: approximation contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -132,13 +134,17 @@ def test_epsilon_validation():
 def test_out_of_envelope_instance_aborts_loudly():
     # a mid-size cluster instance whose quotient resists every exact tier;
     # the contract is to abort rather than return an uncertified answer,
-    # and the message names the tier and the shape of what it could not settle
+    # and the message names the probe, the tier and the shape of what it
+    # could not settle
     inst = generate("clustered", 80, 2, seed=6)
     with pytest.raises(ContractViolation,
                        match=r"hub path-cover tier undecided: k=49, hub visits t=27, "
                              r"m=53 clones; greedy cover 28 paths > t >= certified "
-                             r"floor 25; unresolved component sizes \[32\]"):
+                             r"floor 25; unresolved component sizes \[32\]") as info:
         maximize_scatter(inst, 0.1)
+    assert re.match(r"probe ell=0\.020339778861304537, net size k=48, hub points 27: "
+                    r"hub path-cover", str(info.value))
+    assert isinstance(info.value.__cause__, ContractViolation)
 
 
 def test_clustered_instance_in_envelope():
