@@ -253,8 +253,10 @@ def scatter(instance: Instance, tour) -> float:
 def candidate_distances(instance: Instance) -> np.ndarray:
     """Sorted distinct positive pairwise distances, plus 0 when duplicates exist.
 
-    Values within relative tolerance DEDUP_REL_TOL are merged, keeping the
-    smallest representative. The optimum scatter is always one of these.
+    Values within relative tolerance DEDUP_REL_TOL of the last kept value
+    are merged into it, so a chain of near ties keeps its smallest member
+    and every later one that drifts past the tolerance. The optimum scatter
+    is always one of these.
     """
     n = instance.n
     uniq = []
@@ -267,11 +269,17 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     vals = vals[vals > 0.0]
     if instance.has_duplicate_points():
         vals = np.concatenate(([0.0], vals))
-    kept = []
-    for v in vals:
-        if not kept or v - kept[-1] > DEDUP_REL_TOL * max(1.0, v):
-            kept.append(float(v))
-    return np.array(kept)
+    # a value farther than the tolerance from its predecessor is farther
+    # still from the last kept value, so only runs of near ties need the
+    # sequential walk
+    keep = np.diff(vals, prepend=-np.inf) > DEDUP_REL_TOL * np.maximum(1.0, vals)
+    last = 0.0
+    for i in np.flatnonzero(~keep).tolist():
+        if keep[i - 1]:
+            last = vals[i - 1]
+        if vals[i] - last > DEDUP_REL_TOL * max(1.0, vals[i]):
+            keep[i] = True
+    return vals[keep]
 
 
 def generate(kind: str, n: int, dim: int, seed: int, p: float = 2.0,

@@ -2,11 +2,24 @@
 
 The solver is exact: it answers feasibility correctly for every spec, or
 aborts loudly when its search budget is genuinely exhausted; it never
-returns a wrong answer. Strategy: a feasible multiset of edges always
-contains a spanning tree of its own support, so we enumerate spanning
-trees of the allowed graph and, for each, solve the residual
-degree-constrained edge-multiset system exactly. Residual systems repeat
-heavily across trees, so failures are memoized by residual vector.
+returns a wrong answer. `many_visits_tour` rejects a disconnected allowed
+graph, then runs four tiers in order, each of which either decides the
+spec or hands it on:
+
+1. walk DP (`_walk_dp`): a reachability sweep over (remaining visits,
+   current vertex) states, exact whenever prod(visits_v + 1) is at most
+   _WALK_STATE_CAP. This covers plain Hamiltonicity of small quotients.
+2. even-flow relaxation (`_even_flow`): the degree system without the
+   connectivity requirement. No solution means no walk; a solution whose
+   support is connected and spanning is a walk.
+3. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
+   all others, feasibility is a path-cover question on the other visits;
+   the tier aborts when its cover search and lower bounds leave it open.
+4. spanning trees: a feasible multiset of edges contains a spanning tree
+   of its own support, so spanning trees of the allowed graph are
+   enumerated and, for each, the residual degree-constrained edge-multiset
+   system is solved exactly. Residual systems repeat heavily across trees,
+   so failures are memoized by residual vector.
 
 Visit counts may be as large as 10^9; all arithmetic on multiplicities and
 flows uses Python integers, and the Euler walk of the result is only
@@ -467,10 +480,14 @@ def _walk_dp(allowed, visits):
     """Exact closed-walk search when prod(visits_v + 1) is small.
 
     States are (remaining visit vector, current vertex) with the vector
-    packed into a mixed-radix code; reachability is swept layer by layer
-    over the total remaining count, vectorized per directed edge. Covers
-    the small-visit regime (including plain Hamiltonicity) where spanning
-    tree enumeration would blow up on a No answer.
+    packed into a mixed-radix code; reach[code, v] marks the reachable
+    states. Each step spends one visit, so the sweep runs forward one
+    layer of equal remaining total at a time, over the codes reached in
+    the layer only: one matrix product gives every vertex each code can
+    step to, masked by the visits that code has left, and the states
+    found are written once per target vertex. Covers the small-visit
+    regime (including plain Hamiltonicity) where spanning tree enumeration
+    would blow up on a No answer.
     """
     k = len(visits)
     bases = [1] * k
@@ -480,32 +497,33 @@ def _walk_dp(allowed, visits):
         prod *= visits[v] + 1
         if prod > _WALK_STATE_CAP:
             return "out_of_range"
-    counts = np.array(visits, dtype=np.int64)
-    bases = np.array(bases, dtype=np.int64)
-
-    codes = np.arange(prod, dtype=np.int64)
-    totals = np.zeros(prod, dtype=np.int64)
-    for v in range(k):
-        totals += (codes // bases[v]) % (counts[v] + 1)
-    order = np.argsort(totals, kind="stable")
-    sorted_totals = totals[order]
-    start_total = int(counts.sum()) - 1
+    start_total = sum(visits) - 1
+    start_code = sum(c * b for c, b in zip(visits, bases)) - bases[0]
 
     reach = np.zeros((prod, k), dtype=bool)
-    start_code = int(np.sum(counts * bases)) - int(bases[0])
     reach[start_code, 0] = True
 
-    arcs = [(u, w) for u in range(k) for w in range(k) if allowed[u][w]]
-    for t in range(start_total, 0, -1):
-        lo = np.searchsorted(sorted_totals, t, side="left")
-        hi = np.searchsorted(sorted_totals, t, side="right")
-        layer = order[lo:hi]
-        for (u, w) in arcs:
-            src = layer[reach[layer, u]]
-            if len(src) == 0:
-                continue
-            src = src[(src // bases[w]) % (counts[w] + 1) > 0]
-            reach[src - bases[w], w] = True
+    # step[w, u] = 1 when the walk may go from u to w; a product entry
+    # counts at most k <= 19 predecessors, exact in float32, and the cap
+    # keeps every code inside int32
+    step = np.asarray(allowed, dtype=np.float32).T
+    base = np.array(bases, dtype=np.int32)[:, None]
+    radix = np.array(visits, dtype=np.int32)[:, None] + 1
+    frontier = np.array([start_code], dtype=np.int32)
+    marker = np.zeros(prod, dtype=bool)
+    for _ in range(start_total):
+        # moves[w, i]: code frontier[i] is reached at a vertex that may
+        # step to w, and has a visit of w left
+        moves = step @ reach[frontier].T.astype(np.float32) > 0
+        moves &= frontier // base % radix != 0
+        for w in np.flatnonzero(moves.any(axis=1)).tolist():
+            dst = frontier[moves[w]] - bases[w]
+            reach[dst, w] = True
+            marker[dst] = True
+        frontier = np.flatnonzero(marker).astype(np.int32)
+        if len(frontier) == 0:
+            break
+        marker[frontier] = False
 
     finish = [w for w in range(k) if allowed[w][0] and reach[0, w]]
     if not finish:

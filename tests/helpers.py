@@ -5,8 +5,8 @@ by enumerating walks, optimal scatter by trying every cyclic order, and
 Hamiltonicity by trying every permutation. Slow on purpose, trustworthy on
 purpose. The exceptions are the reference versions at the end: earlier
 implementations of the library's own routines (the eager hub path search,
-the full-row candidate sweep and the dense Dirac path), kept to pin their
-outputs.
+the full-row candidate sweep, the dense Dirac path and the per-arc walk
+DP), kept to pin their outputs.
 """
 
 import itertools
@@ -17,6 +17,7 @@ import numpy as np
 
 from scatter_tsp import ContractViolation, CubicBipartiteGraph, Instance, threshold_graph
 from scatter_tsp.instance import DEDUP_REL_TOL
+from scatter_tsp.many_visits import _WALK_STATE_CAP
 
 
 def closed_walk_feasible(allowed, visits):
@@ -339,3 +340,66 @@ def ref_dirac_tour(instance, ell):
 
 def _ref_key(u, v):
     return (u, v) if u < v else (v, u)
+
+
+# Reference walk DP: every code of the state space sorted into layers of
+# equal remaining total up front, then one gather and one scatter per
+# directed arc and layer. The library's frontier sweep must fill the same
+# reach table and so return the same walk.
+
+def ref_walk_dp(allowed, visits):
+    k = len(visits)
+    bases = [1] * k
+    prod = 1
+    for v in range(k):
+        bases[v] = prod
+        prod *= visits[v] + 1
+        if prod > _WALK_STATE_CAP:
+            return "out_of_range"
+    counts = np.array(visits, dtype=np.int64)
+    bases = np.array(bases, dtype=np.int64)
+
+    codes = np.arange(prod, dtype=np.int64)
+    totals = np.zeros(prod, dtype=np.int64)
+    for v in range(k):
+        totals += (codes // bases[v]) % (counts[v] + 1)
+    order = np.argsort(totals, kind="stable")
+    sorted_totals = totals[order]
+    start_total = int(counts.sum()) - 1
+
+    reach = np.zeros((prod, k), dtype=bool)
+    start_code = int(np.sum(counts * bases)) - int(bases[0])
+    reach[start_code, 0] = True
+
+    arcs = [(u, w) for u in range(k) for w in range(k) if allowed[u][w]]
+    for t in range(start_total, 0, -1):
+        lo = np.searchsorted(sorted_totals, t, side="left")
+        hi = np.searchsorted(sorted_totals, t, side="right")
+        layer = order[lo:hi]
+        for (u, w) in arcs:
+            src = layer[reach[layer, u]]
+            if len(src) == 0:
+                continue
+            src = src[(src // bases[w]) % (counts[w] + 1) > 0]
+            reach[src - bases[w], w] = True
+
+    finish = [w for w in range(k) if allowed[w][0] and reach[0, w]]
+    if not finish:
+        return None
+    cur = finish[0]
+    walk_rev = [0, cur]
+    code = 0
+    for _ in range(start_total):
+        pcode = code + int(bases[cur])
+        prev = None
+        for cand in range(k):
+            if allowed[cand][cur] and reach[pcode, cand]:
+                prev = cand
+                break
+        if prev is None:
+            raise ContractViolation("walk reconstruction lost its trail")
+        walk_rev.append(prev)
+        code, cur = pcode, prev
+    if cur != 0 or code != start_code:
+        raise ContractViolation("walk reconstruction ended off the start state")
+    return walk_rev[::-1]

@@ -21,6 +21,7 @@ from scatter_tsp import (
     threshold_graph,
     tour_edge_lengths,
 )
+from scatter_tsp.instance import DEDUP_REL_TOL
 from helpers import ref_candidate_distances, ref_dirac_tour
 
 METRICS = ["l1", "l2", "l3", "linf", "hamming", "explicit"]
@@ -69,7 +70,7 @@ def probe_ells(inst):
     return [5e-10, float(cand[-1]) * (1.0 + 1e-6)] + [float(c) for c in picks if c > 0]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(inst=instances)
 def test_half_row_candidate_sweep_matches_full_rows(inst):
     assert np.array_equal(candidate_distances(inst), ref_candidate_distances(inst))
@@ -83,7 +84,20 @@ def test_candidate_sweep_crosses_block_edges():
             assert np.array_equal(candidate_distances(inst), ref_candidate_distances(inst))
 
 
-@settings(max_examples=60, deadline=None)
+def test_chained_near_ties_merge_like_reference():
+    # distances 0.6 * tol apart: each one is a near tie of its predecessor,
+    # so which of them are kept depends on the last value kept before it
+    n = 12
+    vals = 1.0 + np.arange(n * (n - 1) // 2) * 0.6 * DEDUP_REL_TOL
+    matrix = np.zeros((n, n))
+    matrix[np.triu_indices(n, 1)] = vals
+    inst = Instance.explicit(matrix + matrix.T)
+    got = candidate_distances(inst)
+    assert np.array_equal(got, ref_candidate_distances(inst))
+    assert 1 < len(got) < len(np.unique(vals))
+
+
+@settings(max_examples=60)
 @given(inst=instances)
 def test_scan_degrees_and_dirac_on_view_match_dense_graph(inst):
     n = inst.n

@@ -60,7 +60,7 @@ def clone_graphs(draw):
     return clone_graph(quotient, visits)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(clone_graphs(), st.integers(0, 2 ** 32 - 1))
 def test_path_search_matches_reference(adj, subset_seed):
     assert_matches_reference(adj, subset_seed)

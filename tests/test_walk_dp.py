@@ -1,0 +1,106 @@
+"""The walk-DP tier: the frontier sweep against the per-arc reference in
+helpers.py, walk enumeration, its state cap and its memory."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from scatter_tsp.many_visits import _WALK_STATE_CAP, _walk_dp
+from helpers import closed_walk_feasible, ref_walk_dp
+
+# visits + 1 of (2, 2, 2, 2, 2, 5, 5, 5, 5, 5, 7): prod is exactly the cap
+CAP_VISITS = [1] * 5 + [4] * 5 + [6]
+
+
+def random_graph(k, density, rng):
+    upper = np.triu(rng.random((k, k)) < density, 1)
+    return upper | upper.T
+
+
+def assert_walk(allowed, visits, walk):
+    """A closed walk from vertex 0 over allowed edges with exact counts."""
+    assert walk[0] == walk[-1] == 0
+    assert all(allowed[a][b] for a, b in zip(walk, walk[1:]))
+    assert np.bincount(walk[:-1], minlength=len(visits)).tolist() == list(visits)
+
+
+@st.composite
+def walk_specs(draw):
+    k = draw(st.integers(1, 8))
+    visits = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["random", "star", "complete", "disconnected"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        allowed = random_graph(k, draw(st.floats(0.0, 1.0)), rng)
+    elif kind == "complete":
+        allowed = ~np.eye(k, dtype=bool)
+    else:
+        allowed = np.zeros((k, k), dtype=bool)
+        if kind == "star":
+            centre = draw(st.integers(0, k - 1))
+            allowed[centre] = allowed[:, centre] = True
+            allowed[centre, centre] = False
+        else:  # two dense blocks with no edge between them
+            cut = draw(st.integers(1, k))
+            allowed[:cut, :cut] = random_graph(cut, 0.8, rng)
+            allowed[cut:, cut:] = random_graph(k - cut, 0.8, rng)
+    return allowed, visits
+
+
+@settings(max_examples=300)
+@given(walk_specs())
+def test_frontier_sweep_matches_reference(spec):
+    allowed, visits = spec
+    got = _walk_dp(allowed, visits)
+    assert got == ref_walk_dp(allowed, visits)
+    if got is not None:
+        assert_walk(allowed, visits, got)
+    # walk enumeration is exhaustive; keep it to small state spaces (k = 1
+    # is answered before the DP runs, which has no edge to close a walk on)
+    if len(visits) > 1 and math.prod(v + 1 for v in visits) <= 5000:
+        assert (got is not None) == closed_walk_feasible(allowed, visits)
+
+
+@pytest.mark.parametrize("k", [16, 19])
+@pytest.mark.parametrize("density", [1.0, 0.5, 0.3])
+def test_hamiltonicity_matches_reference(k, density):
+    allowed = random_graph(k, density, np.random.default_rng(100 * k + int(10 * density)))
+    visits = [1] * k
+    got = _walk_dp(allowed, visits)
+    assert got == ref_walk_dp(allowed, visits)
+    if got is not None:
+        assert_walk(allowed, visits, got)
+
+
+def test_state_cap_boundary():
+    assert math.prod(v + 1 for v in CAP_VISITS) == _WALK_STATE_CAP
+    allowed = random_graph(len(CAP_VISITS), 0.6, np.random.default_rng(7))
+    got = _walk_dp(allowed, CAP_VISITS)
+    assert got != "out_of_range"
+    assert got == ref_walk_dp(allowed, CAP_VISITS)
+    assert got is not None
+    assert_walk(allowed, CAP_VISITS, got)
+    # one more visit anywhere, or 20 single visits, is past the cap
+    for v in range(len(CAP_VISITS)):
+        more = list(CAP_VISITS)
+        more[v] += 1
+        assert _walk_dp(allowed, more) == "out_of_range"
+    assert _walk_dp(~np.eye(20, dtype=bool), [1] * 20) == "out_of_range"
+
+
+def test_walk_dp_memory():
+    # complete graph, 19 single visits: 2^19 codes. The reach table is
+    # 9.5 MB; prod-sized int64 layer tables or a deduplication over every
+    # candidate transition of a layer would push the peak past 22 MB
+    allowed = ~np.eye(19, dtype=bool)
+    tracemalloc.start()
+    try:
+        walk = _walk_dp(allowed, [1] * 19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_walk(allowed, [1] * 19, walk)
+    assert peak < 22 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
