@@ -9,17 +9,21 @@ spec or hands it on:
 1. walk DP (`_walk_dp`): a reachability sweep over (remaining visits,
    current vertex) states, exact whenever prod(visits_v + 1) is at most
    _WALK_STATE_CAP. This covers plain Hamiltonicity of small quotients.
-2. even-flow relaxation (`_even_flow`): the degree system without the
+2. even-flow relaxation (`_arc_flow` with out = in = visits): an
+   Eulerian digraph with the prescribed degrees but without the
    connectivity requirement. No solution means no walk; a solution whose
    support is connected and spanning is a walk.
 3. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
    all others, feasibility is a path-cover question on the other visits;
    the tier aborts when its cover search and lower bounds leave it open.
-4. spanning trees: a feasible multiset of edges contains a spanning tree
-   of its own support, so spanning trees of the allowed graph are
-   enumerated and, for each, the residual degree-constrained edge-multiset
-   system is solved exactly. Residual systems repeat heavily across trees,
-   so failures are memoized by residual vector.
+4. spanning trees: the arcs of a walk form a strongly connected digraph
+   with out- and in-degree visits[v], so they contain a spanning tree of
+   the allowed graph with every edge oriented toward vertex 0. Each
+   enumerated tree is oriented that way, and the remaining arcs
+   (out-degree visits[v] - [v != 0], in-degree visits[v] - children(v))
+   form a bipartite transportation problem that `_arc_flow` decides
+   exactly. Residual problems repeat heavily across trees, so failures
+   are memoized by children vector.
 
 Visit counts may be as large as 10^9; all arithmetic on multiplicities and
 flows uses Python integers, and the Euler walk of the result is only
@@ -27,7 +31,7 @@ materialized on demand.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -38,10 +42,6 @@ from .graphs import Multigraph, eulerian_tour
 _WALK_STATE_CAP = 700_000    # product of (visits_v + 1) admitted to the walk DP
 _TREE_CAP = 100_000          # spanning trees examined before giving up
 _NODE_CAP = 400_000          # recursion nodes in the tree enumeration
-_DP_STATE_CAP = 200_000      # product of (r_v + 1) admitted to the exact DP
-_FULL_Z_EDGE_CAP = 12        # component edge count for exhaustive parity layers
-_PAIRING_ODD_CAP = 10        # odd-vertex count for heuristic parity layers
-_NECESSITY_VERTEX_CAP = 14   # component size for the cut-based infeasibility check
 
 
 @dataclass
@@ -154,326 +154,37 @@ class _Dinic:
                 flow += pushed
 
 
-def _even_flow(vertices, edges, s):
-    """Integer edge multiplicities with degree exactly 2*s[v], or None.
+def _arc_flow(k, edges, out_deg, in_deg):
+    """Edge multiplicities of a digraph with the given out- and in-degrees, or None.
 
-    Double-cover max flow: each vertex splits into a sender and a receiver
-    of capacity s[v]; an edge {u,v} carries both directions. A saturating
-    flow f yields g_e = f(u->v) + f(v->u) with deg_v(g) = 2 s[v], and any
-    solution of the even system induces a saturating (half-integral, hence
-    integral-valued) flow, so this tier is exact.
+    Transportation max flow on the double cover: vertex v splits into a
+    sender of capacity out_deg[v] and a receiver of capacity in_deg[v],
+    and an allowed edge {u,v} carries both arcs u->v and v->u. The two
+    degree sums are equal at both callers, and the network is bipartite,
+    so a flow saturating every sender exists exactly when the digraph
+    does; the multiplicity returned for {u,v} is the flow on both of its
+    arcs, and the degree of v is out_deg[v] + in_deg[v].
     """
-    idx = {v: i for i, v in enumerate(vertices)}
-    m = len(vertices)
-    src, snk = 2 * m, 2 * m + 1
-    net = _Dinic(2 * m + 2)
-    total = 0
-    inf = sum(s.values()) + 1
-    for v in vertices:
-        net.add(src, 2 * idx[v], s[v])
-        net.add(2 * idx[v] + 1, snk, s[v])
-        total += s[v]
+    total = sum(out_deg)
+    src, snk = 2 * k, 2 * k + 1
+    net = _Dinic(2 * k + 2)
+    inf = total + 1
+    for v in range(k):
+        net.add(src, 2 * v, out_deg[v])
+        net.add(2 * v + 1, snk, in_deg[v])
     slots = {}
     for (u, v) in edges:
-        a = net.add(2 * idx[u], 2 * idx[v] + 1, inf)
-        b = net.add(2 * idx[v], 2 * idx[u] + 1, inf)
-        slots[(u, v)] = (2 * idx[u], a, 2 * idx[v], b)
+        a = net.add(2 * u, 2 * v + 1, inf)
+        b = net.add(2 * v, 2 * u + 1, inf)
+        slots[(u, v)] = (a, b)
     if net.max_flow(src, snk) != total:
         return None
-    out = {}
-    for (u, v), (nu, a, nv, b) in slots.items():
-        used = (inf - net.adj[nu][a][1]) + (inf - net.adj[nv][b][1])
+    got = {}
+    for (u, v), (a, b) in slots.items():
+        used = (inf - net.adj[2 * u][a][1]) + (inf - net.adj[2 * v][b][1])
         if used:
-            out[(u, v)] = used
-    return out
-
-
-def _transportation(left, right, edges, r):
-    """Exact solve of the degree system on a bipartite component via max flow."""
-    if sum(r[v] for v in left) != sum(r[v] for v in right):
-        return None
-    idx = {}
-    for v in left + right:
-        idx[v] = len(idx)
-    m = len(idx)
-    src, snk = m, m + 1
-    net = _Dinic(m + 2)
-    inf = sum(r[v] for v in left) + 1
-    for v in left:
-        net.add(src, idx[v], r[v])
-    for v in right:
-        net.add(idx[v], snk, r[v])
-    left_set = set(left)
-    slots = {}
-    for (u, v) in edges:
-        lu = u if u in left_set else v
-        rv = v if lu == u else u
-        slots[(u, v)] = (idx[lu], net.add(idx[lu], idx[rv], inf))
-    if net.max_flow(src, snk) != sum(r[v] for v in left):
-        return None
-    out = {}
-    for e, (nu, a) in slots.items():
-        used = inf - net.adj[nu][a][1]
-        if used:
-            out[e] = used
-    return out
-
-
-def _two_color(vertices, adj_sets):
-    """Bipartition (left, right) of a connected set, or None if an odd cycle."""
-    color = {vertices[0]: 0}
-    queue = [vertices[0]]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for w in adj_sets[u]:
-            if w not in color:
-                color[w] = color[u] ^ 1
-                queue.append(w)
-            elif color[w] == color[u]:
-                return None
-    left = [v for v in vertices if color[v] == 0]
-    right = [v for v in vertices if color[v] == 1]
-    return left, right
-
-
-def _degree_dp(vertices, edges, r):
-    """Exhaustive multiplicity search with failure memoization; exact.
-
-    Only used when prod(r_v + 1) is small. Edges are processed in a fixed
-    order; once the last edge at a vertex is placed its residual must be 0,
-    which prunes hard.
-    """
-    order = {v: i for i, v in enumerate(vertices)}
-    last_edge = {}
-    for t, (u, v) in enumerate(edges):
-        last_edge[u] = t
-        last_edge[v] = t
-    failed = set()
-    sol = {}
-
-    def go(t, res):
-        if t == len(edges):
-            return all(x == 0 for x in res)
-        key = (t, res)
-        if key in failed:
-            return False
-        u, v = edges[t]
-        iu, iv = order[u], order[v]
-        hi = min(res[iu], res[iv])
-        want_u = res[iu] if last_edge[u] == t else None
-        want_v = res[iv] if last_edge[v] == t else None
-        for x in range(hi + 1):
-            if want_u is not None and x != want_u:
-                continue
-            if want_v is not None and x != want_v:
-                continue
-            nxt = list(res)
-            nxt[iu] -= x
-            nxt[iv] -= x
-            if go(t + 1, tuple(nxt)):
-                if x:
-                    sol[(u, v)] = x
-                return True
-        failed.add(key)
-        return False
-
-    if go(0, tuple(r[v] for v in vertices)):
-        return sol
-    return None
-
-
-def _shortest_path_edges(adj_sets, a, b):
-    """Edge set of a BFS shortest a-b path with lowest-index predecessors."""
-    prev = {a: a}
-    queue = [a]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        if u == b:
-            break
-        for w in sorted(adj_sets[u]):
-            if w not in prev:
-                prev[w] = u
-                queue.append(w)
-    path = set()
-    cur = b
-    while cur != a:
-        p = prev[cur]
-        path.add((p, cur) if p < cur else (cur, p))
-        cur = p
-    return path
-
-
-def _pairings(items):
-    if not items:
-        yield []
-        return
-    first = items[0]
-    for i in range(1, len(items)):
-        rest = items[1:i] + items[i + 1:]
-        for tail in _pairings(rest):
-            yield [(first, items[i])] + tail
-
-
-def _parity_layers(vertices, edges, adj_sets, r):
-    """Candidate 0/1 edge sets z with deg_z parity matching r, deg_z <= r."""
-    odd = [v for v in vertices if r[v] % 2 == 1]
-    if len(edges) <= _FULL_Z_EDGE_CAP:
-        # exhaustive: complete, so a miss here certifies infeasibility
-        for bits in range(1 << len(edges)):
-            z = [e for t, e in enumerate(edges) if bits >> t & 1]
-            deg = {v: 0 for v in vertices}
-            for (u, v) in z:
-                deg[u] += 1
-                deg[v] += 1
-            if all(deg[v] % 2 == r[v] % 2 and deg[v] <= r[v] for v in vertices):
-                yield set(z)
-        return
-    if len(odd) > _PAIRING_ODD_CAP:
-        return
-    for pairing in _pairings(odd):
-        z = set()
-        for (a, b) in pairing:
-            z ^= _shortest_path_edges(adj_sets, a, b)
-        deg = {v: 0 for v in vertices}
-        for (u, v) in z:
-            deg[u] += 1
-            deg[v] += 1
-        if all(deg[v] % 2 == r[v] % 2 and deg[v] <= r[v] for v in vertices):
-            yield z
-
-
-def _cut_certificate(vertices, edges, r):
-    """A vertex set W proving the degree system infeasible, or None.
-
-    For any solution, each edge end not absorbed inside a component of
-    G - W must land in W: isolated vertices export all r_v ends and each
-    odd-total component exports at least one, while W can absorb at most
-    sum of its r values. Violation of that inequality is a certificate.
-    """
-    if len(vertices) > _NECESSITY_VERTEX_CAP:
-        return None
-    vset = list(vertices)
-    for size in range(len(vset) + 1):
-        for w in combinations(vset, size):
-            wset = set(w)
-            cap = sum(r[v] for v in w)
-            rest = [v for v in vset if v not in wset]
-            seen = set()
-            demand = 0
-            for v in rest:
-                if v in seen:
-                    continue
-                comp = [v]
-                seen.add(v)
-                stack = [v]
-                while stack:
-                    x = stack.pop()
-                    for (a, b) in edges:
-                        if a == x and b not in seen and b not in wset:
-                            seen.add(b)
-                            comp.append(b)
-                            stack.append(b)
-                        elif b == x and a not in seen and a not in wset:
-                            seen.add(a)
-                            comp.append(a)
-                            stack.append(a)
-                if len(comp) == 1:
-                    demand += r[comp[0]]
-                elif sum(r[x] for x in comp) % 2 == 1:
-                    demand += 1
-            if demand > cap:
-                return w
-    return None
-
-
-def solve_degree_system(k, edges, r):
-    """Integer multiplicities m_e >= 0 on `edges` with vertex degrees r, or None.
-
-    None is only returned when infeasibility is certain; if every complete
-    tier is out of range and the heuristic one fails, this raises
-    ContractViolation instead of guessing.
-    """
-    r = {v: int(r[v]) for v in range(k)}
-    if any(x < 0 for x in r.values()):
-        return None
-    if sum(r.values()) % 2 == 1:
-        return None
-    active = [v for v in range(k) if r[v] > 0]
-    if not active:
-        return {}
-    act_edges = [e for e in edges if r[e[0]] > 0 and r[e[1]] > 0]
-    adj_sets = {v: set() for v in active}
-    for (u, v) in act_edges:
-        adj_sets[u].add(v)
-        adj_sets[v].add(u)
-
-    out = {}
-    seen = set()
-    for v0 in active:
-        if v0 in seen:
-            continue
-        comp = [v0]
-        seen.add(v0)
-        stack = [v0]
-        while stack:
-            x = stack.pop()
-            for w in adj_sets[x]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comp.sort()
-        comp_set = set(comp)
-        comp_edges = [e for e in act_edges if e[0] in comp_set]
-        got = _solve_component(comp, comp_edges, adj_sets, r)
-        if got is None:
-            return None
-        out.update(got)
-    return out
-
-
-def _solve_component(comp, edges, adj_sets, r):
-    if len(comp) == 1:
-        return None  # positive demand, no edges
-    if sum(r[v] for v in comp) % 2 == 1:
-        return None
-    sides = _two_color(comp, adj_sets)
-    if sides is not None:
-        return _transportation(sides[0], sides[1], edges, r)
-
-    if _cut_certificate(comp, edges, r) is not None:
-        return None
-
-    bound = 1
-    for v in comp:
-        bound *= r[v] + 1
-        if bound > _DP_STATE_CAP:
-            break
-    if bound <= _DP_STATE_CAP:
-        return _degree_dp(comp, edges, r)
-
-    exhaustive = len(edges) <= _FULL_Z_EDGE_CAP
-    for z in _parity_layers(comp, edges, adj_sets, r):
-        deg = {v: 0 for v in comp}
-        for (u, v) in z:
-            deg[u] += 1
-            deg[v] += 1
-        s = {v: (r[v] - deg[v]) // 2 for v in comp}
-        g = _even_flow(comp, edges, s)
-        if g is not None:
-            m = {e: 1 for e in z}
-            for e, x in g.items():
-                m[e] = m.get(e, 0) + x
-            return m
-    if exhaustive:
-        return None
-    raise ContractViolation(
-        "degree system undecided: parity-layer search exhausted without a "
-        "certificate of infeasibility")
+            got[(u, v)] = used
+    return got
 
 
 def _walk_dp(allowed, visits):
@@ -953,13 +664,14 @@ def _hub_path_cover(spec):
 
 
 def _spanning_trees(k, edges, degree_cap):
-    """Yield spanning trees (as edge-index tuples) in a fixed order.
+    """Yield spanning trees as (edge-index tuple, degree tuple) in a fixed order.
 
     Include/exclude walk over the lex-sorted edge list, include first,
     pruning branches that can no longer connect the graph and skipping
-    trees whose degrees already overrun 2*visits. Explicit stack, since
-    the branch depth equals the edge count. Raises if the node budget is
-    exhausted, which keeps worst-case behavior honest.
+    trees whose degree at some v would exceed degree_cap[v]. Explicit
+    stack, since the branch depth equals the edge count. Yields None and
+    stops once _NODE_CAP recursion nodes are spent, so that the caller
+    aborts rather than reading the enumeration as complete.
     """
     m = len(edges)
     nodes = 0
@@ -998,9 +710,10 @@ def _spanning_trees(k, edges, degree_cap):
         i, parent, chosen, tdeg = stack.pop()
         nodes += 1
         if nodes > _NODE_CAP:
-            raise ContractViolation("spanning tree enumeration budget exhausted")
+            yield None
+            return
         if len(chosen) == k - 1:
-            yield chosen
+            yield chosen, tdeg
             continue
         if i == m or not connectable(parent, i):
             continue
@@ -1056,9 +769,9 @@ def many_visits_tour(spec: VisitSpec):
         mw._walk = walked
         return mw
 
-    # necessary relaxation: the degree system with the tree requirement
-    # dropped; demands 2*visits are even, so the flow tier is exact
-    g0 = _even_flow(list(range(k)), edges, {v: visits[v] for v in range(k)})
+    # necessary relaxation: an Eulerian digraph with out- and in-degree
+    # visits[v] but no connectivity requirement
+    g0 = _arc_flow(k, edges, visits, visits)
     if g0 is None:
         return None
     mg0 = Multigraph(k)
@@ -1078,27 +791,29 @@ def many_visits_tour(spec: VisitSpec):
         mw._walk = hub
         return mw
 
+    # a tree oriented toward vertex 0 gives every other vertex one arc to
+    # its parent and the rest of its tree edges as arcs in from its
+    # children, so children(v) = deg(v) - [v != 0] <= visits[v] is the cap
+    out_deg = [visits[v] - (v != 0) for v in range(k)]
+    degree_cap = [visits[v] + (v != 0) for v in range(k)]
     failed = set()
     examined = 0
-    degree_cap = [2 * visits[v] for v in range(k)]
-    for tree in _spanning_trees(k, edges, degree_cap):
+    for found in _spanning_trees(k, edges, degree_cap):
+        if found is None or examined == _TREE_CAP:
+            spent = (f"enumeration nodes > _NODE_CAP={_NODE_CAP}" if found is None
+                     else f"_TREE_CAP={_TREE_CAP} reached")
+            raise ContractViolation(
+                f"spanning-tree tier undecided: k={k}, {len(edges)} allowed edges; "
+                f"{examined} trees examined, {spent}; {len(failed)} distinct "
+                f"children vectors failed")
         examined += 1
-        if examined > _TREE_CAP:
-            raise ContractViolation("spanning tree budget exhausted undecided")
-        deg = [0] * k
-        for t in tree:
-            u, v = edges[t]
-            deg[u] += 1
-            deg[v] += 1
-        r = [2 * visits[v] - deg[v] for v in range(k)]
-        if min(r) < 0:
+        tree, tdeg = found
+        children = tuple(tdeg[v] - (v != 0) for v in range(k))
+        if children in failed:
             continue
-        key = tuple(r)
-        if key in failed:
-            continue
-        y = solve_degree_system(k, edges, r)
+        y = _arc_flow(k, edges, out_deg, [visits[v] - children[v] for v in range(k)])
         if y is None:
-            failed.add(key)
+            failed.add(children)
             continue
         mg = Multigraph(k)
         for t in tree:

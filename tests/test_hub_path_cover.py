@@ -1,6 +1,8 @@
 """The hub path-cover tier: its answers, and its path search against the
 eager list-slicing reference in helpers.py."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from scatter_tsp.many_visits import (
     _clone_adjacency,
     _greedy_paths,
     _hub_path_cover,
+    _min_path_cover_exact,
     _restart_paths,
     _vertex_components,
 )
@@ -45,17 +48,21 @@ def assert_matches_reference(adj, subset_seed, restarts=True):
     assert _vertex_components(rest, adj) == ref_vertex_components(rest, adj.rows)
 
 
+def draw_quotient(draw, k):
+    upper = draw(st.lists(st.booleans(), min_size=k * (k - 1) // 2,
+                          max_size=k * (k - 1) // 2))
+    quotient = np.zeros((k, k), dtype=bool)
+    quotient[np.triu_indices(k, 1)] = upper
+    return quotient | quotient.T
+
+
 @st.composite
 def clone_graphs(draw):
     # m stays at most 120 so that the eager reference, which repeats its
     # search up to 200 times in _restart_paths, keeps each example short;
     # test_large_clone_graphs_match_reference covers m >= 300
     k = draw(st.integers(1, 12))
-    upper = draw(st.lists(st.booleans(), min_size=k * (k - 1) // 2,
-                          max_size=k * (k - 1) // 2))
-    quotient = np.zeros((k, k), dtype=bool)
-    quotient[np.triu_indices(k, 1)] = upper
-    quotient |= quotient.T
+    quotient = draw_quotient(draw, k)
     visits = draw(st.lists(st.integers(1, min(40, 120 // k)), min_size=k, max_size=k))
     return clone_graph(quotient, visits)
 
@@ -77,6 +84,35 @@ def test_large_clone_graphs_match_reference(seed):
     visits = rng.integers(20, 41, size=k).tolist()
     assert sum(visits) >= 300
     assert_matches_reference(clone_graph(quotient, visits), seed, restarts=False)
+
+
+@st.composite
+def small_clone_covers(draw):
+    """(clone graph, clone list) with at most 8 clones, the list a shuffled
+    subset of them, as _hub_path_cover hands one component to the DP."""
+    k = draw(st.integers(1, 6))
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8))
+    adj = _clone_adjacency(draw_quotient(draw, k), owner)
+    cverts = draw(st.permutations(range(len(owner))))
+    return adj, cverts[:draw(st.integers(1, len(cverts)))]
+
+
+def brute_path_cover(cverts, rows):
+    # every cover concatenates into an order, and cutting an order at each
+    # non-adjacent consecutive pair gives a cover
+    return min(1 + sum(not rows[a][b] for a, b in zip(order, order[1:]))
+               for order in itertools.permutations(cverts))
+
+
+@settings(max_examples=80)
+@given(small_clone_covers())
+def test_exact_path_cover_matches_brute_force(case):
+    adj, cverts = case
+    count, paths = _min_path_cover_exact(cverts, adj.rows)
+    assert count == len(paths) == brute_path_cover(cverts, adj.rows)
+    assert sorted(c for p in paths for c in p) == sorted(cverts)
+    for p in paths:
+        assert all(adj.rows[a][b] for a, b in zip(p, p[1:]))
 
 
 class _Walk:

@@ -4,8 +4,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from scatter_tsp import VisitSpec, many_visits_tour, solve_degree_system
+from scatter_tsp import ContractViolation, VisitSpec, many_visits_tour
+from scatter_tsp import many_visits
+from scatter_tsp.many_visits import _WALK_STATE_CAP, _walk_dp
 from helpers import closed_walk_feasible, validate_multiwalk
 
 
@@ -111,33 +114,83 @@ def test_large_feasible_path_graph():
     assert [int(d) for d in deg] == [2 * v for v in visits]
 
 
-def test_degree_system_hand_cases():
-    tri = [(0, 1), (1, 2), (0, 2)]
-    got = solve_degree_system(3, tri, {0: 2, 1: 2, 2: 2})
-    assert got is not None
-    deg = [0, 0, 0]
-    for (u, v), m in got.items():
-        assert m >= 0 and (u, v) in tri
-        deg[u] += m
-        deg[v] += m
-    assert deg == [2, 2, 2]
-
-    assert solve_degree_system(3, tri, {0: 1, 1: 1, 2: 1}) is None  # odd sum
-    assert solve_degree_system(3, [(0, 1)], {0: 2, 1: 2, 2: 2}) is None
-    assert solve_degree_system(3, tri, {0: 0, 1: 0, 2: 0}) == {}
-    assert solve_degree_system(3, tri, {0: -2, 1: 2, 2: 0}) is None
-
-
-def test_degree_system_skips_zero_vertices():
-    path = [(0, 1), (1, 2), (2, 3)]
-    got = solve_degree_system(4, path, {0: 2, 1: 2, 2: 0, 3: 0})
-    assert got is not None
-    assert got.get((0, 1)) == 2
-    assert all(m == 0 for e, m in got.items() if e != (0, 1))
-
-
 def test_visit_counts_match_walk():
     spec = spec_of([(0, 1), (1, 2), (0, 2)], [2, 1, 1])
     mw = many_visits_tour(spec)
     validate_multiwalk(spec, mw)
     assert mw.visit_counts() == {0: 2, 1: 1, 2: 1}
+
+
+# vertex 0 is a leaf: each of its 10^5 visits sits between two visits of its
+# only neighbour 3, which leaves 3 no arc to the rest. The walk DP is out of
+# range, the relaxation's support is disconnected and no vertex is a hub,
+# so the spanning-tree tier refuses it once all three spanning trees fail.
+LEAF_SPEC = ([(0, 3), (1, 2), (1, 3), (1, 4), (2, 3)], [10 ** 5, 2, 1, 10 ** 5, 1])
+
+
+def test_tree_tier_refuses_leaf_spec():
+    assert many_visits_tour(spec_of(*LEAF_SPEC)) is None
+
+
+def test_tree_tier_abort_names_tree_budget(monkeypatch):
+    monkeypatch.setattr(many_visits, "_TREE_CAP", 2)
+    with pytest.raises(ContractViolation,
+                       match=r"spanning-tree tier undecided: k=5, 5 allowed edges; "
+                             r"2 trees examined, _TREE_CAP=2 reached; "
+                             r"2 distinct children vectors failed"):
+        many_visits_tour(spec_of(*LEAF_SPEC))
+
+
+def test_tree_tier_abort_names_node_budget(monkeypatch):
+    monkeypatch.setattr(many_visits, "_NODE_CAP", 8)
+    with pytest.raises(ContractViolation,
+                       match=r"spanning-tree tier undecided: k=5, 5 allowed edges; "
+                             r"1 trees examined, enumeration nodes > _NODE_CAP=8; "
+                             r"1 distinct children vectors failed"):
+        many_visits_tour(spec_of(*LEAF_SPEC))
+
+
+@st.composite
+def tree_tier_specs(draw):
+    k = draw(st.integers(2, 7))
+    density = draw(st.floats(0, 1))
+    pairs = k * (k - 1) // 2
+    upper = draw(st.lists(st.floats(0, 1), min_size=pairs, max_size=pairs))
+    adj = np.zeros((k, k), dtype=bool)
+    adj[np.triu_indices(k, 1)] = np.array(upper) < density
+    adj |= adj.T
+    # a disconnected allowed graph is refused before any tier runs
+    hops = np.linalg.matrix_power(adj.astype(np.int64) + np.eye(k, dtype=np.int64), k - 1)
+    assume(hops[0].all())
+    visits = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    return VisitSpec(adj, visits)
+
+
+def test_tree_tier_matches_walk_dp_and_enumeration():
+    # the walk DP and the hub tier are switched off, so every spec whose
+    # relaxation has a disconnected support is decided by the tree tier
+    reached = []
+    enumerate_trees = many_visits._spanning_trees
+
+    def counted(*args):
+        reached.append(args)
+        return enumerate_trees(*args)
+
+    @settings(max_examples=400, derandomize=True)
+    @given(tree_tier_specs())
+    def check(spec):
+        assert np.prod([v + 1 for v in spec.visits]) <= _WALK_STATE_CAP
+        want = _walk_dp(spec.allowed, spec.visits) is not None
+        if sum(spec.visits) <= 14:
+            assert closed_walk_feasible(spec.allowed, spec.visits) == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(many_visits, "_walk_dp", lambda allowed, visits: "out_of_range")
+            mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
+            mp.setattr(many_visits, "_spanning_trees", counted)
+            got = many_visits_tour(spec)
+        assert (got is not None) == want
+        if got is not None:
+            validate_multiwalk(spec, got)
+
+    check()
+    assert len(reached) >= 40  # 62 of the 400 derandomized examples
