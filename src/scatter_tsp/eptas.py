@@ -128,6 +128,18 @@ def _validated(instance, params, tour, branch, net_size):
                            branch=branch, net_size=net_size)
 
 
+def _center_graph(instance: Instance, centers, tau: float) -> np.ndarray:
+    """k x k adjacency of the net centers: d(c, c') >= tau, no self-loops.
+
+    The distances are taken pair by pair over the centers only, so the
+    build holds O(k^2) values rather than k rows of n.
+    """
+    centers = np.asarray(centers, dtype=np.intp)
+    cc = meets_threshold(instance.distance_pairs(centers[:, None], centers[None, :]), tau)
+    np.fill_diagonal(cc, False)
+    return cc
+
+
 def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcome:
     """Yes with a (1-epsilon)*ell witness, or No certifying OPT < ell."""
     n = instance.n
@@ -150,11 +162,7 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
     kk = k + (1 if nq else 0)
 
     allowed = np.zeros((kk, kk), dtype=bool)
-    cdist = instance.distance_rows(centers)[:, centers]
-    tau = ell - 2.0 * params.net_delta
-    cc = meets_threshold(cdist, tau)
-    np.fill_diagonal(cc, False)
-    allowed[:k, :k] = cc
+    allowed[:k, :k] = _center_graph(instance, centers, ell - 2.0 * params.net_delta)
     if nq:
         # hub stands for all far points; a short expanded hub edge has both
         # endpoints beyond 2*ell of p and is lifted out afterwards

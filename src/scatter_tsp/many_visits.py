@@ -14,8 +14,12 @@ spec or hands it on:
    connectivity requirement. No solution means no walk; a solution whose
    support is connected and spanning is a walk.
 3. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
-   all others, feasibility is a path-cover question on the other visits;
-   the tier aborts when its cover search and lower bounds leave it open.
+   all others, feasibility is a path-cover question on the other visits.
+   A greedy cover comes first. While it has more paths than the hub's
+   visit count t, components are refined in order (the subset DP on small
+   ones, seeded restarts on the rest) until the cover fits. Certified
+   lower bounds are computed only when it still does not, and the tier
+   aborts when they leave the gap open.
 4. spanning trees: the arcs of a walk form a strongly connected digraph
    with out- and in-degree visits[v], so they contain a spanning tree of
    the allowed graph with every edge oriented toward vertex 0. Each
@@ -103,55 +107,76 @@ class Multiwalk:
 
 
 class _Dinic:
-    """Max flow with Python integers; value-independent on these tiny graphs."""
+    """Max flow with Python integers; value-independent on these tiny graphs.
+
+    Arcs live in flat lists: arc a runs to to[a] with residual capacity
+    cap[a], and a ^ 1 is its reverse. out[u] holds the ids of the arcs
+    leaving u in the order they were added.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.adj = [[] for _ in range(n)]
+        self.to = []
+        self.cap = []
+        self.out = [[] for _ in range(n)]
 
     def add(self, u: int, v: int, cap: int) -> int:
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-        return len(self.adj[u]) - 1
+        a = len(self.to)
+        self.to += (v, u)
+        self.cap += (cap, 0)
+        self.out[u].append(a)
+        self.out[v].append(a + 1)
+        return a
 
     def max_flow(self, s: int, t: int) -> int:
+        to, cap, out = self.to, self.cap, self.out
         flow = 0
         while True:
             level = [-1] * self.n
             level[s] = 0
             queue = [s]
-            qi = 0
-            while qi < len(queue):
-                u = queue[qi]
-                qi += 1
-                for e in self.adj[u]:
-                    if e[1] > 0 and level[e[0]] < 0:
-                        level[e[0]] = level[u] + 1
-                        queue.append(e[0])
+            for u in queue:
+                for a in out[u]:
+                    if cap[a] and level[to[a]] < 0:
+                        level[to[a]] = level[u] + 1
+                        queue.append(to[a])
             if level[t] < 0:
                 return flow
+            # blocking flow by depth-first search over level-increasing
+            # arcs; it[u] is the next arc of u to try, and stays on an arc
+            # while paths through it may still carry flow
             it = [0] * self.n
-
-            def dfs(u, pushed):
-                if u == t:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    e = self.adj[u][it[u]]
-                    v = e[0]
-                    if e[1] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, e[1]))
-                        if got > 0:
-                            e[1] -= got
-                            self.adj[v][e[2]][1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
+            path = []
+            u = s
             while True:
-                pushed = dfs(s, 1 << 200)
-                if pushed == 0:
+                if u == t:
+                    pushed = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= pushed
+                        cap[a ^ 1] += pushed
+                    flow += pushed
+                    # the arcs before the first saturated one keep capacity
+                    # and their pointers, so a search restarted from s would
+                    # walk the same prefix again: resume at its end instead
+                    cut = next(i for i, a in enumerate(path) if not cap[a])
+                    u = to[path[cut] ^ 1]
+                    del path[cut:]
+                    continue
+                arcs = out[u]
+                i = it[u]
+                step = level[u] + 1
+                while i < len(arcs) and not (cap[arcs[i]] and level[to[arcs[i]]] == step):
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif path:
+                    # dead end: the arc into u carries nothing more this phase
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
                     break
-                flow += pushed
 
 
 def _arc_flow(k, edges, out_deg, in_deg):
@@ -172,18 +197,16 @@ def _arc_flow(k, edges, out_deg, in_deg):
     for v in range(k):
         net.add(src, 2 * v, out_deg[v])
         net.add(2 * v + 1, snk, in_deg[v])
-    slots = {}
-    for (u, v) in edges:
-        a = net.add(2 * u, 2 * v + 1, inf)
-        b = net.add(2 * v, 2 * u + 1, inf)
-        slots[(u, v)] = (a, b)
+    arcs = [(net.add(2 * u, 2 * v + 1, inf), net.add(2 * v, 2 * u + 1, inf))
+            for (u, v) in edges]
     if net.max_flow(src, snk) != total:
         return None
+    cap = net.cap
     got = {}
-    for (u, v), (a, b) in slots.items():
-        used = (inf - net.adj[2 * u][a][1]) + (inf - net.adj[2 * v][b][1])
+    for edge, (a, b) in zip(edges, arcs):
+        used = (inf - cap[a]) + (inf - cap[b])
         if used:
-            got[(u, v)] = used
+            got[edge] = used
     return got
 
 
@@ -480,24 +503,30 @@ def _min_path_cover_exact(cverts, allowed):
     return cover[full], paths
 
 
-def _restart_paths(comp, adj, initial):
-    """Best greedy cover over seeded shuffles of the vertex order.
+def _restart_trials(m):
+    """Shuffled restarts granted to a component of m clones: fewer on larger
+    components, to keep the tier polynomial in practice."""
+    return 200 if m <= 64 else 40 if m <= 160 else 12 if m <= 320 else 4
 
-    The trial count shrinks with component size to keep the tier
-    polynomial in practice.
+
+def _restart_paths(comp, adj, initial, target=1):
+    """Greedy covers over seeded shuffles of the vertex order, until one fits.
+
+    The shuffles come in a fixed order (seed 0), and the search returns the
+    first cover with at most max(target, 1) paths, `initial` included. When
+    no cover fits, it returns the first of the shortest ones it saw.
     """
     best = initial
-    m = len(comp)
-    trials = 200 if m <= 64 else 40 if m <= 160 else 12 if m <= 320 else 4
+    goal = max(target, 1)
     rng = np.random.default_rng(0)
     order = list(comp)
-    for _ in range(trials):
+    for _ in range(_restart_trials(len(comp))):
+        if len(best) <= goal:
+            break
         rng.shuffle(order)
         paths = _greedy_paths(list(order), adj)
         if len(paths) < len(best):
             best = paths
-            if len(best) == 1:
-                break
     return best
 
 
@@ -584,9 +613,17 @@ def _hub_path_cover(spec):
     raises the count by one, so feasibility means t lies between the
     minimum path cover and the total visit count. Multi-visit vertices are
     expanded into single-visit clones first; clones of one vertex stay
-    non-adjacent, which mirrors the ban on immediate revisits. The minimum
-    cover is additive over components: greedy endpoint merging gives the
-    cheap upper bound and the subset DP settles components it cannot.
+    non-adjacent, which mirrors the ban on immediate revisits.
+
+    The minimum cover is additive over components, and the tier spends its
+    work in cost order. Greedy endpoint merging covers every component.
+    While that total exceeds t, components are refined in order: the
+    subset DP solves small ones exactly, and seeded restarts search larger
+    ones until the component meets t minus the other components' counts.
+    Refining never raises a count, so the first component that meets its
+    target makes the whole cover fit and ends the search. Only a cover
+    that still exceeds t, after every component ran its full search,
+    needs the certified lower bounds: they decide between No and an abort.
     """
     k = spec.k
     universal = [v for v in range(k) if int(spec.allowed[v].sum()) == k - 1]
@@ -621,32 +658,36 @@ def _hub_path_cover(spec):
     if len(comps) > t:
         return None  # every path stays inside one component
     covers = [_greedy_paths(comp, adj) for comp in comps]
-    if sum(len(cv) for cv in covers) > t:
-        refined = []
-        floors = []
-        for comp, greedy in zip(comps, covers):
-            if len(greedy) > 1 and len(comp) <= _PATH_DP_CAP:
-                cnt, exact = _min_path_cover_exact(comp, adj.rows)
-                best = exact if cnt < len(greedy) else greedy
-                refined.append(best)
-                floors.append(len(best))
-            elif len(greedy) > 1:
-                refined.append(_restart_paths(comp, adj, greedy))
-                floors.append(_path_cover_lower(comp, adj))
-            else:
-                refined.append(greedy)
-                floors.append(1)
-        covers = refined
-        if sum(len(cv) for cv in covers) > t:
-            if sum(floors) > t:
-                return None  # t below the sum of certified lower bounds
-            open_sizes = [len(comp) for comp, cv, floor in zip(comps, covers, floors)
-                          if len(cv) > floor]
-            raise ContractViolation(
-                f"hub path-cover tier undecided: k={k}, hub visits t={t}, "
-                f"m={m} clones; greedy cover {sum(len(cv) for cv in covers)} "
-                f"paths > t >= certified floor {sum(floors)}; unresolved "
-                f"component sizes {open_sizes}")
+    total = sum(len(cv) for cv in covers)
+    for i, comp in enumerate(comps):
+        if total <= t:
+            break
+        greedy = covers[i]
+        if len(greedy) == 1:
+            continue
+        if len(comp) <= _PATH_DP_CAP:
+            cnt, exact = _min_path_cover_exact(comp, adj.rows)
+            covers[i] = exact if cnt < len(greedy) else greedy
+        else:
+            covers[i] = _restart_paths(comp, adj, greedy, t - (total - len(greedy)))
+        total += len(covers[i]) - len(greedy)
+    if total > t:
+        # every component ran its full search; the subset DP's counts are
+        # exact, and a single path is its own floor
+        floors = [len(cv) if len(cv) == 1 or len(comp) <= _PATH_DP_CAP
+                  else _path_cover_lower(comp, adj)
+                  for comp, cv in zip(comps, covers)]
+        if sum(floors) > t:
+            return None  # t below the sum of certified lower bounds
+        open_sizes = [len(comp) for comp, cv, floor in zip(comps, covers, floors)
+                      if len(cv) > floor]
+        # an open component never met its target, so it spent every trial
+        spent = ", ".join(f"{n}/{n}" for n in map(_restart_trials, open_sizes))
+        raise ContractViolation(
+            f"hub path-cover tier undecided: k={k}, hub visits t={t}, "
+            f"m={m} clones; greedy cover {total} paths > t >= certified floor "
+            f"{sum(floors)}; unresolved component sizes {open_sizes}; "
+            f"restarts {spent} on sizes {open_sizes}")
 
     paths = [list(p) for cv in covers for p in cv]
     i = 0

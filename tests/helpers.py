@@ -5,8 +5,9 @@ by enumerating walks, optimal scatter by trying every cyclic order, and
 Hamiltonicity by trying every permutation. Slow on purpose, trustworthy on
 purpose. The exceptions are the reference versions at the end: earlier
 implementations of the library's own routines (the eager hub path search,
-the full-row candidate sweep, the dense Dirac path and the per-arc walk
-DP), kept to pin their outputs.
+the hub tier that refined every component in full, the full-row candidate
+sweep, the dense Dirac path, the per-arc walk DP and the recursive max
+flow), kept to pin their outputs.
 """
 
 import itertools
@@ -17,7 +18,17 @@ import numpy as np
 
 from scatter_tsp import ContractViolation, CubicBipartiteGraph, Instance, threshold_graph
 from scatter_tsp.instance import DEDUP_REL_TOL
-from scatter_tsp.many_visits import _WALK_STATE_CAP
+from scatter_tsp.many_visits import (
+    _CLONE_CAP,
+    _PATH_DP_CAP,
+    _WALK_STATE_CAP,
+    _clone_adjacency,
+    _greedy_paths,
+    _min_path_cover_exact,
+    _path_cover_lower,
+    _restart_paths,
+    _vertex_components,
+)
 
 
 def closed_walk_feasible(allowed, visits):
@@ -241,15 +252,21 @@ def ref_greedy_paths(vertices, allowed):
     return paths
 
 
-def ref_restart_paths(comp, allowed, initial):
-    best = initial
+def ref_restart_covers(comp, allowed):
+    """The restart search's trial covers, one per seeded shuffle, in order."""
     m = len(comp)
     trials = 200 if m <= 64 else 40 if m <= 160 else 12 if m <= 320 else 4
     rng = np.random.default_rng(0)
     order = list(comp)
     for _ in range(trials):
         rng.shuffle(order)
-        paths = ref_greedy_paths(list(order), allowed)
+        yield ref_greedy_paths(list(order), allowed)
+
+
+def ref_restart_paths(comp, allowed, initial):
+    """The best of every trial cover, stopping early only at one path."""
+    best = initial
+    for paths in ref_restart_covers(comp, allowed):
         if len(paths) < len(best):
             best = paths
             if len(best) == 1:
@@ -403,3 +420,162 @@ def ref_walk_dp(allowed, visits):
     if cur != 0 or code != start_code:
         raise ContractViolation("walk reconstruction ended off the start state")
     return walk_rev[::-1]
+
+
+# Reference hub tier: every component refined in full (subset DP or all
+# restarts) and every lower bound computed before the cover is compared
+# with t. It shares the library's path search, which
+# test_hub_path_cover.py pins to the eager reference above; the library's
+# tier must give the same answer class: a walk, None, "no_hub", or the same
+# abort message.
+
+def ref_hub_path_cover(spec):
+    k = spec.k
+    universal = [v for v in range(k) if int(spec.allowed[v].sum()) == k - 1]
+    if not universal:
+        return "no_hub"
+    h = min(universal, key=lambda v: (-spec.visits[v], v))
+    t = spec.visits[h]
+    total_rest = sum(spec.visits[v] for v in range(k) if v != h)
+    if t > total_rest:
+        return None
+    if t == total_rest:
+        walk = []
+        for v in range(k):
+            if v != h:
+                for _ in range(spec.visits[v]):
+                    walk.append(h)
+                    walk.append(v)
+        walk.append(h)
+        return walk
+    if total_rest > _CLONE_CAP:
+        return "no_hub"
+
+    owner = []
+    for v in range(k):
+        if v != h:
+            owner.extend([v] * spec.visits[v])
+    m = len(owner)
+    adj = _clone_adjacency(spec.allowed, owner)
+
+    comps = _vertex_components(list(range(m)), adj)
+    if len(comps) > t:
+        return None
+    covers = [_greedy_paths(comp, adj) for comp in comps]
+    if sum(len(cv) for cv in covers) > t:
+        refined = []
+        floors = []
+        for comp, greedy in zip(comps, covers):
+            if len(greedy) > 1 and len(comp) <= _PATH_DP_CAP:
+                cnt, exact = _min_path_cover_exact(comp, adj.rows)
+                best = exact if cnt < len(greedy) else greedy
+                refined.append(best)
+                floors.append(len(best))
+            elif len(greedy) > 1:
+                refined.append(_restart_paths(comp, adj, greedy))
+                floors.append(_path_cover_lower(comp, adj))
+            else:
+                refined.append(greedy)
+                floors.append(1)
+        covers = refined
+        if sum(len(cv) for cv in covers) > t:
+            if sum(floors) > t:
+                return None
+            open_sizes = [len(comp) for comp, cv, floor in zip(comps, covers, floors)
+                          if len(cv) > floor]
+            raise ContractViolation(
+                f"hub path-cover tier undecided: k={k}, hub visits t={t}, "
+                f"m={m} clones; greedy cover {sum(len(cv) for cv in covers)} "
+                f"paths > t >= certified floor {sum(floors)}; unresolved "
+                f"component sizes {open_sizes}")
+
+    paths = [list(p) for cv in covers for p in cv]
+    i = 0
+    while len(paths) < t:
+        if len(paths[i]) >= 2:
+            paths.append([paths[i].pop()])
+        else:
+            i += 1
+    walk = []
+    for path in paths:
+        walk.append(h)
+        walk.extend(owner[c] for c in path)
+    walk.append(h)
+    return walk
+
+
+# Reference max flow: Dinic's algorithm with one list per arc and a
+# recursive blocking-flow search. The library's flat-array version must
+# augment along the same paths, so _arc_flow returns the same dict.
+
+class _RefDinic:
+    def __init__(self, n):
+        self.n = n
+        self.adj = [[] for _ in range(n)]
+
+    def add(self, u, v, cap):
+        self.adj[u].append([v, cap, len(self.adj[v])])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
+        return len(self.adj[u]) - 1
+
+    def max_flow(self, s, t):
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            qi = 0
+            while qi < len(queue):
+                u = queue[qi]
+                qi += 1
+                for e in self.adj[u]:
+                    if e[1] > 0 and level[e[0]] < 0:
+                        level[e[0]] = level[u] + 1
+                        queue.append(e[0])
+            if level[t] < 0:
+                return flow
+            it = [0] * self.n
+
+            def dfs(u, pushed):
+                if u == t:
+                    return pushed
+                while it[u] < len(self.adj[u]):
+                    e = self.adj[u][it[u]]
+                    v = e[0]
+                    if e[1] > 0 and level[v] == level[u] + 1:
+                        got = dfs(v, min(pushed, e[1]))
+                        if got > 0:
+                            e[1] -= got
+                            self.adj[v][e[2]][1] += got
+                            return got
+                    it[u] += 1
+                return 0
+
+            while True:
+                pushed = dfs(s, 1 << 200)
+                if pushed == 0:
+                    break
+                flow += pushed
+
+
+def ref_arc_flow(k, edges, out_deg, in_deg):
+    total = sum(out_deg)
+    src, snk = 2 * k, 2 * k + 1
+    net = _RefDinic(2 * k + 2)
+    inf = total + 1
+    for v in range(k):
+        net.add(src, 2 * v, out_deg[v])
+        net.add(2 * v + 1, snk, in_deg[v])
+    slots = {}
+    for (u, v) in edges:
+        a = net.add(2 * u, 2 * v + 1, inf)
+        b = net.add(2 * v, 2 * u + 1, inf)
+        slots[(u, v)] = (a, b)
+    if net.max_flow(src, snk) != total:
+        return None
+    got = {}
+    for (u, v), (a, b) in slots.items():
+        used = (inf - net.adj[2 * u][a][1]) + (inf - net.adj[2 * v][b][1])
+        if used:
+            got[(u, v)] = used
+    return got

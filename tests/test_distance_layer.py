@@ -1,6 +1,7 @@
 """The distance layer: one metric kernel for rows and pairs, the half-row
-candidate sweep, the degrees of the low-degree scan, and the Dirac cycle on
-rows computed on demand, each against the reference versions in helpers.py."""
+candidate sweep, the degrees of the low-degree scan, the Dirac cycle on
+rows computed on demand and the quotient's center graph, each against the
+reference versions in helpers.py or the dense rows."""
 
 import math
 import tracemalloc
@@ -21,6 +22,7 @@ from scatter_tsp import (
     threshold_graph,
     tour_edge_lengths,
 )
+from scatter_tsp.eptas import _center_graph
 from scatter_tsp.instance import DEDUP_REL_TOL
 from helpers import ref_candidate_distances, ref_dirac_tour
 
@@ -187,3 +189,23 @@ def test_dirac_probe_memory_is_linear_in_n():
         tracemalloc.stop()
     assert out.answer and out.branch == "dirac"
     assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_center_graph_memory_is_quadratic_in_k():
+    # k rows of n distances would take 48 MB here; the k x k build needs
+    # a few k^2 arrays of at most 8 bytes an entry
+    n, k = 20_000, 300
+    inst = Instance.lp(np.random.default_rng(5).uniform(0.0, 100.0, size=(n, 2)))
+    centers = np.arange(0, n, n // k)[:k]
+    tau = 50.0
+    tracemalloc.start()
+    try:
+        cc = _center_graph(inst, centers, tau)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * k * k, f"peak {peak / 2 ** 20:.1f} MB"
+    dense = meets_threshold(inst.distance_rows(centers)[:, centers], tau)
+    np.fill_diagonal(dense, False)
+    assert np.array_equal(cc, dense)
+    assert 0 < cc.sum() < k * (k - 1)

@@ -144,6 +144,8 @@ def test_out_of_envelope_instance_aborts_loudly():
         maximize_scatter(inst, 0.1)
     assert re.match(r"probe ell=0\.020339778861304537, net size k=48, hub points 27: "
                     r"hub path-cover", str(info.value))
+    # the restart budget the open component spent, all of it
+    assert str(info.value).endswith("; restarts 200/200 on sizes [32]")
     assert isinstance(info.value.__cause__, ContractViolation)
 
 

@@ -1,5 +1,6 @@
-"""The hub path-cover tier: its answers, and its path search against the
-eager list-slicing reference in helpers.py."""
+"""The hub path-cover tier: its answers, against the reference tier that
+refined every component in full, and its path search against the eager
+list-slicing reference in helpers.py."""
 
 import itertools
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scatter_tsp import VisitSpec
+from scatter_tsp import ContractViolation, VisitSpec, many_visits
 from scatter_tsp.many_visits import (
     _clone_adjacency,
     _greedy_paths,
@@ -19,6 +20,8 @@ from scatter_tsp.many_visits import (
 from helpers import (
     closed_walk_feasible,
     ref_greedy_paths,
+    ref_hub_path_cover,
+    ref_restart_covers,
     ref_restart_paths,
     ref_vertex_components,
     validate_multiwalk,
@@ -175,3 +178,104 @@ def test_small_hub_specs_match_walk_enumeration():
             assert walk is None
             infeasible += 1
     assert feasible >= 20 and infeasible >= 20
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Plain sparse graphs (one clone per vertex), on which the shuffled
+    restarts often shorten the cover several times over."""
+    k = draw(st.integers(20, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    quotient = np.triu(rng.random((k, k)) < rng.uniform(1.5, 3.5) / k, 1)
+    return clone_graph(quotient | quotient.T, [1] * k)
+
+
+@settings(max_examples=30)
+@given(st.one_of(clone_graphs(), sparse_graphs()))
+def test_restarts_stop_at_the_first_cover_that_fits(adj):
+    m = len(adj.rows)
+    for comp in _vertex_components(list(range(m)), adj):
+        greedy = _greedy_paths(comp, adj)
+        if len(greedy) == 1:
+            continue
+        trials = list(ref_restart_covers(comp, adj.rows))
+        # every count a trial reaches, so that a later, shorter trial would
+        # show a search that ran past its target
+        targets = {-1, 0, 1, len(greedy) - 1}
+        targets |= {len(p) for p in trials if len(p) < len(greedy)}
+        for target in sorted(targets):
+            fits = [p for p in trials if len(p) <= max(target, 1)]
+            # no trial fits: the first of the shortest covers, greedy's included
+            expect = fits[0] if fits else min([greedy] + trials, key=len)
+            assert _restart_paths(comp, adj, greedy, target) == expect
+
+
+@st.composite
+def twin_hub_specs(draw):
+    """Hub specs whose other vertices become twin clone classes; t is drawn
+    small as often as not, where the greedy cover may miss it."""
+    k = draw(st.integers(1, 6))
+    quotient = draw_quotient(draw, k)
+    visits = draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))
+    rest = sum(visits)
+    t = min(rest, draw(st.one_of(st.integers(1, 6), st.integers(1, rest))))
+    edges = [(u + 1, v + 1) for u, v in zip(*np.nonzero(np.triu(quotient)))]
+    return hub_spec(edges, [t] + visits)
+
+
+def answer_class(tier, spec):
+    try:
+        out = tier(spec)
+    except ContractViolation as exc:
+        return "abort", str(exc)
+    return ("walk" if isinstance(out, list) else repr(out)), out
+
+
+def assert_decision_matches_reference(spec):
+    got_class, got = answer_class(_hub_path_cover, spec)
+    ref_class, ref = answer_class(ref_hub_path_cover, spec)
+    assert got_class == ref_class
+    if got_class == "abort":
+        assert got.startswith(ref + "; restarts ")
+    if got_class == "walk":
+        # the walk may differ from the reference's: the tier keeps the
+        # first cover that fits t, not the best one
+        validate_multiwalk(spec, _Walk(got))
+        if np.prod([v + 1 for v in spec.visits]) <= 20_000:
+            assert closed_walk_feasible(spec.allowed, spec.visits)
+    return got_class
+
+
+@settings(max_examples=150)
+@given(twin_hub_specs())
+def test_hub_decisions_match_full_refinement(spec):
+    assert_decision_matches_reference(spec)
+
+
+def test_hub_decisions_near_the_greedy_count(monkeypatch):
+    # t at most two below the greedy cover's count, where the restarts
+    # decide; a seeded sweep, so that every answer class and a restart
+    # search that stops at its target are sure to occur
+    stops = []
+
+    def counted(comp, adj, initial, target=1):
+        paths = _restart_paths(comp, adj, initial, target)
+        stops.append(len(paths) <= max(target, 1))
+        return paths
+
+    monkeypatch.setattr(many_visits, "_restart_paths", counted)
+    rng = np.random.default_rng(0)
+    classes = set()
+    for _ in range(60):
+        k = int(rng.integers(4, 9))
+        quotient = np.triu(rng.random((k, k)) < rng.uniform(0.2, 0.5), 1)
+        quotient |= quotient.T
+        visits = rng.integers(3, 11, size=k).tolist()
+        adj = clone_graph(quotient, visits)
+        comps = _vertex_components(list(range(len(adj.rows))), adj)
+        greedy = sum(len(_greedy_paths(comp, adj)) for comp in comps)
+        t = max(1, greedy - int(rng.integers(0, 3)))
+        edges = [(u + 1, v + 1) for u, v in zip(*np.nonzero(np.triu(quotient)))]
+        classes.add(assert_decision_matches_reference(hub_spec(edges, [t] + visits)))
+    assert classes == {"walk", "None", "abort"}
+    assert any(stops) and not all(stops)

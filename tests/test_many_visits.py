@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from scatter_tsp import ContractViolation, VisitSpec, many_visits_tour
 from scatter_tsp import many_visits
-from scatter_tsp.many_visits import _WALK_STATE_CAP, _walk_dp
-from helpers import closed_walk_feasible, validate_multiwalk
+from scatter_tsp.many_visits import _WALK_STATE_CAP, _arc_flow, _walk_dp
+from helpers import closed_walk_feasible, ref_arc_flow, validate_multiwalk
 
 
 def spec_of(edges, visits):
@@ -194,3 +194,49 @@ def test_tree_tier_matches_walk_dp_and_enumeration():
 
     check()
     assert len(reached) >= 40  # 62 of the 400 derandomized examples
+
+
+@st.composite
+def flow_problems(draw):
+    """(k, edges, out_deg, in_deg) as _arc_flow's two callers pose them: the
+    relaxation's out = in = visits, or the spanning-tree tier's residual
+    degrees after a spanning tree is oriented toward vertex 0."""
+    k = draw(st.integers(1, 12))
+    pairs = k * (k - 1) // 2
+    adj = np.zeros((k, k), dtype=bool)
+    adj[np.triu_indices(k, 1)] = draw(st.lists(st.booleans(), min_size=pairs,
+                                               max_size=pairs))
+    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(adj))]
+    visits = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10 ** 9)),
+                           min_size=k, max_size=k))
+    if draw(st.booleans()):
+        return k, edges, visits, visits
+    parent = list(range(k))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    degree = [0] * k
+    for i in draw(st.permutations(range(len(edges)))):
+        u, v = edges[i]
+        if root(u) != root(v):
+            parent[root(u)] = root(v)
+            degree[u] += 1
+            degree[v] += 1
+    assume(len({root(v) for v in range(k)}) == 1)
+    children = [degree[v] - (v != 0) for v in range(k)]
+    visits = [max(visits[v], children[v]) for v in range(k)]
+    return (k, edges, [visits[v] - (v != 0) for v in range(k)],
+            [visits[v] - children[v] for v in range(k)])
+
+
+@settings(max_examples=300)
+@given(flow_problems())
+def test_arc_flow_matches_recursive_dinic(problem):
+    got = _arc_flow(*problem)
+    want = ref_arc_flow(*problem)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got.items()) == list(want.items())
