@@ -229,16 +229,13 @@ def maximize_scatter_report(instance: Instance, epsilon: float):
     top = probe(len(cand) - 1)
     if top.answer:
         return float(cand[-1]), top.witness, probes
+    if len(cand) == 1:
+        raise ContractViolation(
+            "decision rejected the minimum pairwise distance, which every "
+            "tour attains")
 
-    if cand[0] == 0.0:
-        lo, best = 0, np.arange(n, dtype=np.intp)  # duplicates: scatter 0 tour
-    else:
-        bottom = probe(0)
-        if not bottom.answer:
-            raise ContractViolation(
-                "decision rejected the minimum pairwise distance, which every "
-                "tour attains")
-        lo, best = 0, bottom.witness
+    # cand[0] is the minimum pairwise distance, which every tour attains
+    lo, best = 0, np.arange(n, dtype=np.intp)
     hi = len(cand) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2

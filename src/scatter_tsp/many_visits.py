@@ -16,10 +16,10 @@ spec or hands it on:
 3. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
    all others, feasibility is a path-cover question on the other visits.
    A greedy cover comes first. While it has more paths than the hub's
-   visit count t, components are refined in order (the subset DP on small
-   ones, seeded restarts on the rest) until the cover fits. Certified
-   lower bounds are computed only when it still does not, and the tier
-   aborts when they leave the gap open.
+   visit count t, components are refined in order (the walk DP on the
+   component's owners where its states fit, seeded restarts on the rest)
+   until the cover fits. Certified lower bounds are computed only when it
+   still does not, and the tier aborts when they leave the gap open.
 4. spanning trees: the arcs of a walk form a strongly connected digraph
    with out- and in-degree visits[v], so they contain a spanning tree of
    the allowed graph with every edge oriented toward vertex 0. Each
@@ -85,6 +85,16 @@ class Multiwalk:
         self.multiplicities = multiplicities
         self.visits = list(visits)
         self._walk = None
+
+    @classmethod
+    def from_walk(cls, k: int, walk: list, visits):
+        """Pack a closed walk on k vertices (start repeated at the end)."""
+        mg = Multigraph(k)
+        for a, b in zip(walk, walk[1:]):
+            mg.add(a, b, 1)
+        mw = cls(mg, visits)
+        mw._walk = walk
+        return mw
 
     @property
     def walk(self) -> list:
@@ -281,9 +291,6 @@ def _walk_dp(allowed, visits):
     return walk_rev[::-1]
 
 
-_PATH_DP_CAP = 14            # component size for the exact path-cover DP
-
-
 class _Adjacency(NamedTuple):
     """A symmetric graph on 0..m-1, as rows of bools and as neighbour bitmasks.
 
@@ -434,73 +441,38 @@ def _greedy_paths(vertices, adj):
     return paths
 
 
-def _min_path_cover_exact(cverts, allowed):
-    """Fewest vertex-disjoint paths partitioning cverts, with the paths.
+def _exact_cover(comp, owner, allowed, h, greedy):
+    """A minimum path cover of one component, by the walk DP on its owners.
 
-    Subset DP: ep[S] holds the endpoint bitmask of Hamiltonian paths of the
-    induced set S, then cover[S] peels one path containing the lowest
-    vertex. Exponential in len(cverts), guarded by _PATH_DP_CAP.
+    The hub h is adjacent to every other vertex and has no self-loop, so a
+    cover of comp with exactly p paths is a closed walk on h plus the
+    owners of comp that visits h p times and each owner once per clone it
+    has in comp: cutting the walk at its hub visits gives the paths, each
+    owner's clones given out in order. Splitting a path keeps a cover, so
+    the first p below len(greedy) with a walk is the minimum, and when no
+    such p has one, `greedy` is a minimum cover and comes back as is.
+    None when the walk DP is out of range for some p it needs.
     """
-    c = len(cverts)
-    adjm = [0] * c
-    for a in range(c):
-        for b in range(c):
-            if a != b and allowed[cverts[a]][cverts[b]]:
-                adjm[a] |= 1 << b
-    size = 1 << c
-    ep = [0] * size
-    for u in range(c):
-        ep[1 << u] = 1 << u
-    for S in range(1, size):
-        if S & (S - 1) == 0:
-            continue
-        e = 0
-        T = S
-        while T:
-            u = (T & -T).bit_length() - 1
-            T &= T - 1
-            if ep[S ^ (1 << u)] & adjm[u]:
-                e |= 1 << u
-        ep[S] = e
-
-    def extract(P):
-        e = ep[P]
-        u = (e & -e).bit_length() - 1
-        seq = [u]
-        S = P
-        while S != 1 << u:
-            S ^= 1 << u
-            cands = ep[S] & adjm[u]
-            u = (cands & -cands).bit_length() - 1
-            seq.append(u)
-        return [cverts[x] for x in seq]
-
-    full = size - 1
-    if ep[full]:
-        return 1, [extract(full)]
-    cover = [0] * size
-    choice = [0] * size
-    for S in range(1, size):
-        v = (S & -S).bit_length() - 1
-        rest = S ^ (1 << v)
-        best, best_p = c + 1, 0
-        q = rest
-        while True:
-            P = q | (1 << v)
-            if ep[P] and cover[S ^ P] + 1 < best:
-                best, best_p = cover[S ^ P] + 1, P
-            if q == 0:
-                break
-            q = (q - 1) & rest
-        cover[S] = best
-        choice[S] = best_p
-    paths = []
-    S = full
-    while S:
-        P = choice[S]
-        paths.append(extract(P))
-        S ^= P
-    return cover[full], paths
+    clones = {}
+    for c in comp:
+        clones.setdefault(owner[c], []).append(c)
+    verts = [h, *clones]
+    sub = np.asarray(allowed)[np.ix_(verts, verts)]
+    counts = [len(cs) for cs in clones.values()]
+    for p in range(1, len(greedy)):
+        walk = _walk_dp(sub, [p] + counts)
+        if walk == "out_of_range":
+            return None
+        if walk is not None:
+            pools = [iter(cs) for cs in clones.values()]
+            paths = [[]]
+            for x in walk[1:-1]:
+                if x:
+                    paths[-1].append(next(pools[x - 1]))
+                else:
+                    paths.append([])
+            return paths
+    return greedy
 
 
 def _restart_trials(m):
@@ -617,9 +589,10 @@ def _hub_path_cover(spec):
 
     The minimum cover is additive over components, and the tier spends its
     work in cost order. Greedy endpoint merging covers every component.
-    While that total exceeds t, components are refined in order: the
-    subset DP solves small ones exactly, and seeded restarts search larger
-    ones until the component meets t minus the other components' counts.
+    While that total exceeds t, components are refined in order: the walk
+    DP on the component's owners solves it exactly when its states fit
+    _WALK_STATE_CAP, and seeded restarts search the others until the
+    component meets t minus the other components' counts.
     Refining never raises a count, so the first component that meets its
     target makes the whole cover fit and ends the search. Only a cover
     that still exceeds t, after every component ran its full search,
@@ -634,16 +607,6 @@ def _hub_path_cover(spec):
     total_rest = sum(spec.visits[v] for v in range(k) if v != h)
     if t > total_rest:
         return None  # hub occurrences need separators in the cycle
-    if t == total_rest:
-        # pure star walk: hub alternates with everything else
-        walk = []
-        for v in range(k):
-            if v != h:
-                for _ in range(spec.visits[v]):
-                    walk.append(h)
-                    walk.append(v)
-        walk.append(h)
-        return walk
     if total_rest > _CLONE_CAP:
         return "no_hub"
 
@@ -659,24 +622,23 @@ def _hub_path_cover(spec):
         return None  # every path stays inside one component
     covers = [_greedy_paths(comp, adj) for comp in comps]
     total = sum(len(cv) for cv in covers)
+    exact = [len(cv) == 1 for cv in covers]  # a single path is its own floor
     for i, comp in enumerate(comps):
         if total <= t:
             break
         greedy = covers[i]
-        if len(greedy) == 1:
+        if exact[i]:
             continue
-        if len(comp) <= _PATH_DP_CAP:
-            cnt, exact = _min_path_cover_exact(comp, adj.rows)
-            covers[i] = exact if cnt < len(greedy) else greedy
-        else:
-            covers[i] = _restart_paths(comp, adj, greedy, t - (total - len(greedy)))
-        total += len(covers[i]) - len(greedy)
+        best = _exact_cover(comp, owner, spec.allowed, h, greedy)
+        exact[i] = best is not None
+        if best is None:
+            best = _restart_paths(comp, adj, greedy, t - (total - len(greedy)))
+        covers[i] = best
+        total += len(best) - len(greedy)
     if total > t:
-        # every component ran its full search; the subset DP's counts are
-        # exact, and a single path is its own floor
-        floors = [len(cv) if len(cv) == 1 or len(comp) <= _PATH_DP_CAP
-                  else _path_cover_lower(comp, adj)
-                  for comp, cv in zip(comps, covers)]
+        # every component ran its full search
+        floors = [len(cv) if ex else _path_cover_lower(comp, adj)
+                  for comp, cv, ex in zip(comps, covers, exact)]
         if sum(floors) > t:
             return None  # t below the sum of certified lower bounds
         open_sizes = [len(comp) for comp, cv, floor in zip(comps, covers, floors)
@@ -801,14 +763,7 @@ def many_visits_tour(spec: VisitSpec):
 
     walked = _walk_dp(spec.allowed, visits)
     if walked != "out_of_range":
-        if walked is None:
-            return None
-        mg = Multigraph(k)
-        for a, b in zip(walked, walked[1:]):
-            mg.add(a, b, 1)
-        mw = Multiwalk(mg, visits)
-        mw._walk = walked
-        return mw
+        return None if walked is None else Multiwalk.from_walk(k, walked, visits)
 
     # necessary relaxation: an Eulerian digraph with out- and in-degree
     # visits[v] but no connectivity requirement
@@ -825,12 +780,7 @@ def many_visits_tour(spec: VisitSpec):
     if hub is None:
         return None
     if hub != "no_hub":
-        mg = Multigraph(k)
-        for a, b in zip(hub, hub[1:]):
-            mg.add(a, b, 1)
-        mw = Multiwalk(mg, visits)
-        mw._walk = hub
-        return mw
+        return Multiwalk.from_walk(k, hub, visits)
 
     # a tree oriented toward vertex 0 gives every other vertex one arc to
     # its parent and the rest of its tree edges as arcs in from its

@@ -20,11 +20,10 @@ from scatter_tsp import ContractViolation, CubicBipartiteGraph, Instance, thresh
 from scatter_tsp.instance import DEDUP_REL_TOL
 from scatter_tsp.many_visits import (
     _CLONE_CAP,
-    _PATH_DP_CAP,
     _WALK_STATE_CAP,
     _clone_adjacency,
+    _exact_cover,
     _greedy_paths,
-    _min_path_cover_exact,
     _path_cover_lower,
     _restart_paths,
     _vertex_components,
@@ -422,12 +421,13 @@ def ref_walk_dp(allowed, visits):
     return walk_rev[::-1]
 
 
-# Reference hub tier: every component refined in full (subset DP or all
-# restarts) and every lower bound computed before the cover is compared
-# with t. It shares the library's path search, which
-# test_hub_path_cover.py pins to the eager reference above; the library's
-# tier must give the same answer class: a walk, None, "no_hub", or the same
-# abort message.
+# Reference hub tier: every component refined in full (the walk DP on its
+# owners, or all restarts) and every lower bound computed before the cover
+# is compared with t. It shares the library's path search, which
+# test_hub_path_cover.py pins to the eager reference above, and its exact
+# cover, which brute force and walk enumeration pin there; so it pins the
+# order in which the library's tier stops early. The tier must give the
+# same answer class: a walk, None, "no_hub", or the same abort message.
 
 def ref_hub_path_cover(spec):
     k = spec.k
@@ -439,15 +439,6 @@ def ref_hub_path_cover(spec):
     total_rest = sum(spec.visits[v] for v in range(k) if v != h)
     if t > total_rest:
         return None
-    if t == total_rest:
-        walk = []
-        for v in range(k):
-            if v != h:
-                for _ in range(spec.visits[v]):
-                    walk.append(h)
-                    walk.append(v)
-        walk.append(h)
-        return walk
     if total_rest > _CLONE_CAP:
         return "no_hub"
 
@@ -466,17 +457,14 @@ def ref_hub_path_cover(spec):
         refined = []
         floors = []
         for comp, greedy in zip(comps, covers):
-            if len(greedy) > 1 and len(comp) <= _PATH_DP_CAP:
-                cnt, exact = _min_path_cover_exact(comp, adj.rows)
-                best = exact if cnt < len(greedy) else greedy
-                refined.append(best)
-                floors.append(len(best))
-            elif len(greedy) > 1:
+            exact = (_exact_cover(comp, owner, spec.allowed, h, greedy)
+                     if len(greedy) > 1 else greedy)
+            if exact is not None:
+                refined.append(exact)
+                floors.append(len(exact))
+            else:
                 refined.append(_restart_paths(comp, adj, greedy))
                 floors.append(_path_cover_lower(comp, adj))
-            else:
-                refined.append(greedy)
-                floors.append(1)
         covers = refined
         if sum(len(cv) for cv in covers) > t:
             if sum(floors) > t:

@@ -107,6 +107,18 @@ def test_criterion_2_decision_dichotomy_every_candidate():
               f"{elapsed:.1f}s")
 
 
+def test_decision_accepts_the_minimum_distance_on_scaling_cells():
+    # maximize_scatter_report does not probe cand[0], which every tour
+    # attains; the decision must still say Yes there, at scale too
+    for n, seed in ((60, 11), (200, 12), (500, 13)):
+        inst = generate("clustered", n, 2, seed)
+        ell = float(candidate_distances(inst)[0])
+        for eps in (0.1, 0.5):
+            out = decide_scatter(inst, DecisionParams(ell, eps))
+            assert out.answer, (n, seed, eps)
+            assert out.witness_scatter >= (1.0 - eps) * ell - TOL
+
+
 def test_criterion_3_normalize_tour_cleans_every_pair():
     pairs = 0
     cleaned_edges = 0

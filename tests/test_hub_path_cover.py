@@ -6,14 +6,15 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scatter_tsp import ContractViolation, VisitSpec, many_visits
 from scatter_tsp.many_visits import (
+    _WALK_STATE_CAP,
     _clone_adjacency,
+    _exact_cover,
     _greedy_paths,
     _hub_path_cover,
-    _min_path_cover_exact,
     _restart_paths,
     _vertex_components,
 )
@@ -89,15 +90,24 @@ def test_large_clone_graphs_match_reference(seed):
     assert_matches_reference(clone_graph(quotient, visits), seed, restarts=False)
 
 
+def with_hub(quotient):
+    """The quotient plus a last vertex adjacent to all of it, the hub."""
+    k = len(quotient)
+    allowed = np.ones((k + 1, k + 1), dtype=bool)
+    allowed[:k, :k] = quotient
+    np.fill_diagonal(allowed, False)
+    return allowed
+
+
 @st.composite
 def small_clone_covers(draw):
-    """(clone graph, clone list) with at most 8 clones, the list a shuffled
-    subset of them, as _hub_path_cover hands one component to the DP."""
+    """(allowed, owner, clone list) with at most 8 clones, the list a
+    shuffled subset of them; the hub is vertex len(allowed) - 1."""
     k = draw(st.integers(1, 6))
     owner = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8))
-    adj = _clone_adjacency(draw_quotient(draw, k), owner)
+    allowed = with_hub(draw_quotient(draw, k))
     cverts = draw(st.permutations(range(len(owner))))
-    return adj, cverts[:draw(st.integers(1, len(cverts)))]
+    return allowed, owner, cverts[:draw(st.integers(1, len(cverts)))]
 
 
 def brute_path_cover(cverts, rows):
@@ -109,13 +119,30 @@ def brute_path_cover(cverts, rows):
 
 @settings(max_examples=80)
 @given(small_clone_covers())
+# owners 0 - 1 adjacent, three clones of 0 and one of 1: greedy's two paths
+# (0 1 0 plus 0) are a minimum cover, so they come back as they are
+@example((with_hub(np.array([[False, True], [True, False]])), [0, 0, 0, 1], [0, 1, 2, 3]))
 def test_exact_path_cover_matches_brute_force(case):
-    adj, cverts = case
-    count, paths = _min_path_cover_exact(cverts, adj.rows)
-    assert count == len(paths) == brute_path_cover(cverts, adj.rows)
+    allowed, owner, cverts = case
+    adj = _clone_adjacency(allowed, owner)
+    greedy = _greedy_paths(cverts, adj)
+    paths = _exact_cover(cverts, owner, allowed, len(allowed) - 1, greedy)
+    best = brute_path_cover(cverts, adj.rows)
+    assert len(paths) == best
+    if best == len(greedy):
+        assert paths is greedy  # no smaller cover: greedy is kept as it is
     assert sorted(c for p in paths for c in p) == sorted(cverts)
     for p in paths:
         assert all(adj.rows[a][b] for a, b in zip(p, p[1:]))
+
+
+def test_exact_cover_out_of_walk_dp_range():
+    # even one hub visit needs 2 * 701 * 601 states, beyond the walk DP's
+    # cap; only the count of the cover handed in matters before that check
+    allowed = with_hub(np.array([[False, True], [True, False]]))
+    owner = [0] * 700 + [1] * 600
+    assert 2 * 701 * 601 > _WALK_STATE_CAP
+    assert _exact_cover(list(range(len(owner))), owner, allowed, 2, [[0], [1]]) is None
 
 
 class _Walk:
@@ -150,6 +177,17 @@ def test_hub_visits_beyond_the_rest_are_infeasible():
 def test_more_components_than_hub_visits_is_infeasible():
     # three mutually non-adjacent leaves each need a path of their own
     spec = hub_spec([], [2, 1, 1, 1])
+    assert _hub_path_cover(spec) is None
+    assert not closed_walk_feasible(spec.allowed, spec.visits)
+
+
+def test_component_only_the_walk_dp_decides():
+    # one component of 15 clones: greedy and every restart cover it with 3
+    # paths against t = 2, and the cut bounds certify only 1; the walk DP
+    # on its owners shows that 2 paths cannot cover it
+    rows = [[0, 1, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0], [1, 1, 0, 1, 1, 0],
+            [1, 0, 1, 0, 0, 0], [1, 1, 1, 0, 0, 1], [1, 0, 0, 0, 1, 0]]
+    spec = VisitSpec(np.array(rows, dtype=bool), [2, 4, 2, 2, 4, 3])
     assert _hub_path_cover(spec) is None
     assert not closed_walk_feasible(spec.allowed, spec.visits)
 
@@ -241,8 +279,8 @@ def assert_decision_matches_reference(spec):
         # the walk may differ from the reference's: the tier keeps the
         # first cover that fits t, not the best one
         validate_multiwalk(spec, _Walk(got))
-        if np.prod([v + 1 for v in spec.visits]) <= 20_000:
-            assert closed_walk_feasible(spec.allowed, spec.visits)
+    if got_class in ("walk", "None") and np.prod([v + 1 for v in spec.visits]) <= 20_000:
+        assert closed_walk_feasible(spec.allowed, spec.visits) == (got_class == "walk")
     return got_class
 
 
