@@ -36,6 +36,7 @@ materialized on demand.
 
 from dataclasses import dataclass
 from itertools import compress
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -451,18 +452,19 @@ def _exact_cover(comp, owner, allowed, h, greedy):
     owner's clones given out in order. Splitting a path keeps a cover, so
     the first p below len(greedy) with a walk is the minimum, and when no
     such p has one, `greedy` is a minimum cover and comes back as is.
-    None when the walk DP is out of range for some p it needs.
+    None, before any DP runs, when the walk DP's states for the largest p,
+    len(greedy) - 1, are beyond _WALK_STATE_CAP.
     """
     clones = {}
     for c in comp:
         clones.setdefault(owner[c], []).append(c)
+    counts = [len(cs) for cs in clones.values()]
+    if len(greedy) * math.prod(c + 1 for c in counts) > _WALK_STATE_CAP:
+        return None
     verts = [h, *clones]
     sub = np.asarray(allowed)[np.ix_(verts, verts)]
-    counts = [len(cs) for cs in clones.values()]
     for p in range(1, len(greedy)):
         walk = _walk_dp(sub, [p] + counts)
-        if walk == "out_of_range":
-            return None
         if walk is not None:
             pools = [iter(cs) for cs in clones.values()]
             paths = [[]]

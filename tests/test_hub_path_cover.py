@@ -17,6 +17,8 @@ from scatter_tsp.many_visits import (
     _hub_path_cover,
     _restart_paths,
     _vertex_components,
+    _walk_dp,
+    many_visits_tour,
 )
 from helpers import (
     closed_walk_feasible,
@@ -181,14 +183,26 @@ def test_more_components_than_hub_visits_is_infeasible():
     assert not closed_walk_feasible(spec.allowed, spec.visits)
 
 
-def test_component_only_the_walk_dp_decides():
-    # one component of 15 clones: greedy and every restart cover it with 3
-    # paths against t = 2, and the cut bounds certify only 1; the walk DP
-    # on its owners shows that 2 paths cannot cover it
-    rows = [[0, 1, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0], [1, 1, 0, 1, 1, 0],
-            [1, 0, 1, 0, 0, 0], [1, 1, 1, 0, 0, 1], [1, 0, 0, 0, 1, 0]]
-    spec = VisitSpec(np.array(rows, dtype=bool), [2, 4, 2, 2, 4, 3])
-    assert _hub_path_cover(spec) is None
+def test_component_only_the_walk_dp_decides(monkeypatch):
+    # prod(visits + 1) is beyond the whole-spec walk DP, so the solver
+    # reaches the hub tier. The triangle 1-3-7 takes one of the t = 2 hub
+    # visits; greedy and every restart cover the other 24 clones with 3
+    # paths, and the cut bounds certify only 1. The walk DP on their
+    # owners (3 * 41,472 states) shows that 1 path cannot cover them.
+    edges = [(1, 3), (1, 7), (3, 7), (2, 5), (2, 9), (2, 10), (4, 6),
+             (4, 10), (5, 8), (5, 10), (6, 10)]
+    spec = hub_spec(edges, [2, 1, 5, 3, 2, 3, 3, 2, 5, 1, 5])
+    assert _walk_dp(spec.allowed, spec.visits) == "out_of_range"
+    decided = []
+
+    def counted(*args):
+        paths = _exact_cover(*args)
+        decided.append(paths is not None)
+        return paths
+
+    monkeypatch.setattr(many_visits, "_exact_cover", counted)
+    assert many_visits_tour(spec) is None
+    assert decided == [True]
     assert not closed_walk_feasible(spec.allowed, spec.visits)
 
 
