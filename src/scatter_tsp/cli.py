@@ -16,16 +16,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .instance import (ContractViolation, generate, read_instance, scatter,
-                       write_instance)
+                       threshold_tolerance, write_instance)
 from .eptas import DecisionParams, decide_scatter, maximize_scatter_report
-from .oracle import brute_force_mstsp
+from .oracle import _BRUTE_CAP, brute_force_mstsp
 from . import hardness
 
 _BENCH_FIELDS = ("instance_id", "n", "dim", "metric", "epsilon", "ell_hat",
                  "witness_scatter", "oracle_opt", "branch", "net_size",
                  "runtime_ms", "seed")
-_ORACLE_CAP = 16
-_TOL = 1e-9
 
 
 @dataclass
@@ -51,7 +49,7 @@ class BenchRecord:
         return out
 
     def violations(self) -> list:
-        tol = _TOL * max(1.0, self.ell_hat)
+        tol = threshold_tolerance(self.ell_hat)
         bad = []
         if self.witness_scatter < (1.0 - self.epsilon) * self.ell_hat - tol:
             bad.append("witness scatter below the guarantee")
@@ -159,7 +157,7 @@ def _run_cell(cell):
     accepted = [p for p in probes if p["answer"] and p["ell"] == ell_hat]
     branch = accepted[-1]["branch"] if accepted else "dirac"
     net_size = accepted[-1]["net_size"] if accepted else None
-    opt = brute_force_mstsp(inst).opt if want_oracle and n <= _ORACLE_CAP else None
+    opt = brute_force_mstsp(inst).opt if want_oracle and n <= _BRUTE_CAP else None
     return BenchRecord(
         instance_id=f"{kind}-n{n}-d{dim}-s{seed}",
         n=n, dim=dim, metric=_metric_name(inst), epsilon=eps,

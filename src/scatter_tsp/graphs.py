@@ -1,9 +1,10 @@
 """Threshold graphs and the Hamiltonicity toolbox.
 
 Contains the constructive Dirac cycle builder, Bondy-Chvatal closure with
-edge lifting, Eulerian tours of multigraphs, Hopcroft-Karp bipartite
-matching, and the ball exchange that normalizes a high-scatter tour around
-a low-degree point.
+edge lifting, Eulerian tours of multigraphs, max flow (`_Dinic`, which the
+many-visits tiers share) with bipartite matching as unit max flow on it,
+and the ball exchange that normalizes a high-scatter tour around a
+low-degree point.
 """
 
 import numpy as np
@@ -15,11 +16,6 @@ from .instance import (
     meets_threshold,
     validate_tour,
 )
-
-# chronological list of (u, v) edges layered on top of a base graph,
-# consumed by bc_lift in reverse
-EdgeAdditionLog = list
-
 
 class ThresholdGraph:
     """Simple graph on n vertices held as a dense symmetric boolean matrix.
@@ -409,58 +405,100 @@ def bc_lift(base, added, cycle) -> np.ndarray:
     return tour
 
 
+class _Dinic:
+    """Max flow with Python integers; its running time does not depend on the
+    capacity values, so the many-visits tiers may pass counts up to 10^9.
+
+    Arcs live in flat lists: arc a runs to to[a] with residual capacity
+    cap[a], and a ^ 1 is its reverse. out[u] holds the ids of the arcs
+    leaving u in the order they were added.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.to = []
+        self.cap = []
+        self.out = [[] for _ in range(n)]
+
+    def add(self, u: int, v: int, cap: int) -> int:
+        a = len(self.to)
+        self.to += (v, u)
+        self.cap += (cap, 0)
+        self.out[u].append(a)
+        self.out[v].append(a + 1)
+        return a
+
+    def max_flow(self, s: int, t: int) -> int:
+        to, cap, out = self.to, self.cap, self.out
+        flow = 0
+        while True:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = [s]
+            for u in queue:
+                for a in out[u]:
+                    if cap[a] and level[to[a]] < 0:
+                        level[to[a]] = level[u] + 1
+                        queue.append(to[a])
+            if level[t] < 0:
+                return flow
+            # blocking flow by depth-first search over level-increasing
+            # arcs; it[u] is the next arc of u to try, and stays on an arc
+            # while paths through it may still carry flow
+            it = [0] * self.n
+            path = []
+            u = s
+            while True:
+                if u == t:
+                    pushed = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= pushed
+                        cap[a ^ 1] += pushed
+                    flow += pushed
+                    # the arcs before the first saturated one keep capacity
+                    # and their pointers, so a search restarted from s would
+                    # walk the same prefix again: resume at its end instead
+                    cut = next(i for i, a in enumerate(path) if not cap[a])
+                    u = to[path[cut] ^ 1]
+                    del path[cut:]
+                    continue
+                arcs = out[u]
+                i = it[u]
+                step = level[u] + 1
+                while i < len(arcs) and not (cap[arcs[i]] and level[to[arcs[i]]] == step):
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif path:
+                    # dead end: the arc into u carries nothing more this phase
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
+                    break
+
+
 def bipartite_max_matching(left: int, right: int, edges) -> list:
-    """Maximum matching of a bipartite graph, Hopcroft-Karp style.
+    """Maximum matching of a bipartite graph, as a unit-capacity max flow.
 
     `edges` is a list of (l, r) pairs with 0 <= l < left, 0 <= r < right;
     returns the matching as sorted (l, r) pairs.
     """
-    adj = [[] for _ in range(left)]
+    src, snk = left + right, left + right + 1
+    net = _Dinic(left + right + 2)
+    for l in range(left):
+        net.add(src, l, 1)
+    arcs = {}
     for (l, r) in edges:
         if not (0 <= l < left and 0 <= r < right):
             raise ValueError(f"edge ({l}, {r}) out of range")
-        adj[l].append(r)
-    INF = float("inf")
-    match_l = [-1] * left
-    match_r = [-1] * right
-
-    def bfs():
-        dist = [INF] * left
-        queue = [l for l in range(left) if match_l[l] == -1]
-        for l in queue:
-            dist[l] = 0
-        found = False
-        qi = 0
-        while qi < len(queue):
-            l = queue[qi]
-            qi += 1
-            for r in adj[l]:
-                nl = match_r[r]
-                if nl == -1:
-                    found = True
-                elif dist[nl] is INF:
-                    dist[nl] = dist[l] + 1
-                    queue.append(nl)
-        return dist, found
-
-    def dfs(l, dist):
-        for r in adj[l]:
-            nl = match_r[r]
-            if nl == -1 or (dist[nl] == dist[l] + 1 and dfs(nl, dist)):
-                match_l[l] = r
-                match_r[r] = l
-                return True
-        dist[l] = INF
-        return False
-
-    while True:
-        dist, found = bfs()
-        if not found:
-            break
-        for l in range(left):
-            if match_l[l] == -1:
-                dfs(l, dist)
-    return sorted((l, r) for l, r in enumerate(match_l) if r != -1)
+        if (l, r) not in arcs:
+            arcs[(l, r)] = net.add(l, left + r, 1)
+    for r in range(right):
+        net.add(left + r, snk, 1)
+    net.max_flow(src, snk)
+    return sorted(pair for pair, a in arcs.items() if not net.cap[a])
 
 
 def normalize_tour(instance: Instance, tour, ell: float, p: int) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 The solver is exact: it answers feasibility correctly for every spec, or
 aborts loudly when its search budget is genuinely exhausted; it never
-returns a wrong answer. `many_visits_tour` rejects a disconnected allowed
-graph, then runs four tiers in order, each of which either decides the
-spec or hands it on:
+returns a wrong answer. `many_visits_tour` runs four tiers in order, each
+of which either decides the spec or hands it on. A disconnected allowed
+graph needs no pass of its own: each tier answers it with None (the walk
+DP never reaches the far component, the relaxation has no solution or a
+disconnected support, no vertex is a hub, and no spanning tree exists).
 
 1. walk DP (`_walk_dp`): a reachability sweep over (remaining visits,
    current vertex) states, exact whenever prod(visits_v + 1) is at most
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .instance import ContractViolation
-from .graphs import Multigraph, eulerian_tour
+from .graphs import Multigraph, _Dinic, eulerian_tour
 
 _WALK_STATE_CAP = 700_000    # product of (visits_v + 1) admitted to the walk DP
 _TREE_CAP = 100_000          # spanning trees examined before giving up
@@ -115,79 +117,6 @@ class Multiwalk:
         for v in w[:-1]:
             counts[v] = counts.get(v, 0) + 1
         return counts
-
-
-class _Dinic:
-    """Max flow with Python integers; value-independent on these tiny graphs.
-
-    Arcs live in flat lists: arc a runs to to[a] with residual capacity
-    cap[a], and a ^ 1 is its reverse. out[u] holds the ids of the arcs
-    leaving u in the order they were added.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.to = []
-        self.cap = []
-        self.out = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, cap: int) -> int:
-        a = len(self.to)
-        self.to += (v, u)
-        self.cap += (cap, 0)
-        self.out[u].append(a)
-        self.out[v].append(a + 1)
-        return a
-
-    def max_flow(self, s: int, t: int) -> int:
-        to, cap, out = self.to, self.cap, self.out
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for a in out[u]:
-                    if cap[a] and level[to[a]] < 0:
-                        level[to[a]] = level[u] + 1
-                        queue.append(to[a])
-            if level[t] < 0:
-                return flow
-            # blocking flow by depth-first search over level-increasing
-            # arcs; it[u] is the next arc of u to try, and stays on an arc
-            # while paths through it may still carry flow
-            it = [0] * self.n
-            path = []
-            u = s
-            while True:
-                if u == t:
-                    pushed = min(cap[a] for a in path)
-                    for a in path:
-                        cap[a] -= pushed
-                        cap[a ^ 1] += pushed
-                    flow += pushed
-                    # the arcs before the first saturated one keep capacity
-                    # and their pointers, so a search restarted from s would
-                    # walk the same prefix again: resume at its end instead
-                    cut = next(i for i, a in enumerate(path) if not cap[a])
-                    u = to[path[cut] ^ 1]
-                    del path[cut:]
-                    continue
-                arcs = out[u]
-                i = it[u]
-                step = level[u] + 1
-                while i < len(arcs) and not (cap[arcs[i]] and level[to[arcs[i]]] == step):
-                    i += 1
-                it[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    u = to[arcs[i]]
-                elif path:
-                    # dead end: the arc into u carries nothing more this phase
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1
-                else:
-                    break
 
 
 def _arc_flow(k, edges, out_deg, in_deg):
@@ -688,21 +617,14 @@ def _spanning_trees(k, edges, degree_cap):
         return x
 
     def connectable(parent, i):
-        roots = {find(parent, v) for v in range(k)}
-        if len(roots) == 1:
+        # union edges i..m-1 into a copy of the forest: can it still span?
+        cnt = sum(parent[v] == v for v in range(k))
+        if cnt == 1:
             return True
-        link = {r: r for r in roots}
-
-        def f2(x):
-            while link[x] != x:
-                link[x] = link[link[x]]
-                x = link[x]
-            return x
-
-        cnt = len(roots)
+        link = list(parent)
         for t in range(i, m):
-            a = f2(find(parent, edges[t][0]))
-            b = f2(find(parent, edges[t][1]))
+            a = find(link, edges[t][0])
+            b = find(link, edges[t][1])
             if a != b:
                 link[a] = b
                 cnt -= 1
@@ -748,24 +670,11 @@ def many_visits_tour(spec: VisitSpec):
             return Multiwalk(Multigraph(1), visits)
         return None
 
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(spec.allowed)))]
-    adj = [[] for _ in range(k)]
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != k:
-        return None  # some vertex cannot be reached at all
-
     walked = _walk_dp(spec.allowed, visits)
     if walked != "out_of_range":
         return None if walked is None else Multiwalk.from_walk(k, walked, visits)
+
+    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(spec.allowed)))]
 
     # necessary relaxation: an Eulerian digraph with out- and in-degree
     # visits[v] but no connectivity requirement

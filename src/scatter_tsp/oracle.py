@@ -23,13 +23,6 @@ class OracleResult:
     tour: np.ndarray
 
 
-def _popcount_u32(a: np.ndarray) -> np.ndarray:
-    a = a - ((a >> 1) & np.uint32(0x55555555))
-    a = (a & np.uint32(0x33333333)) + ((a >> 2) & np.uint32(0x33333333))
-    a = (a + (a >> 4)) & np.uint32(0x0F0F0F0F)
-    return (a * np.uint32(0x01010101)) >> 24
-
-
 class _HamDP:
     """Completion table C[mask] (bit v): a path can start at v, cover exactly
     `mask` (a subset of vertices 1..n-1 not containing v), and stop at a
@@ -45,8 +38,9 @@ class _HamDP:
             self.adjmask[v] = np.uint32(sum(1 << u for u in range(n) if adj[v, u]))
         size = 1 << (n - 1)  # masks over vertices 1..n-1, stored at mask >> 1
         idx = np.arange(size, dtype=np.uint32)
-        order = np.argsort(_popcount_u32(idx), kind="stable")
-        counts = np.bincount(_popcount_u32(idx), minlength=n)
+        popcount = np.bitwise_count(idx)
+        order = np.argsort(popcount, kind="stable")
+        counts = np.bincount(popcount, minlength=n)
         self.layers = []
         at = 0
         for k in range(n):

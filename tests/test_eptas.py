@@ -9,6 +9,7 @@ from scatter_tsp import (
     ContractViolation,
     DecisionParams,
     Instance,
+    brute_force_mstsp,
     candidate_distances,
     decide_scatter,
     find_low_degree_point,
@@ -19,6 +20,7 @@ from scatter_tsp import (
     meets_threshold,
     scatter,
 )
+from scatter_tsp import eptas
 from helpers import brute_scatter
 
 
@@ -70,6 +72,30 @@ def test_decide_matches_oracle_dichotomy():
                 assert meets_threshold(sc, (1.0 - eps) * ell)
                 assert sc == out.witness_scatter
                 assert out.branch in ("dirac", "many_visits")
+
+
+def test_decide_lifts_short_hub_edges(monkeypatch):
+    # the walk expands to a tour whose hub edge (6, 5) is shorter than
+    # (1 - eps) * ell, so the decision has to lift it out before answering
+    lifted = []
+    lift = eptas.bc_lift
+
+    def counted(base, log, tour):
+        lifted.append(list(log))
+        return lift(base, log, tour)
+
+    monkeypatch.setattr(eptas, "bc_lift", counted)
+    inst = Instance.lp([[0, 0], [-0.15, -0.96], [-0.36, -0.86], [0.8, -0.42],
+                        [-1.13, -1.69], [2.85, 0.21], [3.01, 1.03]])
+    ell, eps = 1.0, 0.1
+    out = decide_scatter(inst, DecisionParams(ell, eps))
+    assert lifted == [[(6, 5)]]
+    assert out.answer and out.branch == "many_visits"
+    assert out.witness_scatter == scatter(inst, out.witness)
+    assert meets_threshold(out.witness_scatter, (1.0 - eps) * ell)
+    opt = brute_force_mstsp(inst).opt
+    assert meets_threshold(opt, ell)  # OPT >= ell: Yes is the only right answer
+    assert out.witness_scatter <= opt
 
 
 def test_decide_line_instance():

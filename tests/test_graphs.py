@@ -219,6 +219,8 @@ def test_bipartite_matching_hand_cases():
     # path shape: left {0,1} both only like right 0
     m = bipartite_max_matching(2, 2, [(0, 0), (1, 0)])
     assert len(m) == 1
+    # a repeated pair is one edge
+    assert bipartite_max_matching(2, 2, [(0, 0), (0, 0), (1, 0)]) == [(0, 0)]
 
     assert bipartite_max_matching(2, 2, []) == []
 
@@ -230,6 +232,17 @@ def test_bipartite_matching_hand_cases():
         bipartite_max_matching(2, 2, [(0, 2)])
     with pytest.raises(ValueError):
         bipartite_max_matching(2, 2, [(-1, 0)])
+
+
+def _brute_max_matching(l, mask, used=frozenset()):
+    """Size of a maximum matching of left vertices l.. by exhaustive search."""
+    if l == len(mask):
+        return 0
+    best = _brute_max_matching(l + 1, mask, used)
+    for r in np.flatnonzero(mask[l]).tolist():
+        if r not in used:
+            best = max(best, 1 + _brute_max_matching(l + 1, mask, used | {r}))
+    return best
 
 
 def test_bipartite_matching_random_vs_greedy_bound():
@@ -251,6 +264,15 @@ def test_bipartite_matching_random_vs_greedy_bound():
                 taken_r.add(b)
                 greedy += 1
         assert len(m) >= greedy
+        assert len(m) == _brute_max_matching(0, mask)
+
+
+def test_bipartite_matching_long_augmenting_path():
+    # l_i likes r_{i+1} first, then r_i, and l_N likes only r_N: a search
+    # that follows first choices must undo a chain of N pairs to place l_N
+    n = 1200
+    edges = [e for i in range(n) for e in ((i, i + 1), (i, i))] + [(n, n)]
+    assert bipartite_max_matching(n + 1, n + 1, edges) == [(i, i) for i in range(n + 1)]
 
 
 def test_normalize_tour_cleans_far_edges():

@@ -62,6 +62,28 @@ def test_star_needs_center_to_match_leaves():
 
 def test_disconnected_support_is_infeasible():
     assert many_visits_tour(spec_of([(0, 1), (2, 3)], [1, 1, 1, 1])) is None
+    # no connectivity pass runs first: each tier must answer None alone
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        k = int(rng.integers(2, 8))
+        cut = int(rng.integers(1, k))  # vertices 0..cut-1 never meet the rest
+        adj = np.triu(rng.random((k, k)) < 0.7, 1)
+        adj[:cut, cut:] = False
+        adj = adj | adj.T
+        small = [int(v) for v in rng.integers(1, 4, size=k)]
+        large = [int(v) for v in rng.integers(1, 10 ** 6, size=k)]
+        for visits in (small, large):
+            spec = VisitSpec(adj, visits)
+            assert many_visits_tour(spec) is None
+            assert _walk_dp(adj, visits) in (None, "out_of_range")
+            edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj)))]
+            assert list(many_visits._spanning_trees(k, edges, [k] * k)) == []
+            assert many_visits._hub_path_cover(spec) == "no_hub"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(many_visits, "_walk_dp", lambda allowed, visits: "out_of_range")
+                assert many_visits_tour(spec) is None
+                mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
+                assert many_visits_tour(spec) is None
 
 
 def test_matches_walk_enumeration_on_random_specs():
@@ -159,7 +181,8 @@ def tree_tier_specs(draw):
     adj = np.zeros((k, k), dtype=bool)
     adj[np.triu_indices(k, 1)] = np.array(upper) < density
     adj |= adj.T
-    # a disconnected allowed graph is refused before any tier runs
+    # connected specs only; test_disconnected_support_is_infeasible covers
+    # the rest
     hops = np.linalg.matrix_power(adj.astype(np.int64) + np.eye(k, dtype=np.int64), k - 1)
     assume(hops[0].all())
     visits = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
