@@ -156,22 +156,27 @@ class Multigraph:
 
     def support_is_connected_spanning(self) -> bool:
         """True when the positive edges connect all k vertices."""
-        if self.k == 1:
-            return True
-        nbrs = {}
-        for (u, v) in self.mult:
-            nbrs.setdefault(u, []).append(v)
-            nbrs.setdefault(v, []).append(u)
-        if len(nbrs) < self.k:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in nbrs.get(stack.pop(), ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.k
+        return len(_support_reach(self.mult, 0)[1]) == self.k
+
+
+def _support_reach(mult: dict, start: int):
+    """Neighbour lists of the pairs in `mult`, and the vertices they join to `start`.
+
+    The lists are keyed by vertex and hold only vertices with an edge; the
+    reached set always holds `start`.
+    """
+    nbrs = {}
+    for (u, v) in mult:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in nbrs.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return nbrs, seen
 
 
 def eulerian_tour(graph: Multigraph) -> list:
@@ -188,17 +193,7 @@ def eulerian_tour(graph: Multigraph) -> list:
     if not positive:
         return [0]
     # connectivity of the positive-degree part
-    nbrs = {}
-    for (u, v) in graph.mult:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    seen = {positive[0]}
-    stack = [positive[0]]
-    while stack:
-        for w in nbrs.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    nbrs, seen = _support_reach(graph.mult, positive[0])
     if len(seen) != len(positive):
         raise ValueError("positive-degree subgraph is disconnected")
 

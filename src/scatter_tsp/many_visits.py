@@ -2,27 +2,32 @@
 
 The solver is exact: it answers feasibility correctly for every spec, or
 aborts loudly when its search budget is genuinely exhausted; it never
-returns a wrong answer. `many_visits_tour` runs four tiers in order, each
+returns a wrong answer. `many_visits_tour` runs five tiers in order, each
 of which either decides the spec or hands it on. A disconnected allowed
-graph needs no pass of its own: each tier answers it with None (the walk
-DP never reaches the far component, the relaxation has no solution or a
-disconnected support, no vertex is a hub, and no spanning tree exists).
+graph needs no pass of its own: each tier after the first answers it with
+None (the walk DP never reaches the far component, the relaxation has no
+solution or a disconnected support, no vertex is a hub, and no spanning
+tree exists).
 
-1. walk DP (`_walk_dp`): a reachability sweep over (remaining visits,
+1. neighbour visits (`_short_of_neighbour_visits`): an O(k^2) count that
+   only answers No. The visits of v cut the walk into visits[v] gaps whose
+   end entries are visits to neighbours of v, so too few of those refute
+   the spec at once, whatever the size of its visit counts.
+2. walk DP (`_walk_dp`): a reachability sweep over (remaining visits,
    current vertex) states, exact whenever prod(visits_v + 1) is at most
    _WALK_STATE_CAP. This covers plain Hamiltonicity of small quotients.
-2. even-flow relaxation (`_arc_flow` with out = in = visits): an
+3. even-flow relaxation (`_arc_flow` with out = in = visits): an
    Eulerian digraph with the prescribed degrees but without the
    connectivity requirement. No solution means no walk; a solution whose
    support is connected and spanning is a walk.
-3. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
+4. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
    all others, feasibility is a path-cover question on the other visits.
    A greedy cover comes first. While it has more paths than the hub's
    visit count t, components are refined in order (the walk DP on the
    component's owners where its states fit, seeded restarts on the rest)
    until the cover fits. Certified lower bounds are computed only when it
    still does not, and the tier aborts when they leave the gap open.
-4. spanning trees: the arcs of a walk form a strongly connected digraph
+5. spanning trees: the arcs of a walk form a strongly connected digraph
    with out- and in-degree visits[v], so they contain a spanning tree of
    the allowed graph with every edge oriented toward vertex 0. Each
    enumerated tree is oriented that way, and the remaining arcs
@@ -150,18 +155,35 @@ def _arc_flow(k, edges, out_deg, in_deg):
     return got
 
 
+def _short_of_neighbour_visits(allowed, visits):
+    """True when some vertex v has too few visits next to it for any walk.
+
+    The visits[v] occurrences of v cut the cyclic walk into visits[v]
+    nonempty gaps, and both end entries of a gap are visits to neighbours
+    of v. They are one entry only in a gap of length one, and every gap
+    has length one only when the walk alternates between v and the rest,
+    that is when sum(visits) == 2 * visits[v]. So a walk needs, at every
+    v, sum over u ~ v of visits[u] >= visits[v] + [sum(visits) > 2 * visits[v]].
+    Sums are int64: k * 10^9 is far from overflow.
+    """
+    vis = np.array(visits, dtype=np.int64)
+    need = vis + (2 * vis < vis.sum())
+    return bool(np.any(np.asarray(allowed) @ vis < need))
+
+
 def _walk_dp(allowed, visits):
     """Exact closed-walk search when prod(visits_v + 1) is small.
 
     States are (remaining visit vector, current vertex) with the vector
-    packed into a mixed-radix code; reach[code, v] marks the reachable
-    states. Each step spends one visit, so the sweep runs forward one
-    layer of equal remaining total at a time, over the codes reached in
-    the layer only: one matrix product gives every vertex each code can
-    step to, masked by the visits that code has left, and the states
-    found are written once per target vertex. Covers the small-visit
-    regime (including plain Hamiltonicity) where spanning tree enumeration
-    would blow up on a No answer.
+    packed into a mixed-radix code; reach[v, code] marks the reachable
+    states, one row per vertex. Each step spends one visit, so the sweep
+    runs forward one layer of equal remaining total at a time, over the
+    codes reached in the layer only: one matrix product gives every vertex
+    each code can step to, masked by the visits that code has left, and
+    the states found are written with one scatter on flat int32 indices
+    into the table. Covers the small-visit regime (including plain
+    Hamiltonicity) where spanning tree enumeration would blow up on a No
+    answer.
     """
     k = len(visits)
     bases = [1] * k
@@ -174,32 +196,36 @@ def _walk_dp(allowed, visits):
     start_total = sum(visits) - 1
     start_code = sum(c * b for c, b in zip(visits, bases)) - bases[0]
 
-    reach = np.zeros((prod, k), dtype=bool)
-    reach[start_code, 0] = True
+    reach = np.zeros((k, prod), dtype=bool)
+    reach[0, start_code] = True
+    flat_reach = reach.reshape(-1)
 
     # step[w, u] = 1 when the walk may go from u to w; a product entry
-    # counts at most k <= 19 predecessors, exact in float32, and the cap
-    # keeps every code inside int32
+    # counts at most k <= 19 predecessors, exact in float32. prod >= 2^k,
+    # so the cap keeps k <= 19 and every flat index k * prod inside int32
     step = np.asarray(allowed, dtype=np.float32).T
     base = np.array(bases, dtype=np.int32)[:, None]
     radix = np.array(visits, dtype=np.int32)[:, None] + 1
+    # frontier[i] + shift[w] is the flat index of state (w, frontier[i] - bases[w])
+    shift = np.arange(k, dtype=np.int32)[:, None] * prod - base
     frontier = np.array([start_code], dtype=np.int32)
     marker = np.zeros(prod, dtype=bool)
     for _ in range(start_total):
         # moves[w, i]: code frontier[i] is reached at a vertex that may
         # step to w, and has a visit of w left
-        moves = step @ reach[frontier].T.astype(np.float32) > 0
+        moves = step @ reach[:, frontier].astype(np.float32) > 0
         moves &= frontier // base % radix != 0
-        for w in np.flatnonzero(moves.any(axis=1)).tolist():
-            dst = frontier[moves[w]] - bases[w]
-            reach[dst, w] = True
-            marker[dst] = True
+        found = (frontier + shift)[moves]
+        flat_reach[found] = True
+        found %= prod
+        marker[found] = True
+        del moves, found  # not held through the next layer's product
         frontier = np.flatnonzero(marker).astype(np.int32)
         if len(frontier) == 0:
             break
         marker[frontier] = False
 
-    finish = [w for w in range(k) if allowed[w][0] and reach[0, w]]
+    finish = [w for w in range(k) if allowed[w][0] and reach[w, 0]]
     if not finish:
         return None
     cur = finish[0]
@@ -209,7 +235,7 @@ def _walk_dp(allowed, visits):
         pcode = code + int(bases[cur])
         prev = None
         for cand in range(k):
-            if allowed[cand][cur] and reach[pcode, cand]:
+            if allowed[cand][cur] and reach[cand, pcode]:
                 prev = cand
                 break
         if prev is None:
@@ -670,6 +696,8 @@ def many_visits_tour(spec: VisitSpec):
             return Multiwalk(Multigraph(1), visits)
         return None
 
+    if _short_of_neighbour_visits(spec.allowed, visits):
+        return None
     walked = _walk_dp(spec.allowed, visits)
     if walked != "out_of_range":
         return None if walked is None else Multiwalk.from_walk(k, walked, visits)

@@ -5,13 +5,18 @@ center and marks everything within delta of it; marked-only-by-distance
 membership then gets refined into a nearest-center assignment. Centers end
 up pairwise more than delta apart (packing) while every point stays within
 delta of its assigned center (covering).
+
+The greedy runs in blocks of BLOCK_ROWS unmarked points. Which of them
+become centers follows from their pairwise distances alone, so distance
+rows are computed only for the centers, one block of rows at a time; the
+result equals that of picking one center after another.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import Instance
+from .instance import BLOCK_ROWS, Instance
 
 
 @dataclass
@@ -48,17 +53,34 @@ def greedy_delta_net(instance: Instance, subset, delta: float) -> Net:
     best_d = np.full(len(subset), np.inf)
     assigned = np.full(len(subset), -1, dtype=np.intp)
     while not marked.all():
-        c = int(subset[int(np.argmax(~marked))])
-        row = instance.distance_rows([c])[0][subset]
-        centers.append(c)
-        # strict < keeps the earlier (= lower-id) center on distance ties
-        upd = row < best_d
-        best_d[upd] = row[upd]
-        assigned[upd] = c
-        marked |= row <= delta
+        # the next BLOCK_ROWS unmarked points, in greedy order: each is a
+        # center unless an earlier center of the block lies within delta
+        cand = subset[np.flatnonzero(~marked)[:BLOCK_ROWS]]
+        near = instance.distance_pairs(cand[:, None], cand[None, :]) <= delta
+        taken = np.zeros(len(cand), dtype=bool)
+        free = np.ones(len(cand), dtype=bool)
+        for j in range(len(cand)):
+            if free[j]:
+                taken[j] = True
+                free &= ~near[j]
+        chosen = cand[taken]
+        rows = instance.distance_rows(chosen)[:, subset]
+        centers.extend(chosen.tolist())
+        # argmin keeps the earlier center of the block on distance ties,
+        # and strict < the earlier (= lower-id) center of earlier blocks
+        near_d = rows.min(axis=0)
+        upd = near_d < best_d
+        best_d[upd] = near_d[upd]
+        assigned[upd] = chosen[rows.argmin(axis=0)[upd]]
+        marked |= (rows <= delta).any(axis=0)
 
     centers = np.array(centers, dtype=np.intp)
-    preimages = {int(c): subset[assigned == c] for c in centers}
+    # a stable sort keeps each preimage in ascending point order; every
+    # center is assigned to itself, so no preimage is empty
+    order = np.argsort(assigned, kind="stable")
+    grouped = subset[order]
+    cuts = [0, *np.searchsorted(assigned[order], centers, side="right").tolist()]
+    preimages = {c: grouped[cuts[i]:cuts[i + 1]] for i, c in enumerate(centers.tolist())}
     return Net(delta=float(delta), subset=subset, center_ids=centers,
                assigned=assigned, preimages=preimages)
 

@@ -5,9 +5,9 @@ by enumerating walks, optimal scatter by trying every cyclic order, and
 Hamiltonicity by trying every permutation. Slow on purpose, trustworthy on
 purpose. The exceptions are the reference versions at the end: earlier
 implementations of the library's own routines (the eager hub path search,
-the hub tier that refined every component in full, the full-row candidate
-sweep, the dense Dirac path, the per-arc walk DP and the recursive max
-flow), kept to pin their outputs.
+the hub tier that refined every component in full, the one-center-at-a-time
+greedy net, the full-row candidate sweep, the dense Dirac path, the per-arc
+walk DP and the recursive max flow), kept to pin their outputs.
 """
 
 import itertools
@@ -292,6 +292,27 @@ def ref_vertex_components(vertices, allowed):
                     stack.append(w)
         comps.append(sorted(comp))
     return comps
+
+
+def ref_greedy_delta_net(instance, subset, delta):
+    """The greedy delta-net one center at a time, as the library built it
+    before it moved to blocks: (centers, assigned, preimages)."""
+    subset = np.unique(np.asarray(subset, dtype=np.intp))
+    marked = np.zeros(len(subset), dtype=bool)
+    centers = []
+    best_d = np.full(len(subset), np.inf)
+    assigned = np.full(len(subset), -1, dtype=np.intp)
+    while not marked.all():
+        c = int(subset[int(np.argmax(~marked))])
+        row = instance.distance_rows([c])[0][subset]
+        centers.append(c)
+        upd = row < best_d
+        best_d[upd] = row[upd]
+        assigned[upd] = c
+        marked |= row <= delta
+    centers = np.array(centers, dtype=np.intp)
+    preimages = {int(c): subset[assigned == c] for c in centers}
+    return centers, assigned, preimages
 
 
 # Reference distance sweeps: the candidate sweep over full rows in 256-row

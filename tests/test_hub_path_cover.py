@@ -16,6 +16,7 @@ from scatter_tsp.many_visits import (
     _greedy_paths,
     _hub_path_cover,
     _restart_paths,
+    _short_of_neighbour_visits,
     _vertex_components,
     _walk_dp,
     many_visits_tour,
@@ -184,14 +185,15 @@ def test_more_components_than_hub_visits_is_infeasible():
 
 
 def test_component_only_the_walk_dp_decides(monkeypatch):
-    # prod(visits + 1) is beyond the whole-spec walk DP, so the solver
-    # reaches the hub tier. The triangle 1-3-7 takes one of the t = 2 hub
-    # visits; greedy and every restart cover the other 24 clones with 3
-    # paths, and the cut bounds certify only 1. The walk DP on their
-    # owners (3 * 41,472 states) shows that 1 path cannot cover them.
-    edges = [(1, 3), (1, 7), (3, 7), (2, 5), (2, 9), (2, 10), (4, 6),
-             (4, 10), (5, 8), (5, 10), (6, 10)]
-    spec = hub_spec(edges, [2, 1, 5, 3, 2, 3, 3, 2, 5, 1, 5])
+    # prod(visits + 1) is beyond the whole-spec walk DP and the spec passes
+    # the neighbour-visit count, so the solver reaches the hub tier. The
+    # three clones of 2 have no neighbour but the hub and take three of the
+    # t = 4 hub visits; greedy and every restart cover the other 27 clones
+    # with 2 paths, and the cut bounds certify only 1. The walk DP on their
+    # owners (2 * 48,600 states) shows that 1 path cannot cover them.
+    edges = [(1, 4), (3, 5), (3, 7), (3, 8), (4, 8), (5, 6), (6, 7), (6, 8)]
+    spec = hub_spec(edges, [4, 5, 3, 4, 5, 4, 5, 2, 2])
+    assert not _short_of_neighbour_visits(spec.allowed, spec.visits)
     assert _walk_dp(spec.allowed, spec.visits) == "out_of_range"
     decided = []
 

@@ -8,8 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from scatter_tsp import ContractViolation, VisitSpec, many_visits_tour
 from scatter_tsp import many_visits
-from scatter_tsp.many_visits import _WALK_STATE_CAP, _arc_flow, _walk_dp
-from helpers import closed_walk_feasible, ref_arc_flow, validate_multiwalk
+from scatter_tsp.many_visits import (
+    _WALK_STATE_CAP,
+    _arc_flow,
+    _short_of_neighbour_visits,
+    _walk_dp,
+)
+from helpers import closed_walk_feasible, ref_arc_flow, ref_walk_dp, validate_multiwalk
 
 
 def spec_of(edges, visits):
@@ -80,6 +85,8 @@ def test_disconnected_support_is_infeasible():
             assert list(many_visits._spanning_trees(k, edges, [k] * k)) == []
             assert many_visits._hub_path_cover(spec) == "no_hub"
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(many_visits, "_short_of_neighbour_visits",
+                           lambda allowed, visits: False)
                 mp.setattr(many_visits, "_walk_dp", lambda allowed, visits: "out_of_range")
                 assert many_visits_tour(spec) is None
                 mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
@@ -143,33 +150,99 @@ def test_visit_counts_match_walk():
     assert mw.visit_counts() == {0: 2, 1: 1, 2: 1}
 
 
+def test_neighbour_visit_count_lets_an_alternating_walk_pass():
+    # path 1 - 0 - 2 with visits [2, 1, 1]: sum(visits) = 2 * visits[0], so
+    # the walk 0 1 0 2 alternates and 0 needs only 2 visits next to it
+    spec = spec_of([(0, 1), (0, 2)], [2, 1, 1])
+    assert not _short_of_neighbour_visits(spec.allowed, spec.visits)
+    assert closed_walk_feasible(spec.allowed, spec.visits)
+    validate_multiwalk(spec, many_visits_tour(spec))
+    # one more visit of 1 breaks the alternation: 0 is now one short
+    assert _short_of_neighbour_visits(spec.allowed, [2, 2, 1])
+
+
+@st.composite
+def neighbour_count_specs(draw):
+    k = draw(st.integers(2, 7))
+    density = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]))
+    pairs = k * (k - 1) // 2
+    upper = draw(st.lists(st.floats(0, 1), min_size=pairs, max_size=pairs))
+    adj = np.zeros((k, k), dtype=bool)
+    adj[np.triu_indices(k, 1)] = np.array(upper) < density
+    adj |= adj.T
+    visits = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    return adj, visits
+
+
+def test_neighbour_visit_count_refuses_no_feasible_spec():
+    refused = []
+
+    @settings(max_examples=400, derandomize=True)
+    @given(neighbour_count_specs())
+    def check(spec):
+        allowed, visits = spec
+        short = _short_of_neighbour_visits(allowed, visits)
+        refused.append(short)
+        if short:
+            assert ref_walk_dp(allowed, visits) is None
+            if sum(visits) <= 14:
+                assert not closed_walk_feasible(allowed, visits)
+
+    check()
+    # the sample holds refusals and specs that pass, not only one kind
+    assert 40 <= sum(refused) <= len(refused) - 40
+
+
 # vertex 0 is a leaf: each of its 10^5 visits sits between two visits of its
-# only neighbour 3, which leaves 3 no arc to the rest. The walk DP is out of
-# range, the relaxation's support is disconnected and no vertex is a hub,
-# so the spanning-tree tier refuses it once all three spanning trees fail.
+# only neighbour 3, which leaves 3 no arc to the rest. The neighbour-visit
+# count refutes it at once: the walk does not alternate between 0 and 3, so
+# 0 needs 10^5 + 1 visits next to it and has 10^5. Without that count the
+# walk DP is out of range, the relaxation's support is disconnected and no
+# vertex is a hub, so the spanning-tree tier refuses it once all three
+# spanning trees fail.
 LEAF_SPEC = ([(0, 3), (1, 2), (1, 3), (1, 4), (2, 3)], [10 ** 5, 2, 1, 10 ** 5, 1])
 
+# feasible, passes the neighbour-visit count, out of the walk DP's range,
+# has no hub, and its relaxation's support is disconnected: only the
+# spanning-tree tier can answer it, and it does after a few trees
+TREE_SPEC = ([(0, 2), (0, 6), (1, 2), (1, 5), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5),
+              (4, 6), (5, 6)], [104, 3, 112, 1, 1, 3, 3])
 
-def test_tree_tier_refuses_leaf_spec():
-    assert many_visits_tour(spec_of(*LEAF_SPEC)) is None
+
+def test_tree_tier_refuses_leaf_spec(monkeypatch):
+    spec = spec_of(*LEAF_SPEC)
+    assert _short_of_neighbour_visits(spec.allowed, spec.visits)
+    assert many_visits_tour(spec) is None
+    monkeypatch.setattr(many_visits, "_short_of_neighbour_visits", lambda allowed, visits: False)
+    assert many_visits_tour(spec) is None
+
+
+def test_tree_tier_spec_reaches_the_tree_tier():
+    spec = spec_of(*TREE_SPEC)
+    assert not _short_of_neighbour_visits(spec.allowed, spec.visits)
+    assert _walk_dp(spec.allowed, spec.visits) == "out_of_range"
+    assert many_visits._hub_path_cover(spec) == "no_hub"
+    mw = many_visits_tour(spec)
+    assert mw is not None
+    validate_multiwalk(spec, mw)
 
 
 def test_tree_tier_abort_names_tree_budget(monkeypatch):
     monkeypatch.setattr(many_visits, "_TREE_CAP", 2)
     with pytest.raises(ContractViolation,
-                       match=r"spanning-tree tier undecided: k=5, 5 allowed edges; "
+                       match=r"spanning-tree tier undecided: k=7, 11 allowed edges; "
                              r"2 trees examined, _TREE_CAP=2 reached; "
                              r"2 distinct children vectors failed"):
-        many_visits_tour(spec_of(*LEAF_SPEC))
+        many_visits_tour(spec_of(*TREE_SPEC))
 
 
 def test_tree_tier_abort_names_node_budget(monkeypatch):
-    monkeypatch.setattr(many_visits, "_NODE_CAP", 8)
+    monkeypatch.setattr(many_visits, "_NODE_CAP", 10)
     with pytest.raises(ContractViolation,
-                       match=r"spanning-tree tier undecided: k=5, 5 allowed edges; "
-                             r"1 trees examined, enumeration nodes > _NODE_CAP=8; "
+                       match=r"spanning-tree tier undecided: k=7, 11 allowed edges; "
+                             r"1 trees examined, enumeration nodes > _NODE_CAP=10; "
                              r"1 distinct children vectors failed"):
-        many_visits_tour(spec_of(*LEAF_SPEC))
+        many_visits_tour(spec_of(*TREE_SPEC))
 
 
 @st.composite
@@ -190,8 +263,9 @@ def tree_tier_specs(draw):
 
 
 def test_tree_tier_matches_walk_dp_and_enumeration():
-    # the walk DP and the hub tier are switched off, so every spec whose
-    # relaxation has a disconnected support is decided by the tree tier
+    # the neighbour-visit count, the walk DP and the hub tier are switched
+    # off, so every spec whose relaxation has a disconnected support is
+    # decided by the tree tier
     reached = []
     enumerate_trees = many_visits._spanning_trees
 
@@ -207,6 +281,8 @@ def test_tree_tier_matches_walk_dp_and_enumeration():
         if sum(spec.visits) <= 14:
             assert closed_walk_feasible(spec.allowed, spec.visits) == want
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(many_visits, "_short_of_neighbour_visits",
+                       lambda allowed, visits: False)
             mp.setattr(many_visits, "_walk_dp", lambda allowed, visits: "out_of_range")
             mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
             mp.setattr(many_visits, "_spanning_trees", counted)

@@ -1,9 +1,13 @@
 """Greedy nets and coordinate rounding."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scatter_tsp import Instance, generate, greedy_delta_net, grid_round
+from helpers import ref_greedy_delta_net
 
 
 def test_net_hand_case():
@@ -57,6 +61,58 @@ def test_net_covering_separation_partition():
         # preimages partition the subset
         all_ids = np.sort(np.concatenate(list(net.preimages.values())))
         assert np.array_equal(all_ids, np.arange(n))
+
+
+@st.composite
+def net_cases(draw):
+    """(instance, subset, delta) on every metric branch. Integer grids and
+    0/1 vectors give duplicate points and many equidistant centers; subset
+    sizes straddle the 64-point block."""
+    kind = draw(st.sampled_from(["lp", "hamming", "explicit", "equidistant"]))
+    size = draw(st.sampled_from([1, 5, 63, 64, 65, 129]))
+    n = max(3, size + draw(st.integers(0, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 4))
+    if kind == "hamming":
+        inst = Instance.hamming(rng.integers(0, 2, size=(n, dim)))
+    elif kind == "equidistant":
+        inst = Instance.explicit(1.0 - np.eye(n))
+    else:
+        if draw(st.booleans()):
+            pts = rng.integers(0, 4, size=(n, dim)).astype(float)
+        else:
+            pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+        if draw(st.booleans()):
+            # ids in order along the first axis: a later block's centers sit
+            # next to an earlier block's, and points between them tie
+            pts = pts[np.argsort(pts[:, 0], kind="stable")]
+        inst = Instance.lp(pts, draw(st.sampled_from([1.0, 2.0, 3.0, math.inf])))
+        if kind == "explicit":
+            inst = Instance.explicit(inst.full_matrix())
+    subset = np.sort(rng.choice(n, size=size, replace=False))
+    delta = draw(st.one_of(st.sampled_from([1e-300, 1e-9, 0.5, 1.0, 2.0, 1e300, math.inf]),
+                           st.floats(1e-3, 10.0)))
+    return inst, subset, delta
+
+
+@settings(max_examples=300)
+@given(net_cases())
+# the first block holds 64 copies of point 0 and makes one center; point 65
+# is marked by it at distance 1, and the second block's center 64 is at
+# distance 1 too: the earlier center keeps it
+@example((Instance.lp([[0.0]] * 64 + [[2.0], [1.0], [5.0]], p=1.0), np.arange(67), 1.0))
+def test_net_matches_one_center_at_a_time(case):
+    inst, subset, delta = case
+    net = greedy_delta_net(inst, subset, delta)
+    centers, assigned, preimages = ref_greedy_delta_net(inst, subset, delta)
+    assert net.center_ids.dtype == centers.dtype
+    assert net.center_ids.tolist() == centers.tolist()
+    assert net.assigned.dtype == assigned.dtype
+    assert net.assigned.tolist() == assigned.tolist()
+    assert list(net.preimages) == list(preimages)
+    for c, pts in preimages.items():
+        assert net.preimages[c].dtype == pts.dtype
+        assert net.preimages[c].tolist() == pts.tolist()
 
 
 def test_net_rejects_bad_arguments():
