@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import (
-    BLOCK_ROWS,
     ContractViolation,
     Instance,
     candidate_distances,
     meets_threshold,
     scatter,
+    threshold_counts,
     tour_edge_lengths,
     validate_tour,
 )
@@ -98,14 +98,12 @@ def find_low_degree_point(instance: Instance, ell: float, degrees=None) -> int |
     n = instance.n
     # d(i, i) = 0 meets the threshold only when ell is within tolerance of 0
     self_edge = int(meets_threshold(0.0, ell))
-    for start in range(0, n, BLOCK_ROWS):
-        rows = instance.distance_rows(range(start, min(start + BLOCK_ROWS, n)))
-        meets = np.count_nonzero(meets_threshold(rows, ell), axis=1)
+    for start, stop, meets in threshold_counts(instance, ell):
         hit = np.flatnonzero(2 * (n - meets) > n)
         if len(hit):
             return start + int(hit[0])
         if degrees is not None:
-            degrees[start:start + len(meets)] = meets - self_edge
+            degrees[start:stop] = meets - self_edge
     return None
 
 

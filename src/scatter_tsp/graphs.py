@@ -14,6 +14,7 @@ from .instance import (
     ContractViolation,
     Instance,
     meets_threshold,
+    threshold_counts,
     validate_tour,
 )
 
@@ -93,11 +94,11 @@ class MetricThresholdView:
         return int(self.row(i).sum())
 
     def degrees(self) -> np.ndarray:
-        """All n degrees, one block of rows at a time."""
+        """All n degrees, from the half-row sweep of threshold_counts."""
+        self_edge = int(meets_threshold(0.0, self.threshold))
         deg = np.empty(self.n, dtype=np.intp)
-        for lo in range(0, self.n, BLOCK_ROWS):
-            ids = np.arange(lo, min(lo + BLOCK_ROWS, self.n))
-            deg[lo:lo + len(ids)] = np.count_nonzero(self.rows(ids), axis=1)
+        for start, stop, meets in threshold_counts(self.instance, self.threshold):
+            deg[start:stop] = meets - self_edge
         return deg
 
 
@@ -235,8 +236,9 @@ def dirac_hamiltonian(graph, degrees=None) -> np.ndarray:
     Starts from the identity cyclic order and repeatedly repairs a
     non-adjacent consecutive pair with the classic crossing rotation; the
     degree condition guarantees each repair exists and each strictly
-    reduces the number of bad pairs. A repair reads only the rows of its
-    pair's two endpoints.
+    reduces the number of bad pairs. A repair reads its pair's two
+    endpoints against the next BLOCK_ROWS positions of the cycle, or their
+    two rows when the crossing lies farther on.
     """
     n = graph.n
     if n < 3:
@@ -255,33 +257,63 @@ def _dirac_core(graph) -> np.ndarray:
     nxt = np.roll(order, -1)
     bad_mask = ~graph.edge_flags(order, nxt)
     bad = {_key(int(order[i]), int(nxt[i])) for i in np.nonzero(bad_mask)[0]}
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
+    pos = np.arange(n)
+    # `order` is never rotated: a repair at a's position i reverses only
+    # the cyclic segment after i. The tour starts at the last repair's a,
+    # where the textbook repair, which rotates a to the front, leaves it.
+    head = 0
+    near = True
     guard = len(bad) + 1
     while bad:
         guard -= 1
         if guard < 0:
             raise ContractViolation("cycle repair failed to make progress")
         a, b = bad.pop()
-        i = pos[a]
+        i = int(pos[a])
         if order[(i + 1) % n] != b:
             a, b = b, a
-            i = pos[a]
-        # rotate so that order[0] = a, order[1] = b, pair (a, b) a non-edge
-        # (concatenate does what np.roll does, without its per-call overhead)
-        order = np.concatenate((order[i:], order[:i]))
-        row_a, row_b = graph.rows([a, b])
-        cand = row_a[order] & row_b[np.concatenate((order[1:], order[:1]))]
-        cand[0] = False
-        j = int(np.argmax(cand))
-        if not cand[j]:
+            i = int(pos[a])
+        j = _crossing_after(graph, order, i, a, b, near)
+        if j is None:
             raise ContractViolation(
                 f"no crossing rotation for pair ({a}, {b}); degree condition broken")
-        old = _key(int(order[j]), int(order[(j + 1) % n]))
-        bad.discard(old)
-        order[1:j + 1] = order[j:0:-1]
-        pos[order] = np.arange(n)
-    return order
+        bad.discard(_key(int(order[j]), int(order[(j + 1) % n])))
+        # reverse the segment b .. order[j], which may wrap past n - 1
+        seg = np.arange(i + 1, i + 1 + (j - i) % n) % n
+        order[seg] = order[seg[::-1]]
+        pos[order[seg]] = seg
+        head = i
+        near = (j - i) % n <= BLOCK_ROWS
+    return np.concatenate((order[head:], order[:head]))
+
+
+def _crossing_after(graph, order, i: int, a: int, b: int, near: bool):
+    """Position j of the first pair (order[j], order[j + 1]) after position
+    i, cyclically, with a ~ order[j] and b ~ order[j + 1], or None.
+
+    On unordered inputs such a pair mostly lies a few positions on. So
+    while the last repair's did (`near`), the BLOCK_ROWS pairs after i are
+    read first as edge flags, on cycles longer than that. Otherwise, or
+    when they hold none, the rows of a and b are read, which cost less per
+    entry.
+    """
+    n = len(order)
+    m = BLOCK_ROWS
+    if near and m < n - 1:
+        w = order.take(np.arange(i + 1, i + m + 2), mode="wrap")
+        flags = graph.edge_flags(np.array((a, b)).repeat(m), np.concatenate((w[:-1], w[1:])))
+        cand = flags[:m] & flags[m:]
+        if cand.any():
+            return (i + 1 + int(np.argmax(cand))) % n
+    row_a, row_b = graph.rows([a, b])
+    cand = row_a[order]
+    cand[:-1] &= row_b[order[1:]]
+    cand[-1] &= row_b[order[0]]
+    # the pairs after i, then those before it; cand[i] is (a, b) itself
+    for lo, part in ((i + 1, cand[i + 1:]), (0, cand[:i])):
+        if part.any():
+            return lo + int(np.argmax(part))
+    return None
 
 
 def _key(u: int, v: int):

@@ -282,6 +282,28 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     return vals[keep]
 
 
+def threshold_counts(instance: Instance, ell: float):
+    """Per point i, the number of points j (i itself included) with d(i, j)
+    meeting ell, one block of BLOCK_ROWS points at a time in ascending order.
+
+    Yields (start, stop, meets), where meets[t] is the final count of point
+    start + t. A block reads half rows, from its points to start..n-1: the
+    columns left of it are pairs an earlier block has read (distances are
+    symmetric bit for bit), whose column sums that block carried forward.
+    The first block reads full rows, so a caller that stops at its first
+    hit reads no more than a full-row sweep would.
+    """
+    n = instance.n
+    meets = np.zeros(n, dtype=np.intp)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        flags = meets_threshold(instance.distance_rows(np.arange(start, stop), start), ell)
+        meets[start:stop] += flags.sum(axis=1)
+        yield start, stop, meets[start:stop]
+        # only a caller that reads on needs the later points' counts
+        meets[stop:] += flags[:, stop - start:].sum(axis=0)
+
+
 def generate(kind: str, n: int, dim: int, seed: int, p: float = 2.0,
              **params) -> Instance:
     """Deterministic instance generators for tests and benchmarks.

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scatter_tsp import (
+    ContractViolation,
     DecisionParams,
     Instance,
     MetricThresholdView,
+    ThresholdGraph,
     candidate_distances,
     decide_scatter,
     dirac_hamiltonian,
@@ -23,7 +25,8 @@ from scatter_tsp import (
     tour_edge_lengths,
 )
 from scatter_tsp.eptas import _center_graph
-from scatter_tsp.instance import DEDUP_REL_TOL
+from scatter_tsp.graphs import _dirac_core
+from scatter_tsp.instance import BLOCK_ROWS, DEDUP_REL_TOL
 from helpers import ref_candidate_distances, ref_dirac_tour
 
 METRICS = ["l1", "l2", "l3", "linf", "hamming", "explicit"]
@@ -125,6 +128,68 @@ def test_scan_degrees_and_dirac_on_view_match_dense_graph(inst):
                 dirac_hamiltonian(view)
 
 
+def reordered(inst, perm):
+    """The same point set with point perm[t] as point t."""
+    if inst.metric_kind == "explicit":
+        return Instance.explicit(inst.matrix[np.ix_(perm, perm)])
+    if inst.metric_kind == "hamming":
+        return Instance.hamming(inst.points[perm])
+    return Instance.lp(inst.points[perm], p=inst.p)
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2", "linf", "hamming", "explicit"])
+def test_scan_carries_counts_across_blocks(metric):
+    # the low points are moved to the end, so the scan reaches them only
+    # after blocks whose counts of their columns came from half rows
+    n = 200
+    inst = make_instance(metric, n, 24 if metric == "hamming" else 3, 11, True, False, False)
+    assert inst.has_duplicate_points()
+    # point i has a majority within ell once its median distance q[i]
+    # falls short of ell; just above the smallest, a few points do
+    q = np.sort(inst.full_matrix(), axis=1)[:, n // 2]
+    ell = float(q.min()) * (1.0 + 1e-6)
+    low = 2 * (n - threshold_graph(inst, ell).degrees()) > n
+    assert 0 < low.sum() <= n - 2 * BLOCK_ROWS
+    inst = reordered(inst, np.concatenate((np.flatnonzero(~low), np.flatnonzero(low))))
+    dense = threshold_graph(inst, ell).degrees()
+    want = int(np.flatnonzero(2 * (n - dense) > n)[0])
+    assert want >= 2 * BLOCK_ROWS
+    assert find_low_degree_point(inst, ell, np.empty(n, dtype=np.intp)) == want
+    # below the tolerance every pair meets ell, each point's own included;
+    # just above it the duplicate pairs drop out
+    for ell in (5e-10, 1e-6, float(candidate_distances(inst)[1])):
+        dense = threshold_graph(inst, ell).degrees()
+        degrees = np.full(n, -1, dtype=np.intp)
+        assert find_low_degree_point(inst, ell, degrees) is None
+        assert np.array_equal(degrees, dense)
+        assert np.array_equal(MetricThresholdView(inst, ell).degrees(), dense)
+
+
+@pytest.mark.parametrize("n,far", [(8, 2), (160, 70)])
+def test_dirac_repair_segment_wraps_past_the_end(n, far):
+    # one bad pair (n - 2, n - 1), and n - 2 has no edge to 0 .. far - 1,
+    # so the first crossing pair after it is (far, far + 1) and the
+    # reversed segment runs over positions n - 1, 0, ..., far. At far = 70
+    # the pair lies past the first BLOCK_ROWS pairs, in the rows of (a, b).
+    adj = ~np.eye(n, dtype=bool)
+    cut = np.r_[:far, n - 1]
+    adj[n - 2, cut] = adj[cut, n - 2] = False
+    inst = Instance.explicit(np.where(adj, 2.0, 1.0) - np.eye(n))
+    want = [n - 2, *range(far, -1, -1), n - 1, *range(far + 1, n - 2)]
+    assert ref_dirac_tour(inst, 2.0).tolist() == want
+    assert _dirac_core(ThresholdGraph(adj)).tolist() == want
+    assert dirac_hamiltonian(MetricThresholdView(inst, 2.0)).tolist() == want
+
+
+def test_dirac_core_raises_without_a_crossing_pair():
+    # the path 0-1-2-3: the closing pair (3, 0) has no crossing rotation
+    adj = np.zeros((4, 4), dtype=bool)
+    for u in range(3):
+        adj[u, u + 1] = adj[u + 1, u] = True
+    with pytest.raises(ContractViolation, match="no crossing rotation"):
+        _dirac_core(ThresholdGraph(adj))
+
+
 def test_dirac_on_view_repairs_like_dense_path():
     # spread points at low thresholds: Dirac probes with many bad pairs
     repaired = 0
@@ -140,6 +205,16 @@ def test_dirac_on_view_repairs_like_dense_path():
             assert np.array_equal(dirac_hamiltonian(view, degrees),
                                   ref_dirac_tour(inst, ell))
     assert repaired > 50
+
+
+def test_dirac_on_view_repairs_far_crossings_like_dense_path():
+    # the four blobs of the large-n Dirac probe, unshuffled: consecutive
+    # points mostly share a blob, and most crossing pairs lie far from
+    # their repair, on either side of it
+    inst = Instance.lp(np.repeat([[0.0, 0.0], [0.4, 0.0], [0.2, 1.0], [0.2, -1.0]],
+                                 [96, 6, 48, 50], axis=0))
+    assert np.array_equal(dirac_hamiltonian(MetricThresholdView(inst, 0.4)),
+                          ref_dirac_tour(inst, 0.4))
 
 
 def test_view_below_half_degree_raises():
@@ -189,6 +264,23 @@ def test_dirac_probe_memory_is_linear_in_n():
         tracemalloc.stop()
     assert out.answer and out.branch == "dirac"
     assert peak < 40 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def test_low_degree_scan_memory_is_linear_in_n():
+    # no point has a majority within ell, so the scan reads every block;
+    # the dense threshold graph would take n^2 = 400 MB here
+    n = 20_000
+    inst = Instance.lp(np.random.default_rng(6).uniform(0.0, 100.0, size=(n, 2)))
+    degrees = np.empty(n, dtype=np.intp)
+    tracemalloc.start()
+    try:
+        p = find_low_degree_point(inst, 1.0, degrees)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p is None
+    assert peak < 24 * BLOCK_ROWS * n, f"peak {peak / 2 ** 20:.1f} MB"
+    assert degrees.min() >= n - 40
 
 
 def test_center_graph_memory_is_quadratic_in_k():
