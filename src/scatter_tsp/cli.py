@@ -9,10 +9,8 @@ ordered by instance id, so runs are machine-diffable.
 import argparse
 import csv
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .instance import (ContractViolation, generate, read_instance, scatter,
@@ -168,14 +166,7 @@ def _run_cell(cell):
 
 def cmd_bench(args) -> int:
     cells = _suite_cells(args.suite)
-    threads = int(os.environ.get("SCATTER_TSP_THREADS", "1"))
-    if threads < 1:
-        raise ValueError("SCATTER_TSP_THREADS must be a positive integer")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_run_cell, cells))
-    else:
-        records = [_run_cell(cell) for cell in cells]
+    records = [_run_cell(cell) for cell in cells]
     records.sort(key=lambda r: (r.instance_id, r.epsilon))
     problems = []
     for rec in records:

@@ -5,6 +5,11 @@ edge lifting, Eulerian tours of multigraphs, max flow (`_Dinic`, which the
 many-visits tiers share) with bipartite matching as unit max flow on it,
 and the ball exchange that normalizes a high-scatter tour around a
 low-degree point.
+
+Dirac, the lift and the ball exchange make one cycle move, the crossing
+2-opt (`_two_opt`, found for a pair that must go by `_repair`). Graphs are
+read only through `n`, `rows(ids)`, `edge_flags(us, vs)` and `degrees()`,
+which ThresholdGraph and MetricThresholdView answer alike.
 """
 
 import numpy as np
@@ -36,29 +41,17 @@ class ThresholdGraph:
         self.adjacency = adj
         self.threshold = float(threshold)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.adjacency[i]
-
     def rows(self, ids) -> np.ndarray:
         return self.adjacency[np.asarray(ids, dtype=np.intp)]
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i, j])
-
     def edge_flags(self, us, vs) -> np.ndarray:
         return self.adjacency[np.asarray(us), np.asarray(vs)]
-
-    def degree_of(self, i: int) -> int:
-        return int(self.adjacency[i].sum())
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
     def edge_count(self) -> int:
         return int(self.adjacency.sum()) // 2
-
-    def copy(self) -> "ThresholdGraph":
-        return ThresholdGraph(self.adjacency.copy(), self.threshold)
 
 
 class MetricThresholdView:
@@ -80,18 +73,9 @@ class MetricThresholdView:
         r[np.arange(len(ids)), ids] = False
         return r
 
-    def row(self, i: int) -> np.ndarray:
-        return self.rows([i])[0]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.edge_flags([i], [j])[0])
-
     def edge_flags(self, us, vs) -> np.ndarray:
         d = self.instance.distance_pairs(us, vs)
         return meets_threshold(d, self.threshold) & (np.asarray(us) != np.asarray(vs))
-
-    def degree_of(self, i: int) -> int:
-        return int(self.row(i).sum())
 
     def degrees(self) -> np.ndarray:
         """All n degrees, from the half-row sweep of threshold_counts."""
@@ -261,30 +245,50 @@ def _dirac_core(graph) -> np.ndarray:
     # `order` is never rotated: a repair at a's position i reverses only
     # the cyclic segment after i. The tour starts at the last repair's a,
     # where the textbook repair, which rotates a to the front, leaves it.
+    # A repair trades its bad pair and the crossing pair for two edges, so
+    # `bad` loses at least one pair a pass, gains none, and the loop ends.
     head = 0
     near = True
-    guard = len(bad) + 1
     while bad:
-        guard -= 1
-        if guard < 0:
-            raise ContractViolation("cycle repair failed to make progress")
-        a, b = bad.pop()
-        i = int(pos[a])
-        if order[(i + 1) % n] != b:
-            a, b = b, a
-            i = int(pos[a])
-        j = _crossing_after(graph, order, i, a, b, near)
-        if j is None:
-            raise ContractViolation(
-                f"no crossing rotation for pair ({a}, {b}); degree condition broken")
-        bad.discard(_key(int(order[j]), int(order[(j + 1) % n])))
-        # reverse the segment b .. order[j], which may wrap past n - 1
-        seg = np.arange(i + 1, i + 1 + (j - i) % n) % n
-        order[seg] = order[seg[::-1]]
-        pos[order[seg]] = seg
+        i, j, dropped = _repair(graph, order, pos, *bad.pop(), near)
+        bad.discard(_key(*dropped))
         head = i
         near = (j - i) % n <= BLOCK_ROWS
     return np.concatenate((order[head:], order[:head]))
+
+
+def _two_opt(order, pos, i: int, j: int) -> None:
+    """Reverse the cyclic segment order[i + 1 .. j] in place, which may
+    wrap past n - 1, and keep `pos` the inverse of `order`.
+
+    The cycle then uses (order[i], order[j]) and (order[i + 1], order[j + 1])
+    in place of the pairs at positions i and j; no other pair changes.
+    """
+    n = len(order)
+    seg = np.arange(i + 1, i + 1 + (j - i) % n) % n
+    order[seg] = order[seg[::-1]]
+    pos[order[seg]] = seg
+
+
+def _repair(graph, order, pos, a: int, b: int, near: bool):
+    """Replace the consecutive pair a, b of the cycle by the crossing 2-opt.
+
+    The pair is oriented so that b follows a, at a's position i; j is the
+    first crossing pair after i (see _crossing_after). Returns (i, j, the
+    dropped pair (order[j], order[j + 1])); a stays at position i.
+    """
+    n = len(order)
+    i = int(pos[a])
+    if order[(i + 1) % n] != b:
+        a, b = b, a
+        i = int(pos[a])
+    j = _crossing_after(graph, order, i, a, b, near)
+    if j is None:
+        raise ContractViolation(
+            f"no crossing rotation for pair ({a}, {b}); degree condition broken")
+    dropped = (int(order[j]), int(order[(j + 1) % n]))
+    _two_opt(order, pos, i, j)
+    return i, j, dropped
 
 
 def _crossing_after(graph, order, i: int, a: int, b: int, near: bool):
@@ -309,8 +313,13 @@ def _crossing_after(graph, order, i: int, a: int, b: int, near: bool):
     cand = row_a[order]
     cand[:-1] &= row_b[order[1:]]
     cand[-1] &= row_b[order[0]]
-    # the pairs after i, then those before it; cand[i] is (a, b) itself
-    for lo, part in ((i + 1, cand[i + 1:]), (0, cand[:i])):
+    return _first_after(cand, i)
+
+
+def _first_after(flags, i: int):
+    """First position after i, cyclically and i excluded, where `flags`
+    holds, or None."""
+    for lo, part in ((i + 1, flags[i + 1:]), (0, flags[:i])):
         if part.any():
             return lo + int(np.argmax(part))
     return None
@@ -320,15 +329,15 @@ def _key(u: int, v: int):
     return (u, v) if u < v else (v, u)
 
 
-def bondy_chvatal_closure(graph: ThresholdGraph):
+def bondy_chvatal_closure(graph):
     """Bondy-Chvatal closure and the log of added edges.
 
     Repeatedly adds every non-edge whose endpoint degree sum is at least n
     until a fixed point; the closure is unique, so the scan order only
-    affects the log, not the result.
+    affects the log, not the result. Reads all n rows: small n only.
     """
     n = graph.n
-    adj = graph.adjacency.copy()
+    adj = graph.rows(np.arange(n))
     log = []
     while True:
         deg = adj.sum(axis=1)
@@ -360,11 +369,13 @@ class _LiftGraph:
         self.extra[u].discard(v)
         self.extra[v].discard(u)
 
-    def row(self, i: int) -> np.ndarray:
-        r = np.array(self.base.row(i), dtype=bool)
-        extra = self.extra.get(i)
-        if extra:
-            r[list(extra)] = True
+    def rows(self, ids) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.intp)
+        r = np.array(self.base.rows(ids), dtype=bool)
+        for t, i in enumerate(ids.tolist()):
+            extra = self.extra.get(i)
+            if extra:
+                r[t, list(extra)] = True
         return r
 
 
@@ -373,63 +384,52 @@ def bc_lift(base, added, cycle) -> np.ndarray:
 
     Added edges are removed in reverse log order; whenever the cycle still
     uses the removed edge, the endpoint degree sum (>= n in the graph at
-    that stage) yields a crossing rotation that rewires around it.
+    that stage) yields a crossing 2-opt that rewires around it. The cycle
+    is never rotated: each 2-opt reverses one segment of it. Endpoint
+    degrees are read from the base rows BLOCK_ROWS at a time.
     """
     n = base.n
-    tour = validate_tour(n, cycle)
-    log = []
+    order = validate_tour(n, cycle).copy()
+    log = [_key(int(u), int(v)) for (u, v) in added]
+    known = base.edge_flags(*np.array(log, dtype=np.intp).reshape(-1, 2).T)
     seen = set()
-    for (u, v) in added:
-        e = _key(int(u), int(v))
+    for e, in_base in zip(log, known.tolist()):
         if e[0] == e[1]:
-            raise ValueError(f"self-loop ({u}, {v}) in addition log")
+            raise ValueError(f"self-loop {e} in addition log")
         if e in seen:
             raise ValueError(f"edge {e} appears twice in addition log")
-        if base.has_edge(*e):
+        if in_base:
             raise ValueError(f"added edge {e} is already in the base graph")
         seen.add(e)
-        log.append(e)
 
     # degree sums are checked against base plus the *earlier* log entries,
     # the graph each addition actually extended
-    base_deg = {}
-    for w in sorted({w for e in log for w in e}):
-        base_deg[w] = base.degree_of(w)
-    extra_deg = {w: 0 for w in base_deg}
+    ends = np.unique(np.array(log, dtype=np.intp))
+    deg = {}
+    for lo in range(0, len(ends), BLOCK_ROWS):
+        ids = ends[lo:lo + BLOCK_ROWS]
+        deg.update(zip(ids.tolist(), base.rows(ids).sum(axis=1).tolist()))
     for idx, (u, v) in enumerate(log):
-        du = base_deg[u] + extra_deg[u]
-        dv = base_deg[v] + extra_deg[v]
-        if du + dv < n:
+        if deg[u] + deg[v] < n:
             raise ValueError(
-                f"log entry {idx}: edge ({u}, {v}) has degree sum {du + dv} < n={n}")
-        extra_deg[u] += 1
-        extra_deg[v] += 1
+                f"log entry {idx}: edge ({u}, {v}) has degree sum {deg[u] + deg[v]} < n={n}")
+        deg[u] += 1
+        deg[v] += 1
 
     lift = _LiftGraph(base, log)
+    pos = np.argsort(order)
     for (u, v) in reversed(log):
         lift.remove(u, v)
-        pu = int(np.nonzero(tour == u)[0][0])
-        if tour[(pu + 1) % n] == v:
-            path = np.roll(tour, -((pu + 1) % n))  # v ... u
-        elif tour[pu - 1] == v:
-            path = np.roll(tour, -pu)              # u ... v
-        else:
-            continue
-        first = lift.row(path[0])[path]
-        last = lift.row(path[-1])[path]
-        cand = last[:-1] & first[1:]
-        j = int(np.argmax(cand))
-        if not cand[j]:
-            raise ContractViolation(
-                f"no rotation found while lifting edge ({u}, {v})")
-        tour = np.concatenate([path[:j + 1], path[j + 1:][::-1]])
+        i = int(pos[u])
+        if v in (order[(i + 1) % n], order[i - 1]):
+            _repair(lift, order, pos, u, v, near=False)
 
-    flags = base.edge_flags(tour, np.roll(tour, -1))
+    flags = base.edge_flags(order, np.roll(order, -1))
     if not flags.all():
         t = int(np.argmin(flags))
         raise ContractViolation(
-            f"lifted tour still uses non-base edge ({tour[t]}, {tour[(t + 1) % n]})")
-    return tour
+            f"lifted tour still uses non-base edge ({order[t]}, {order[(t + 1) % n]})")
+    return order
 
 
 class _Dinic:
@@ -550,23 +550,19 @@ def normalize_tour(instance: Instance, tour, ell: float, p: int) -> np.ndarray:
     if not meets_threshold(edge_d, ell).all():
         raise ValueError("tour scatter is below ell")
 
+    pos = np.argsort(order)
     for _ in range(n + 1):
-        a, b = order, np.roll(order, -1)
-        offending = outside2[a] & outside2[b]
+        nxt = np.roll(order, -1)
+        offending = outside2[order] & outside2[nxt]
         if not offending.any():
             return order
         i = int(np.argmax(offending))
-        order = np.roll(order, -((i + 1) % n))
-        # offending edge now wraps: (order[-1], order[0])
-        a, b = order, np.roll(order, -1)
-        inner = inside[a] & inside[b]
-        inner[-1] = False
-        j = int(np.argmax(inner))
-        if not inner[j]:
+        # 2-opt the offending pair (x, y) at i with the first pair (z, t)
+        # inside the ball after it: (x, z) and (y, t) each have one
+        # endpoint inside the ball
+        j = _first_after(inside[order] & inside[nxt], i)
+        if j is None:
             raise ContractViolation(
                 "no tour edge inside the ball; the pigeonhole bound failed")
-        # 2-opt: reverse the prefix ending at the inside edge, which swaps
-        # edges (x,y)=(order[-1],order[0]) and (z,t)=(order[j],order[j+1])
-        # for (x,z) and (y,t), each with one endpoint inside the ball
-        order[:j + 1] = order[j::-1]
+        _two_opt(order, pos, i, j)
     raise ContractViolation("exchange loop exceeded n swaps")

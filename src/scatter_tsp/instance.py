@@ -6,6 +6,10 @@ An instance is n points (n >= 3) with one of three metrics:
     hamming   0/1 coordinate vectors, distance = number of differing positions
     explicit  a symmetric nonnegative matrix with zero diagonal
 
+Every distance must be finite: a non-finite matrix entry is rejected at
+construction, and lp points whose distances overflow float64 when the
+candidate distances are computed.
+
 A tour is a permutation of 0..n-1 read cyclically; its scatter is the
 minimum distance between consecutive points, closing edge included.
 """
@@ -56,6 +60,8 @@ class Instance:
             m = np.asarray(matrix, dtype=float)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"matrix must be square, got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueError("matrix entries must be finite")
             if not np.array_equal(m, m.T):
                 raise ValueError("matrix is not symmetric")
             if np.any(np.diag(m) != 0.0):
@@ -253,6 +259,9 @@ def scatter(instance: Instance, tour) -> float:
 def candidate_distances(instance: Instance) -> np.ndarray:
     """Sorted distinct positive pairwise distances, plus 0 when duplicates exist.
 
+    Raises ValueError when a distance is not finite (lp coordinates whose
+    differences overflow float64).
+
     Values within relative tolerance DEDUP_REL_TOL of the last kept value
     are merged into it, so a chain of near ties keeps its smallest member
     and every later one that drifts past the tolerance. The optimum scatter
@@ -266,6 +275,10 @@ def candidate_distances(instance: Instance) -> np.ndarray:
         # block hold pairs an earlier block has already read
         uniq.append(np.unique(instance.distance_rows(ids, lo)))
     vals = np.unique(np.concatenate(uniq))
+    # np.unique sorts inf and NaN last; an overflowed distance would merge
+    # into its predecessor as a near tie and hide from every probe
+    if not np.isfinite(vals[-1]):
+        raise ValueError("a pairwise distance overflows to a non-finite value")
     vals = vals[vals > 0.0]
     if instance.has_duplicate_points():
         vals = np.concatenate(([0.0], vals))

@@ -97,14 +97,11 @@ def _strip_runtime(rows):
     return [row[:i] + row[i + 1:] for row in rows]
 
 
-def test_bench_smoke_schema_and_determinism(tmp_path, capsys, monkeypatch):
+def test_bench_smoke_schema_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    out3 = tmp_path / "c.csv"
     assert run(["bench", "--suite", "smoke", "--out", str(out1)], capsys)[0] == 0
     assert run(["bench", "--suite", "smoke", "--out", str(out2)], capsys)[0] == 0
-    monkeypatch.setenv("SCATTER_TSP_THREADS", "2")
-    assert run(["bench", "--suite", "smoke", "--out", str(out3)], capsys)[0] == 0
 
     rows = _read_rows(out1)
     assert rows[0] == list(cli._BENCH_FIELDS)
@@ -121,7 +118,6 @@ def test_bench_smoke_schema_and_determinism(tmp_path, capsys, monkeypatch):
         float(rec["runtime_ms"])
 
     assert _strip_runtime(_read_rows(out1)) == _strip_runtime(_read_rows(out2))
-    assert _strip_runtime(_read_rows(out1)) == _strip_runtime(_read_rows(out3))
 
 
 def test_bench_strict_escalates_violations(tmp_path, capsys, monkeypatch):
@@ -138,14 +134,10 @@ def test_bench_strict_escalates_violations(tmp_path, capsys, monkeypatch):
     assert "warning:" in err
 
 
-def test_bench_bad_threads_or_suite(tmp_path, capsys, monkeypatch):
+def test_bench_bad_suite(tmp_path, capsys):
     code, _, err = run(["bench", "--suite", "nope",
                         "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2 and "unknown suite" in err
-    monkeypatch.setenv("SCATTER_TSP_THREADS", "0")
-    code, _, err = run(["bench", "--suite", "smoke",
-                        "--out", str(tmp_path / "x.csv")], capsys)
-    assert code == 2 and "SCATTER_TSP_THREADS" in err
 
 
 def test_input_error_exit_codes(tmp_path, capsys):
@@ -158,6 +150,21 @@ def test_input_error_exit_codes(tmp_path, capsys):
     code, _, err = run(["decide", str(path), "--ell", "-1",
                         "--epsilon", "0.25"], capsys)
     assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_distances_exit_code(tmp_path, capsys):
+    # 1e400 parses as inf; the l2 points are finite but their distances
+    # overflow
+    files = {"matrix.json": '{"version": 1, "metric": {"type": "explicit"}, '
+                            '"matrix": [[0, 1e400, 1], [1e400, 0, 1], [1, 1, 0]]}',
+             "points.json": '{"version": 1, "metric": {"type": "lp", "p": 2}, '
+                            '"points": [[0, 0], [1e200, 0], [0, 1e200], [1, 1]]}'}
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run(["solve", str(path), "--epsilon", "0.25"], capsys)
+        assert code == 2 and "finite" in err, name
 
 
 def test_contract_violation_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Threshold graphs, Euler walks, Hamiltonicity machinery, matchings."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from scatter_tsp import (
     bc_lift,
     bipartite_max_matching,
     bondy_chvatal_closure,
+    candidate_distances,
     dirac_hamiltonian,
     eulerian_tour,
     generate,
@@ -22,6 +24,7 @@ from scatter_tsp import (
     scatter,
     threshold_graph,
 )
+from scatter_tsp.graphs import _LiftGraph
 from helpers import random_dirac_adjacency, ring_far_instance
 
 
@@ -33,15 +36,14 @@ def test_threshold_graph_hand_case():
     assert g.threshold == 2.0
     assert g.degrees().tolist() == [2, 2, 3, 3]
     assert g.edge_count() == 5
-    assert g.has_edge(0, 2) and not g.has_edge(0, 1)
+    assert g.edge_flags([0, 0], [2, 1]).tolist() == [True, False]
 
 
 def test_threshold_graph_tolerance_at_boundary():
     # edge length exactly ell, and just below within relative tolerance
     inst = Instance.lp([[0.0], [1.0], [1.0 - 1e-12]], p=1.0)
     g = threshold_graph(inst, 1.0)
-    assert g.has_edge(0, 1)
-    assert g.has_edge(0, 2)
+    assert g.edge_flags([0, 0], [1, 2]).all()
 
 
 def test_metric_view_matches_dense_graph():
@@ -49,9 +51,9 @@ def test_metric_view_matches_dense_graph():
     ell = 0.4
     dense = threshold_graph(inst, ell)
     view = MetricThresholdView(inst, ell)
-    for i in (0, 7, 29):
-        assert np.array_equal(view.row(i), dense.row(i))
-        assert view.degree_of(i) == dense.degree_of(i)
+    ids = [0, 7, 29]
+    assert np.array_equal(view.rows(ids), dense.rows(ids))
+    assert np.array_equal(view.degrees(), dense.degrees())
     us = np.array([0, 3, 5])
     vs = np.array([1, 4, 6])
     assert np.array_equal(view.edge_flags(us, vs), dense.edge_flags(us, vs))
@@ -206,6 +208,53 @@ def test_bc_lift_input_validation():
     sparse[4, 0] = sparse[0, 4] = True
     with pytest.raises(ValueError):
         bc_lift(ThresholdGraph(sparse), [(0, 2)], cycle)  # degree sum 4 < 5
+
+
+def _lift_instances():
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(20, 2))
+    for p in (1.0, 2.0, math.inf):
+        yield Instance.lp(pts, p=p)
+    yield Instance.hamming(rng.integers(0, 2, size=(20, 8)))
+    yield Instance.explicit(Instance.lp(pts, p=3.0).full_matrix())
+
+
+def test_bc_lift_on_view_matches_dense_graph():
+    # the largest ell whose closure is complete; its graph is below the
+    # Dirac bound, so the lift reads overlay bits on top of the base rows
+    for inst in _lift_instances():
+        n = inst.n
+        for ell in candidate_distances(inst)[::-1].tolist():
+            dense = threshold_graph(inst, ell)
+            closed, log = bondy_chvatal_closure(dense)
+            if closed.edge_count() == n * (n - 1) // 2:
+                break
+        assert len(log) >= 2 and 2 * int(dense.degrees().min()) < n
+        cycle = np.random.default_rng(0).permutation(n)
+        lifted = bc_lift(dense, log, cycle)
+        assert not np.array_equal(lifted, cycle)
+        assert np.array_equal(bc_lift(MetricThresholdView(inst, ell), log, cycle), lifted)
+        _check_cycle(dense.adjacency, lifted)
+
+
+def test_bc_lift_crossing_through_an_earlier_log_edge(monkeypatch):
+    # a graph below the Dirac bound whose closure is complete (found by a
+    # seeded search like criterion 9's): when the lift removes (1, 4) from
+    # this cycle, its only crossing uses an edge the log added before it,
+    # so lift rows without the overlay find none
+    adj = np.zeros((6, 6), dtype=bool)
+    for u, v in ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5)):
+        adj[u, v] = adj[v, u] = True
+    base = ThresholdGraph(adj)
+    closed, log = bondy_chvatal_closure(base)
+    assert log == [(0, 1), (2, 5), (3, 4), (1, 4), (1, 5), (3, 5)]
+    cycle = [4, 0, 5, 2, 3, 1]
+    lifted = bc_lift(base, log, cycle)
+    assert lifted.tolist() == [2, 4, 5, 0, 3, 1]
+    _check_cycle(adj, lifted)
+    monkeypatch.setattr(_LiftGraph, "rows", lambda self, ids: self.base.rows(ids))
+    with pytest.raises(ContractViolation, match=r"pair \(1, 4\)"):
+        bc_lift(base, log, cycle)
 
 
 def test_bipartite_matching_hand_cases():

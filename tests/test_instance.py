@@ -10,6 +10,7 @@ from scatter_tsp import (
     candidate_distances,
     distance,
     generate,
+    maximize_scatter,
     meets_threshold,
     read_instance,
     scatter,
@@ -73,6 +74,29 @@ def test_constructor_rejections():
         Instance.explicit([[0.5, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     with pytest.raises(ValueError):
         Instance("euclid", points=TRI)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_distances_are_input_errors():
+    for bad in (np.inf, np.nan):
+        m = 1.0 - np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Instance.explicit(m)
+    with pytest.raises(ValueError, match="finite"):
+        Instance.explicit(np.where(np.eye(3), 0.0, np.inf))
+    # finite coordinates whose distances overflow float64: under l2 the
+    # tour 0-1-3-2 has every edge inf, so no ell_hat below inf is an upper
+    # bound on the optimum
+    overflowing = [([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200], [1.0, 1.0]], 2.0),
+                   ([[1.7e308], [-1.7e308], [0.0]], 1.0),
+                   ([[1.7e308], [-1.7e308], [0.0]], math.inf)]
+    for pts, p in overflowing:
+        inst = Instance.lp(pts, p=p)
+        with pytest.raises(ValueError, match="non-finite"):
+            candidate_distances(inst)
+        with pytest.raises(ValueError, match="non-finite"):
+            maximize_scatter(inst, 0.25)
 
 
 def test_strict_metric_checks_triangle_inequality():
