@@ -1,24 +1,25 @@
 """Scatter maximization via threshold-graph decisions.
 
 A tour with scatter at least ell is exactly a Hamiltonian cycle of the
-graph keeping pairs at distance >= ell, so the optimum is found by binary
-search over the sorted pairwise distances, with an approximate decision
-procedure at each probe.
+threshold graph at ell, so the optimum is found by binary search over the
+sorted pairwise distances, with an approximate decision at each probe;
+every tour attains the least of them (0 when two points are at computed
+distance 0).
 
-The decision dichotomy: either no point has a majority of the others
-within distance ell, in which case every threshold degree is at least n/2
-and a cycle is built constructively (Dirac), or some point p does. Around
-such a p, any scatter-ell tour can be rewritten to avoid edges lying
-entirely far from p, which makes the instance collapse: points within 3*ell
-of p are grouped by a delta-net, points beyond act interchangeably as a
-single hub, and feasibility reduces to a many-visits walk on the quotient
-graph. Expanding a walk back to points loses at most 2*delta per edge on
-net edges; hub edges that land too close to the 2*ell boundary are removed
-afterwards by cycle rotations, both endpoints being far from p and hence
-of high threshold degree. With delta = epsilon*ell/4 and quotient edges
-admitted at ell - 2*delta, a Yes answer always carries a tour of scatter
-at least (1 - epsilon)*ell, while No certifies that no scatter-ell tour
-exists.
+The decision dichotomy: either every threshold degree, as the degree sweep
+of MetricThresholdView counts them, is at least n/2, and a cycle is built
+constructively (Dirac), or some point p has a majority of the others within
+distance ell. Around such a p, any scatter-ell tour can be rewritten to
+avoid edges lying entirely far from p, which makes the instance collapse:
+points within 3*ell of p are grouped by a delta-net, points beyond act
+interchangeably as a single hub, and feasibility reduces to a many-visits
+walk on the quotient graph. Expanding a walk back to points loses at most
+2*delta per edge on net edges; hub edges that land too close to the 2*ell
+boundary are removed afterwards by cycle rotations, both endpoints being
+far from p and hence of high threshold degree. With delta = epsilon*ell/4
+and quotient edges admitted at ell - 2*delta, a Yes answer always carries
+a tour of scatter at least (1 - epsilon)*ell, while No certifies that no
+scatter-ell tour exists.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from .instance import (
     candidate_distances,
     meets_threshold,
     scatter,
-    threshold_counts,
     tour_edge_lengths,
     validate_tour,
 )
@@ -89,21 +89,20 @@ class DecisionOutcome:
 
 
 def find_low_degree_point(instance: Instance, ell: float, degrees=None) -> int | None:
-    """Lowest-index point with more than n/2 points within distance ell.
+    """Lowest-index point with more than n/2 points within distance ell,
+    i.e. below the Dirac bound: its threshold degree is < n/2.
 
     When there is none and `degrees` (an integer array of length n) is
     given, it is filled with every point's degree in the threshold graph at
     ell, the same numbers threshold_graph(instance, ell).degrees() gives.
     """
     n = instance.n
-    # d(i, i) = 0 meets the threshold only when ell is within tolerance of 0
-    self_edge = int(meets_threshold(0.0, ell))
-    for start, stop, meets in threshold_counts(instance, ell):
-        hit = np.flatnonzero(2 * (n - meets) > n)
+    for start, stop, deg in MetricThresholdView(instance, ell).degree_blocks():
+        hit = np.flatnonzero(2 * deg < n)
         if len(hit):
             return start + int(hit[0])
         if degrees is not None:
-            degrees[start:stop] = meets - self_edge
+            degrees[start:stop] = deg
     return None
 
 
@@ -127,15 +126,13 @@ def _validated(instance, params, tour, branch, net_size):
 
 
 def _center_graph(instance: Instance, centers, tau: float) -> np.ndarray:
-    """k x k adjacency of the net centers: d(c, c') >= tau, no self-loops.
+    """k x k adjacency of the net centers in the threshold graph at tau.
 
     The distances are taken pair by pair over the centers only, so the
     build holds O(k^2) values rather than k rows of n.
     """
     centers = np.asarray(centers, dtype=np.intp)
-    cc = meets_threshold(instance.distance_pairs(centers[:, None], centers[None, :]), tau)
-    np.fill_diagonal(cc, False)
-    return cc
+    return MetricThresholdView(instance, tau).edge_flags(centers[:, None], centers[None, :])
 
 
 def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcome:

@@ -9,7 +9,9 @@ low-degree point.
 Dirac, the lift and the ball exchange make one cycle move, the crossing
 2-opt (`_two_opt`, found for a pair that must go by `_repair`). Graphs are
 read only through `n`, `rows(ids)`, `edge_flags(us, vs)` and `degrees()`,
-which ThresholdGraph and MetricThresholdView answer alike.
+which ThresholdGraph and MetricThresholdView answer alike. The view is the
+one threshold-graph definition: the dense graph, the center graph and the
+degree sweep of the low-degree scan all read it.
 """
 
 import numpy as np
@@ -19,7 +21,6 @@ from .instance import (
     ContractViolation,
     Instance,
     meets_threshold,
-    threshold_counts,
     validate_tour,
 )
 
@@ -55,11 +56,9 @@ class ThresholdGraph:
 
 
 class MetricThresholdView:
-    """Threshold graph over an instance, with rows computed on demand.
-
-    Behaves like ThresholdGraph for read access but never materializes the
-    n x n matrix, which is what the large-n Dirac and lifting paths need.
-    Its rows and edge flags equal threshold_graph's bit for bit.
+    """Threshold graph over an instance: i ~ j when i != j and d(i, j)
+    meets the threshold. Rows are computed on demand, so the n x n matrix
+    the large-n Dirac and lifting paths would need is never held.
     """
 
     def __init__(self, instance: Instance, threshold: float):
@@ -77,25 +76,41 @@ class MetricThresholdView:
         d = self.instance.distance_pairs(us, vs)
         return meets_threshold(d, self.threshold) & (np.asarray(us) != np.asarray(vs))
 
+    def degree_blocks(self):
+        """Yields (start, stop, deg) for each block of BLOCK_ROWS vertices in
+        ascending order, deg[t] being the final degree of vertex start + t.
+
+        A block reads half rows, from its vertices to start..n-1, and clears
+        its pairs (i, i): the columns left of it are pairs an earlier block
+        has read (distances are symmetric bit for bit) and carried forward
+        as column sums. The first block reads full rows, so a caller that
+        stops at its first hit reads no more than a full-row sweep would.
+        """
+        n = self.n
+        deg = np.zeros(n, dtype=np.intp)
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n)
+            ids = np.arange(start, stop)
+            flags = meets_threshold(self.instance.distance_rows(ids, start), self.threshold)
+            np.fill_diagonal(flags, False)   # column t of the block is vertex start + t
+            deg[start:stop] += flags.sum(axis=1)
+            yield start, stop, deg[start:stop]
+            # only a caller that reads on needs the later vertices' degrees
+            deg[stop:] += flags[:, stop - start:].sum(axis=0)
+
     def degrees(self) -> np.ndarray:
-        """All n degrees, from the half-row sweep of threshold_counts."""
-        self_edge = int(meets_threshold(0.0, self.threshold))
-        deg = np.empty(self.n, dtype=np.intp)
-        for start, stop, meets in threshold_counts(self.instance, self.threshold):
-            deg[start:stop] = meets - self_edge
-        return deg
+        return np.concatenate([deg for _, _, deg in self.degree_blocks()])
 
 
 def threshold_graph(instance: Instance, ell: float) -> ThresholdGraph:
     """Graph with an edge wherever the pair distance is >= ell (with tolerance)."""
     if ell < 0:
         raise ValueError(f"threshold must be nonnegative, got {ell}")
-    n = instance.n
+    view = MetricThresholdView(instance, ell)
+    n = view.n
     adj = np.empty((n, n), dtype=bool)
     for lo in range(0, n, BLOCK_ROWS):
-        ids = np.arange(lo, min(lo + BLOCK_ROWS, n))
-        adj[lo:lo + len(ids)] = meets_threshold(instance.distance_rows(ids), ell)
-    np.fill_diagonal(adj, False)
+        adj[lo:lo + BLOCK_ROWS] = view.rows(np.arange(lo, min(lo + BLOCK_ROWS, n)))
     return ThresholdGraph(adj, ell)
 
 
@@ -116,8 +131,8 @@ class Multigraph:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < self.k and 0 <= v < self.k):
             raise ValueError(f"vertex pair ({u}, {v}) out of range")
-        if m < 0:
-            raise ValueError("multiplicity must be >= 0")
+        if m < 0 or m != int(m):
+            raise ValueError(f"multiplicity must be a nonnegative integer, got {m}")
         key = (u, v) if u < v else (v, u)
         new = self.mult.get(key, 0) + int(m)
         if new > 0:

@@ -8,7 +8,8 @@ An instance is n points (n >= 3) with one of three metrics:
 
 Every distance must be finite: a non-finite matrix entry is rejected at
 construction, and lp points whose distances overflow float64 when the
-candidate distances are computed.
+candidate distances are computed. Two points at computed distance 0 count
+as duplicates, whether equal or not (a power can underflow at large p).
 
 A tour is a permutation of 0..n-1 read cyclically; its scatter is the
 minimum distance between consecutive points, closing edge included.
@@ -166,12 +167,6 @@ class Instance:
         """All pairwise distances; intended for small n only."""
         return self.distance_rows(np.arange(self.n))
 
-    def has_duplicate_points(self) -> bool:
-        if self.metric_kind == "explicit":
-            off = self.matrix + np.eye(self.n)
-            return bool(np.any(off == 0.0))
-        return len(np.unique(self.points, axis=0)) < self.n
-
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented
@@ -238,8 +233,18 @@ def distance(instance: Instance, i: int, j: int) -> float:
     return float(instance.distance_pairs([i], [j])[0])
 
 
+def integer_array(values, what: str) -> np.ndarray:
+    """`values` as an intp array. Integral floats pass; 1.5 or NaN is a
+    ValueError rather than truncated."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and not (
+            arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.round(arr)))):
+        raise ValueError(f"{what} must be integers")
+    return arr.astype(np.intp, copy=False)
+
+
 def validate_tour(n: int, tour) -> np.ndarray:
-    order = np.asarray(tour, dtype=np.intp)
+    order = integer_array(tour, "tour entries")
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("tour must be a permutation of 0..n-1")
     return order
@@ -257,7 +262,8 @@ def scatter(instance: Instance, tour) -> float:
 
 
 def candidate_distances(instance: Instance) -> np.ndarray:
-    """Sorted distinct positive pairwise distances, plus 0 when duplicates exist.
+    """Sorted distinct positive pairwise distances, plus 0 when two points
+    are at computed distance 0 (duplicates, or a power that underflows).
 
     Raises ValueError when a distance is not finite (lp coordinates whose
     differences overflow float64).
@@ -269,19 +275,22 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     """
     n = instance.n
     uniq = []
+    zero_pair = False
     for lo in range(0, n, BLOCK_ROWS):
         ids = np.arange(lo, min(lo + BLOCK_ROWS, n))
         # distances are symmetric bit for bit, so the columns left of the
         # block hold pairs an earlier block has already read
-        uniq.append(np.unique(instance.distance_rows(ids, lo)))
+        block = instance.distance_rows(ids, lo)
+        # each row holds its own d(i, i) = 0 once; any further zero is a pair
+        zero_pair = zero_pair or np.count_nonzero(block == 0.0) > len(ids)
+        uniq.append(np.unique(block))
+        del block   # not held while the next block is computed
     vals = np.unique(np.concatenate(uniq))
     # np.unique sorts inf and NaN last; an overflowed distance would merge
     # into its predecessor as a near tie and hide from every probe
     if not np.isfinite(vals[-1]):
         raise ValueError("a pairwise distance overflows to a non-finite value")
-    vals = vals[vals > 0.0]
-    if instance.has_duplicate_points():
-        vals = np.concatenate(([0.0], vals))
+    vals = np.concatenate(([0.0] if zero_pair else [], vals[vals > 0.0]))
     # a value farther than the tolerance from its predecessor is farther
     # still from the last kept value, so only runs of near ties need the
     # sequential walk
@@ -293,28 +302,6 @@ def candidate_distances(instance: Instance) -> np.ndarray:
         if vals[i] - last > DEDUP_REL_TOL * max(1.0, vals[i]):
             keep[i] = True
     return vals[keep]
-
-
-def threshold_counts(instance: Instance, ell: float):
-    """Per point i, the number of points j (i itself included) with d(i, j)
-    meeting ell, one block of BLOCK_ROWS points at a time in ascending order.
-
-    Yields (start, stop, meets), where meets[t] is the final count of point
-    start + t. A block reads half rows, from its points to start..n-1: the
-    columns left of it are pairs an earlier block has read (distances are
-    symmetric bit for bit), whose column sums that block carried forward.
-    The first block reads full rows, so a caller that stops at its first
-    hit reads no more than a full-row sweep would.
-    """
-    n = instance.n
-    meets = np.zeros(n, dtype=np.intp)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        flags = meets_threshold(instance.distance_rows(np.arange(start, stop), start), ell)
-        meets[start:stop] += flags.sum(axis=1)
-        yield start, stop, meets[start:stop]
-        # only a caller that reads on needs the later points' counts
-        meets[stop:] += flags[:, stop - start:].sum(axis=0)
 
 
 def generate(kind: str, n: int, dim: int, seed: int, p: float = 2.0,

@@ -48,11 +48,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instance import ContractViolation
+from .instance import ContractViolation, integer_array
 from .graphs import Multigraph, _Dinic, eulerian_tour
 
 _WALK_STATE_CAP = 700_000    # product of (visits_v + 1) admitted to the walk DP
-_TREE_CAP = 100_000          # spanning trees examined before giving up
 _NODE_CAP = 400_000          # recursion nodes in the tree enumeration
 
 
@@ -71,7 +70,7 @@ class VisitSpec:
             raise ValueError("allowed must be symmetric")
         if np.any(np.diag(adj)):
             raise ValueError("self-loops are not allowed")
-        visits = [int(v) for v in np.asarray(self.visits).tolist()]
+        visits = integer_array(self.visits, "visit counts").tolist()
         if len(visits) != adj.shape[0]:
             raise ValueError("visits length must match vertex count")
         if len(visits) == 0:
@@ -729,13 +728,11 @@ def many_visits_tour(spec: VisitSpec):
     failed = set()
     examined = 0
     for found in _spanning_trees(k, edges, degree_cap):
-        if found is None or examined == _TREE_CAP:
-            spent = (f"enumeration nodes > _NODE_CAP={_NODE_CAP}" if found is None
-                     else f"_TREE_CAP={_TREE_CAP} reached")
+        if found is None:
             raise ContractViolation(
                 f"spanning-tree tier undecided: k={k}, {len(edges)} allowed edges; "
-                f"{examined} trees examined, {spent}; {len(failed)} distinct "
-                f"children vectors failed")
+                f"{examined} trees examined, enumeration nodes > _NODE_CAP={_NODE_CAP}; "
+                f"{len(failed)} distinct children vectors failed")
         examined += 1
         tree, tdeg = found
         children = tuple(tdeg[v] - (v != 0) for v in range(k))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import BLOCK_ROWS, Instance
+from .instance import BLOCK_ROWS, Instance, integer_array
 
 
 @dataclass
@@ -42,7 +42,7 @@ def greedy_delta_net(instance: Instance, subset, delta: float) -> Net:
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    subset = np.unique(np.asarray(subset, dtype=np.intp))
+    subset = np.unique(integer_array(subset, "subset indices"))
     if len(subset) == 0:
         raise ValueError("subset must be nonempty")
     if subset[0] < 0 or subset[-1] >= instance.n:

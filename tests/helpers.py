@@ -322,12 +322,16 @@ def ref_greedy_delta_net(instance, subset, delta):
 def ref_candidate_distances(instance):
     n = instance.n
     uniq = []
+    zeros = 0
     for lo in range(0, n, 256):
         ids = np.arange(lo, min(lo + 256, n))
-        uniq.append(np.unique(instance.distance_rows(ids)))
+        rows = instance.distance_rows(ids)
+        zeros += int(np.count_nonzero(rows == 0.0))
+        uniq.append(np.unique(rows))
     vals = np.unique(np.concatenate(uniq))
     vals = vals[vals > 0.0]
-    if instance.has_duplicate_points():
+    # each full row holds its own d(i, i) = 0 once
+    if zeros > n:
         vals = np.concatenate(([0.0], vals))
     kept = []
     for v in vals:

@@ -16,11 +16,14 @@ from scatter_tsp import (
     Instance,
     MetricThresholdView,
     ThresholdGraph,
+    brute_force_mstsp,
     candidate_distances,
     decide_scatter,
     dirac_hamiltonian,
     find_low_degree_point,
+    maximize_scatter,
     meets_threshold,
+    scatter,
     threshold_graph,
     tour_edge_lengths,
 )
@@ -89,6 +92,57 @@ def test_candidate_sweep_crosses_block_edges():
             assert np.array_equal(candidate_distances(inst), ref_candidate_distances(inst))
 
 
+@st.composite
+def zero_gap_instances(draw):
+    """Points spread apart, except a few packed `gap` apart near the origin.
+
+    Whether such a pair lands at computed distance 0 depends on the metric:
+    l2 squares 1e-200 to 0, l50 underflows below about 1e-7, l1 and linf
+    never do. Hamming instances copy rows, explicit ones take a matrix
+    with such underflows in it.
+    """
+    n = draw(st.sampled_from([63, 65, 129]))
+    metric = draw(st.sampled_from(["l1", "l2", "l3", "l50", "linf", "hamming", "explicit"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    packed = rng.choice(n, draw(st.integers(1, 4)), replace=False)
+    if metric == "hamming":
+        pts = rng.integers(0, 2, size=(n, 16))
+        pts[packed] = pts[packed[0]]
+        return Instance.hamming(pts)
+    gap = draw(st.sampled_from([0.0]) | st.integers(0, 200).map(lambda e: 10.0 ** -e))
+    pts = np.column_stack((1.0 + rng.permutation(n), rng.uniform(size=n)))
+    pts[packed] = np.arange(len(packed))[:, None] * [gap, 0.0]
+    if metric == "explicit":
+        return Instance.explicit(Instance.lp(pts, p=50.0).full_matrix())
+    return Instance.lp(pts, p=math.inf if metric == "linf" else float(metric[1:]))
+
+
+@settings(max_examples=120)
+@given(inst=zero_gap_instances())
+def test_zero_is_a_candidate_exactly_for_a_pair_at_distance_zero(inst):
+    # a full matrix holds n diagonal zeros; any further zero is a pair
+    zero_pair = np.count_nonzero(inst.full_matrix() == 0.0) > inst.n
+    cand = candidate_distances(inst)
+    assert (cand[0] == 0.0) == zero_pair
+    assert np.array_equal(cand, ref_candidate_distances(inst))
+
+
+@pytest.mark.parametrize("points, p, opt", [
+    ([[0.0], [1e-8], [2e-8], [1.0]], 50.0, 0.0),
+    ([[0.0, 0.0], [1e-200, 0.0], [1.0, 0.0], [2.0, 0.0]], 2.0, 1.0),
+])
+def test_distinct_points_at_computed_distance_zero(points, p, opt):
+    # the points differ, but their distance underflows to 0: the identity
+    # tour attains only 0, so the sweep must offer 0 as the floor
+    inst = Instance.lp(points, p=p)
+    assert candidate_distances(inst)[0] == 0.0
+    eps = 0.25
+    ell_hat, tour = maximize_scatter(inst, eps)
+    assert ell_hat == opt
+    assert scatter(inst, tour) == opt
+    assert scatter(inst, tour) >= (1.0 - eps) * ell_hat
+    assert brute_force_mstsp(inst).opt == opt
+
 def test_chained_near_ties_merge_like_reference():
     # distances 0.6 * tol apart: each one is a near tie of its predecessor,
     # so which of them are kept depends on the last value kept before it
@@ -143,7 +197,7 @@ def test_scan_carries_counts_across_blocks(metric):
     # after blocks whose counts of their columns came from half rows
     n = 200
     inst = make_instance(metric, n, 24 if metric == "hamming" else 3, 11, True, False, False)
-    assert inst.has_duplicate_points()
+    assert candidate_distances(inst)[0] == 0.0
     # point i has a majority within ell once its median distance q[i]
     # falls short of ell; just above the smallest, a few points do
     q = np.sort(inst.full_matrix(), axis=1)[:, n // 2]

@@ -90,6 +90,15 @@ def test_multigraph_basics():
         Multigraph(0)
 
 
+def test_multigraph_refuses_non_integer_multiplicity():
+    mg = Multigraph(2)
+    mg.add(0, 1, 2.0)
+    assert mg.multiplicity(0, 1) == 2
+    with pytest.raises(ValueError, match="multiplicity must be a nonnegative integer"):
+        mg.add(0, 1, 1.5)
+    assert mg.multiplicity(0, 1) == 2
+
+
 def _check_euler(mg):
     walk = eulerian_tour(mg)
     assert walk[0] == walk[-1]

@@ -132,6 +132,18 @@ def test_validate_tour():
         validate_tour(4, [0, 1, 2, 4])
 
 
+def test_validate_tour_refuses_non_integer_entries():
+    # a fractional entry is an error: truncated, [0.7, 1, 2] would pass as [0, 1, 2]
+    assert validate_tour(3, [2.0, 0.0, 1.0]).tolist() == [2, 0, 1]
+    with pytest.raises(ValueError, match="tour entries must be integers"):
+        validate_tour(3, [0.7, 1, 2])
+    with pytest.raises(ValueError, match="tour entries must be integers"):
+        validate_tour(3, [math.nan, 1, 2])
+    inst = Instance.lp([[0.0], [1.0], [3.0], [6.0], [10.0]], p=1.0)
+    with pytest.raises(ValueError):
+        scatter(inst, [0.9, 1.2, 2, 3, 4])
+
+
 def test_tour_lengths_and_scatter():
     inst = Instance.lp([[0.0, 0.0], [3.0, 4.0], [3.0, 0.0]])
     lens = tour_edge_lengths(inst, [0, 1, 2])
@@ -152,7 +164,6 @@ def test_candidate_distances_hand_case():
 def test_candidate_distances_duplicates_add_zero():
     inst = Instance.lp([[0.0], [0.0], [2.0]], p=1.0)
     assert candidate_distances(inst).tolist() == [0.0, 2.0]
-    assert inst.has_duplicate_points()
 
 
 def test_candidate_distances_merges_near_ties():

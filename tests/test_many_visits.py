@@ -40,6 +40,13 @@ def test_visit_spec_validation():
         VisitSpec(np.zeros((0, 0), dtype=bool), [])
 
 
+def test_visit_spec_refuses_non_integer_visits():
+    allowed = ~np.eye(3, dtype=bool)
+    assert VisitSpec(allowed, [2.0, 1.0, 1.0]).visits == [2, 1, 1]
+    with pytest.raises(ValueError, match="visit counts must be integers"):
+        VisitSpec(allowed, [1.5, 1, 1])
+
+
 def test_single_vertex():
     mw = many_visits_tour(spec_of([], [1]))
     assert mw is not None
@@ -225,15 +232,6 @@ def test_tree_tier_spec_reaches_the_tree_tier():
     mw = many_visits_tour(spec)
     assert mw is not None
     validate_multiwalk(spec, mw)
-
-
-def test_tree_tier_abort_names_tree_budget(monkeypatch):
-    monkeypatch.setattr(many_visits, "_TREE_CAP", 2)
-    with pytest.raises(ContractViolation,
-                       match=r"spanning-tree tier undecided: k=7, 11 allowed edges; "
-                             r"2 trees examined, _TREE_CAP=2 reached; "
-                             r"2 distinct children vectors failed"):
-        many_visits_tour(spec_of(*TREE_SPEC))
 
 
 def test_tree_tier_abort_names_node_budget(monkeypatch):

@@ -125,6 +125,14 @@ def test_net_rejects_bad_arguments():
         greedy_delta_net(inst, [0, 5], 1.0)
 
 
+def test_net_refuses_non_integer_subset():
+    inst = Instance.lp([[0.0], [1.0], [2.0]], p=1.0)
+    net = greedy_delta_net(inst, [0.0, 2.0], 0.1)
+    assert net.subset.tolist() == [0, 2]
+    with pytest.raises(ValueError, match="subset indices must be integers"):
+        greedy_delta_net(inst, [0.5, 1.7, 2.2], 0.1)
+
+
 def test_grid_round_hand_values():
     pts = [[0.2, 0.74], [-0.3, 1.2]]
     got = grid_round(pts, 0.5)
