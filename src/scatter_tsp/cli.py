@@ -1,9 +1,11 @@
 """Command line front end: solve, decide, generate, embed, bench, oracle.
 
-Exit codes: 0 on success, 2 for input errors, 3 when an internal
-contract check fails. The bench subcommand writes one CSV row per
+Exit codes: 0 on success, 2 for input errors (an explicit matrix that
+breaks the triangle inequality among them, except for `oracle`), 3 when an
+internal contract check fails. The bench subcommand writes one CSV row per
 (instance, epsilon) cell with a fixed header, decimal reals, and rows
-ordered by instance id, so runs are machine-diffable.
+ordered by instance id, so runs are machine-diffable; a record that breaks
+its guarantee exits 3 once the CSV is written.
 """
 
 import argparse
@@ -180,7 +182,7 @@ def cmd_bench(args) -> int:
     print(f"wrote {args.out} with {len(records)} rows")
     for msg in problems:
         print(f"warning: {msg}", file=sys.stderr)
-    if problems and args.strict:
+    if problems:
         raise ContractViolation(f"{len(problems)} bench records violated "
                                 "their invariants")
     return 0
@@ -224,9 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a benchmark suite to CSV")
     p.add_argument("--suite", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="escalate witness-validation warnings to failure")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("oracle", help="exact optimum by exhaustive search")

@@ -19,7 +19,8 @@ boundary are removed afterwards by cycle rotations, both endpoints being
 far from p and hence of high threshold degree. With delta = epsilon*ell/4
 and quotient edges admitted at ell - 2*delta, a Yes answer always carries
 a tour of scatter at least (1 - epsilon)*ell, while No certifies that no
-scatter-ell tour exists.
+scatter-ell tour exists. Both steps use the triangle inequality, so an
+explicit matrix that breaks it is refused with ValueError.
 """
 
 from dataclasses import dataclass, field
@@ -136,7 +137,12 @@ def _center_graph(instance: Instance, centers, tau: float) -> np.ndarray:
 
 
 def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcome:
-    """Yes with a (1-epsilon)*ell witness, or No certifying OPT < ell."""
+    """Yes with a (1-epsilon)*ell witness, or No certifying OPT < ell.
+
+    Raises ValueError on an explicit matrix that breaks the triangle
+    inequality."""
+    if instance.triangle_violation is not None:
+        raise ValueError(f"the solver needs a metric: {instance.triangle_violation}")
     n = instance.n
     ell = params.ell
     degrees = np.empty(n, dtype=np.intp)
@@ -205,7 +211,10 @@ def maximize_scatter(instance: Instance, epsilon: float):
 
 
 def maximize_scatter_report(instance: Instance, epsilon: float):
-    """As maximize_scatter, plus one record per probe for diagnostics."""
+    """As maximize_scatter, plus one record per probe for diagnostics.
+
+    A non-metric matrix has a positive distance, so the top probe runs and
+    raises decide_scatter's ValueError."""
     if not 0.0 < float(epsilon) < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     n = instance.n

@@ -25,12 +25,9 @@ from .instance import (
 )
 
 class ThresholdGraph:
-    """Simple graph on n vertices held as a dense symmetric boolean matrix.
+    """Simple graph on n vertices held as a dense symmetric boolean matrix."""
 
-    `threshold` records the length it was built from and is informational.
-    """
-
-    def __init__(self, adjacency, threshold: float = 0.0):
+    def __init__(self, adjacency):
         adj = np.asarray(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
@@ -40,7 +37,6 @@ class ThresholdGraph:
             raise ValueError("no self-loops allowed")
         self.n = adj.shape[0]
         self.adjacency = adj
-        self.threshold = float(threshold)
 
     def rows(self, ids) -> np.ndarray:
         return self.adjacency[np.asarray(ids, dtype=np.intp)]
@@ -111,7 +107,7 @@ def threshold_graph(instance: Instance, ell: float) -> ThresholdGraph:
     adj = np.empty((n, n), dtype=bool)
     for lo in range(0, n, BLOCK_ROWS):
         adj[lo:lo + BLOCK_ROWS] = view.rows(np.arange(lo, min(lo + BLOCK_ROWS, n)))
-    return ThresholdGraph(adj, ell)
+    return ThresholdGraph(adj)
 
 
 class Multigraph:
@@ -127,6 +123,9 @@ class Multigraph:
                 self.add(u, v, m)
 
     def add(self, u: int, v: int, m: int = 1) -> None:
+        if u != int(u) or v != int(v):
+            raise ValueError(f"vertices must be integers, got ({u}, {v})")
+        u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < self.k and 0 <= v < self.k):
@@ -135,10 +134,8 @@ class Multigraph:
             raise ValueError(f"multiplicity must be a nonnegative integer, got {m}")
         key = (u, v) if u < v else (v, u)
         new = self.mult.get(key, 0) + int(m)
-        if new > 0:
+        if new > 0:   # m >= 0, so only a new pair added 0 times stays out
             self.mult[key] = new
-        elif key in self.mult:
-            del self.mult[key]
 
     def multiplicity(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
@@ -366,7 +363,7 @@ def bondy_chvatal_closure(graph):
             log.append((int(u), int(v)))
         adj[us, vs] = True
         adj[vs, us] = True
-    return ThresholdGraph(adj, graph.threshold), log
+    return ThresholdGraph(adj), log
 
 
 class _LiftGraph:

@@ -6,6 +6,11 @@ An instance is n points (n >= 3) with one of three metrics:
     hamming   0/1 coordinate vectors, distance = number of differing positions
     explicit  a symmetric nonnegative matrix with zero diagonal
 
+An explicit matrix need not obey the triangle inequality to be an
+instance: the exhaustive oracle solves any symmetric matrix. The solver's
+No answers rest on that inequality, so `Instance.triangle_violation` names
+the first triple that breaks it, and the solver refuses such an instance.
+
 Every distance must be finite: a non-finite matrix entry is rejected at
 construction, and lp points whose distances overflow float64 when the
 candidate distances are computed. Two points at computed distance 0 count
@@ -15,6 +20,7 @@ A tour is a permutation of 0..n-1 read cyclically; its scatter is the
 minimum distance between consecutive points, closing edge included.
 """
 
+import functools
 import json
 import math
 
@@ -45,8 +51,7 @@ def meets_threshold(d, ell: float):
 class Instance:
     """Immutable point set plus metric. Build via Instance.lp / .hamming / .explicit."""
 
-    def __init__(self, metric_kind: str, points=None, matrix=None, p=None,
-                 strict_metric: bool = False):
+    def __init__(self, metric_kind: str, points=None, matrix=None, p=None):
         if metric_kind not in _METRIC_KINDS:
             raise ValueError(f"unknown metric kind {metric_kind!r}")
         self.metric_kind = metric_kind
@@ -73,8 +78,6 @@ class Instance:
             self.dim = 0
             if self.n < 3:
                 raise ValueError(f"need at least 3 points, got {self.n}")
-            if strict_metric:
-                _check_triangle(m)
             m.setflags(write=False)
             self.matrix = m
             return
@@ -118,8 +121,15 @@ class Instance:
         return cls("hamming", points=points)
 
     @classmethod
-    def explicit(cls, matrix, strict_metric: bool = False) -> "Instance":
-        return cls("explicit", matrix=matrix, strict_metric=strict_metric)
+    def explicit(cls, matrix) -> "Instance":
+        return cls("explicit", matrix=matrix)
+
+    @functools.cached_property
+    def triangle_violation(self) -> str | None:
+        """Message naming the first triple that breaks the triangle
+        inequality, or None. Only an explicit matrix can break it; the
+        O(n^3) check runs once, on first use."""
+        return None if self.matrix is None else _triangle_violation(self.matrix)
 
     def distance_rows(self, ids, start: int = 0) -> np.ndarray:
         """Distances from each point in `ids` to points start..n-1, as a
@@ -182,14 +192,14 @@ class Instance:
         return f"Instance({met}, n={self.n}, dim={self.dim})"
 
 
-def _check_triangle(m: np.ndarray) -> None:
+def _triangle_violation(m: np.ndarray) -> str | None:
     n = m.shape[0]
     tol = REL_TOL * np.maximum(1.0, m)
     for k in range(n):
         if np.any(m > m[:, [k]] + m[[k], :] + tol):
             i, j = np.argwhere(m > m[:, [k]] + m[[k], :] + tol)[0]
-            raise ValueError(
-                f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})")
+            return f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
+    return None
 
 
 def _lp_kernel(cols, p: float, out: np.ndarray) -> np.ndarray:
@@ -228,6 +238,7 @@ def _lp_kernel(cols, p: float, out: np.ndarray) -> np.ndarray:
 def distance(instance: Instance, i: int, j: int) -> float:
     """Metric distance between points i and j."""
     n = instance.n
+    i, j = (int(integer_array(x, "point indices")) for x in (i, j))
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"point index out of range: ({i}, {j}), n={n}")
     return float(instance.distance_pairs([i], [j])[0])
@@ -304,16 +315,16 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     return vals[keep]
 
 
-def generate(kind: str, n: int, dim: int, seed: int, p: float = 2.0,
-             **params) -> Instance:
+def generate(kind: str, n: int, dim: int, seed: int, p: float = 2.0) -> Instance:
     """Deterministic instance generators for tests and benchmarks.
 
     kinds:
-      uniform    points uniform in [0, box]^dim                 (box=1.0)
-      clustered  one tight cluster of > n/2 points plus far outliers
-                 (cluster_frac=0.66, spread=0.01, far=10.0)
-      line       collinear points spaced `spacing` apart on the first axis
-      grid       the first n points of a `spacing`-spaced lattice
+      uniform    points uniform in [0, 1]^dim
+      clustered  round(0.66 n), at least n/2 + 1, points uniform in
+                 [-0.01, 0.01]^dim, and the rest at radius 10 to 20 in
+                 uniformly random directions
+      line       collinear points 1 apart on the first axis
+      grid       the first n points of the unit-spaced lattice
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -321,45 +332,29 @@ def generate(kind: str, n: int, dim: int, seed: int, p: float = 2.0,
         raise ValueError(f"need dim >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     if kind == "uniform":
-        box = float(params.pop("box", 1.0))
-        _reject_params(kind, params)
-        pts = rng.uniform(0.0, box, size=(n, dim))
+        pts = rng.uniform(0.0, 1.0, size=(n, dim))
     elif kind == "clustered":
-        frac = float(params.pop("cluster_frac", 0.66))
-        spread = float(params.pop("spread", 0.01))
-        far = float(params.pop("far", 10.0))
-        _reject_params(kind, params)
-        m = max(int(round(frac * n)), n // 2 + 1)
-        if m >= n:
-            m = n - 1
-        cluster = rng.uniform(-spread, spread, size=(m, dim))
+        # m < n for every n >= 3: there is always an outlier
+        m = max(int(round(0.66 * n)), n // 2 + 1)
+        cluster = rng.uniform(-0.01, 0.01, size=(m, dim))
         raw = rng.normal(size=(n - m, dim))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-        radii = far * rng.uniform(1.0, 2.0, size=(n - m, 1))
+        radii = 10.0 * rng.uniform(1.0, 2.0, size=(n - m, 1))
         pts = np.vstack([cluster, raw * radii])
     elif kind == "line":
-        spacing = float(params.pop("spacing", 1.0))
-        _reject_params(kind, params)
         pts = np.zeros((n, dim))
-        pts[:, 0] = spacing * np.arange(n)
+        pts[:, 0] = np.arange(n)
     elif kind == "grid":
-        spacing = float(params.pop("spacing", 1.0))
-        _reject_params(kind, params)
         side = int(math.ceil(n ** (1.0 / dim)))
         idx = np.arange(n)
         cols = []
         for _ in range(dim):
             cols.append(idx % side)
             idx = idx // side
-        pts = spacing * np.stack(cols, axis=1).astype(float)
+        pts = np.stack(cols, axis=1).astype(float)
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     return Instance.lp(pts, p=p)
-
-
-def _reject_params(kind, params):
-    if params:
-        raise ValueError(f"unknown parameters for kind {kind!r}: {sorted(params)}")
 
 
 def write_instance(instance: Instance, path) -> None:
@@ -379,7 +374,7 @@ def write_instance(instance: Instance, path) -> None:
         fh.write("\n")
 
 
-def read_instance(path, strict_metric: bool = False) -> Instance:
+def read_instance(path) -> Instance:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -398,7 +393,7 @@ def read_instance(path, strict_metric: bool = False) -> Instance:
         if kind == "explicit":
             if "matrix" not in doc:
                 raise ValueError("field 'matrix' is required for explicit metric")
-            return Instance.explicit(doc["matrix"], strict_metric=strict_metric)
+            return Instance.explicit(doc["matrix"])
         if "points" not in doc:
             raise ValueError("field 'points' is required")
         if kind == "hamming":

@@ -479,10 +479,10 @@ def _path_cover_lower(comp, adj):
     if len(comp) <= 64:
         drops.extend((comp[a], comp[b])
                      for a in range(len(comp)) for b in range(a + 1, len(comp)))
+    # the tier only asks about components whose greedy cover has >= 2
+    # paths, so >= 3 clones: dropping two never empties one
     for W in drops:
         rest = [v for v in comp if v not in W]
-        if not rest:
-            continue
         pieces = sum(1 for _ in _component_masks(rest, adj.bits))
         bound = max(bound, pieces - len(W))
     return bound
@@ -643,9 +643,8 @@ def _spanning_trees(k, edges, degree_cap):
 
     def connectable(parent, i):
         # union edges i..m-1 into a copy of the forest: can it still span?
+        # Called only below k - 1 chosen edges, so cnt starts at >= 2.
         cnt = sum(parent[v] == v for v in range(k))
-        if cnt == 1:
-            return True
         link = list(parent)
         for t in range(i, m):
             a = find(link, edges[t][0])

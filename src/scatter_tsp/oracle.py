@@ -1,9 +1,12 @@
 """Exact small-instance solvers used as ground truth.
 
 Hamiltonicity runs a subset dynamic program over (visited set, endpoint)
-states; the max-scatter oracle binary-searches the candidate distances,
-checking Hamiltonicity of each threshold graph. Caps are enforced because
-both tables grow as 2^n.
+states of a boolean adjacency array; the max-scatter oracle binary-searches
+the candidate distances, checking Hamiltonicity of each threshold graph.
+Exhaustive search needs no triangle inequality, so the oracle solves any
+explicit symmetric matrix. It builds its threshold graphs itself and
+imports nothing from `graphs`, the module it is used to check. Caps are
+enforced because both tables grow as 2^n.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import ContractViolation, Instance, candidate_distances, meets_threshold, scatter
-from .graphs import ThresholdGraph
 
 _BRUTE_CAP = 16
 _HAM_CAP = 24
@@ -89,18 +91,12 @@ class _HamDP:
         return np.array(tour, dtype=np.intp)
 
 
-def _as_adjacency(graph) -> np.ndarray:
-    if isinstance(graph, ThresholdGraph):
-        return graph.adjacency
-    adj = np.asarray(graph, dtype=bool)
+def is_hamiltonian(adjacency):
+    """The lexicographically smallest Hamiltonian cycle of the graph with
+    this square boolean adjacency array, or None."""
+    adj = np.asarray(adjacency, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError("adjacency must be square")
-    return adj
-
-
-def is_hamiltonian(graph):
-    """The lexicographically smallest Hamiltonian cycle, or None."""
-    adj = _as_adjacency(graph)
     n = adj.shape[0]
     if n > _HAM_CAP:
         raise ValueError(f"n={n} exceeds the Hamiltonicity cap {_HAM_CAP}")

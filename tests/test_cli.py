@@ -127,11 +127,7 @@ def test_bench_strict_escalates_violations(tmp_path, capsys, monkeypatch):
                         "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 3
     assert "warning:" in err
-
-    code, _, err = run(["bench", "--suite", "smoke", "--no-strict",
-                        "--out", str(tmp_path / "y.csv")], capsys)
-    assert code == 0
-    assert "warning:" in err
+    assert len(_read_rows(tmp_path / "x.csv")) == 1 + 12  # written before the exit
 
 
 def test_bench_bad_suite(tmp_path, capsys):
@@ -165,6 +161,19 @@ def test_non_finite_distances_exit_code(tmp_path, capsys):
         path.write_text(text)
         code, _, err = run(["solve", str(path), "--epsilon", "0.25"], capsys)
         assert code == 2 and "finite" in err, name
+
+
+def test_non_metric_matrix_exit_code(tmp_path, capsys):
+    path = tmp_path / "non_metric.json"
+    path.write_text('{"version": 1, "metric": {"type": "explicit"}, "matrix": '
+                    '[[0,9,8,9,8],[9,0,8,5,1],[8,8,0,7,9],[9,5,7,0,9],[8,1,9,9,0]]}')
+    for args in (["solve", str(path), "--epsilon", "0.5", "--oracle"],
+                 ["decide", str(path), "--ell", "8", "--epsilon", "0.5"]):
+        code, out, err = run(args, capsys)
+        assert code == 2 and out == ""
+        assert "d(3,4) > d(3,1) + d(1,4)" in err
+    code, out, _ = run(["oracle", str(path)], capsys)
+    assert code == 0 and out.startswith("opt 8.0\n")
 
 
 def test_contract_violation_exit_code(tmp_path, capsys):

@@ -39,7 +39,7 @@ def test_find_low_degree_point():
     inst = Instance.lp(np.array(pts) + np.arange(7)[:, None] * 1e-3)
     assert find_low_degree_point(inst, 1.0) == 0
 
-    spread = generate("line", 9, 1, seed=0, spacing=1.0)
+    spread = generate("line", 9, 1, seed=0)
     assert find_low_degree_point(spread, 1.5) is None  # balls hold <= 3 points
 
 
@@ -148,6 +148,51 @@ def test_duplicates_with_spread_survivors():
     ell_hat, tour = maximize_scatter(inst, 0.5)
     assert ell_hat == 5.0
     assert scatter(inst, tour) == 5.0  # alternate between the two sites
+
+
+# OPT 8, but the decisions, read as if the triangle inequality held, gave
+# ell_hat 7 at epsilon = 0.5
+NON_METRIC = [[0, 9, 8, 9, 8], [9, 0, 8, 5, 1], [8, 8, 0, 7, 9],
+              [9, 5, 7, 0, 9], [8, 1, 9, 9, 0]]
+
+
+def test_non_metric_matrix_is_refused():
+    inst = Instance.explicit(NON_METRIC)
+    msg = re.escape("d(3,4) > d(3,1) + d(1,4)")
+    with pytest.raises(ValueError, match=msg):
+        maximize_scatter(inst, 0.5)
+    with pytest.raises(ValueError, match=msg):
+        decide_scatter(inst, DecisionParams(8.0, 0.5))
+    assert brute_force_mstsp(inst).opt == 8.0  # exhaustive search needs no metric
+
+
+def _metric_closure(m):
+    """Shortest-path distances (Floyd-Warshall): the largest metric below m."""
+    m = np.array(m, dtype=float)
+    for k in range(len(m)):
+        m = np.minimum(m, m[:, [k]] + m[[k], :])
+    return m
+
+
+def test_seeded_non_metric_matrices_and_their_closures():
+    rng = np.random.default_rng(3)
+    refused = answered = 0
+    for _ in range(40):
+        n = int(rng.integers(5, 8))
+        upper = np.triu(rng.integers(1, 10, size=(n, n)), 1).astype(float)
+        for m in (upper + upper.T, _metric_closure(upper + upper.T)):
+            inst = Instance.explicit(m)
+            if inst.triangle_violation is not None:
+                with pytest.raises(ValueError, match="triangle inequality fails"):
+                    maximize_scatter(inst, 0.5)
+                refused += 1
+                continue
+            ell_hat, tour = maximize_scatter(inst, 0.5)
+            opt = brute_force_mstsp(inst).opt
+            assert meets_threshold(ell_hat, opt)
+            assert meets_threshold(scatter(inst, tour), 0.5 * ell_hat)
+            answered += 1
+    assert refused >= 20 and answered >= 40  # every closure is a metric
 
 
 def test_epsilon_validation():

@@ -33,7 +33,6 @@ def test_threshold_graph_hand_case():
     g = threshold_graph(inst, 2.0)
     want = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
     assert np.array_equal(g.adjacency, np.array(want, dtype=bool))
-    assert g.threshold == 2.0
     assert g.degrees().tolist() == [2, 2, 3, 3]
     assert g.edge_count() == 5
     assert g.edge_flags([0, 0], [2, 1]).tolist() == [True, False]
@@ -99,6 +98,17 @@ def test_multigraph_refuses_non_integer_multiplicity():
     assert mg.multiplicity(0, 1) == 2
 
 
+def test_multigraph_refuses_non_integer_vertices():
+    mg = Multigraph(3)
+    with pytest.raises(ValueError, match="vertices must be integers"):
+        mg.add(0.5, 1)
+    assert mg.mult == {}
+    mg.add(np.int64(0), 1)
+    mg.add(1, 2.0)
+    assert mg.support_is_connected_spanning()
+    assert mg.degrees().tolist() == [1, 2, 1]
+
+
 def _check_euler(mg):
     walk = eulerian_tour(mg)
     assert walk[0] == walk[-1]
@@ -158,10 +168,9 @@ def test_closure_hand_case():
     # K4 minus one edge: the missing pair has degree sum 2 + 2 >= 4
     adj = ~np.eye(4, dtype=bool)
     adj[0, 1] = adj[1, 0] = False
-    closed, log = bondy_chvatal_closure(ThresholdGraph(adj, 1.5))
+    closed, log = bondy_chvatal_closure(ThresholdGraph(adj))
     assert np.array_equal(closed.adjacency, ~np.eye(4, dtype=bool))
     assert log == [(0, 1)]
-    assert closed.threshold == 1.5
 
 
 def test_closure_fixed_point_and_log_replay():

@@ -234,6 +234,45 @@ def test_small_hub_specs_match_walk_enumeration():
     assert feasible >= 20 and infeasible >= 20
 
 
+def test_specs_over_the_clone_cap_fall_through(monkeypatch):
+    # above _CLONE_CAP clones the hub tier answers "no_hub" and the
+    # spanning-tree tier decides; a walk DP capped at nothing sends these
+    # small specs that far
+    monkeypatch.setattr(many_visits, "_CLONE_CAP", 4)
+    monkeypatch.setattr(many_visits, "_WALK_STATE_CAP", 1)
+    hub_answers = []
+
+    def counted(spec):
+        out = _hub_path_cover(spec)
+        hub_answers.append(out)
+        return out
+
+    monkeypatch.setattr(many_visits, "_hub_path_cover", counted)
+    rng = np.random.default_rng(11)
+    feasible = infeasible = 0
+    for _ in range(100):
+        k = int(rng.integers(3, 7))
+        others = np.triu(rng.random((k, k)) < 0.5, 1)
+        edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(others)) if u > 0]
+        visits = [int(v) for v in rng.integers(1, 5, size=k)]
+        spec = hub_spec(edges, visits)
+        rest = sum(visits) - max(visits)
+        if rest <= 4 or max(visits) > rest:
+            continue  # whichever hub the tier picks: t <= clones, clones > 4
+        assert _hub_path_cover(spec) == "no_hub"
+        got = many_visits_tour(spec)
+        if closed_walk_feasible(spec.allowed, spec.visits):
+            validate_multiwalk(spec, got)
+            feasible += 1
+        else:
+            assert got is None
+            infeasible += 1
+    # most specs are decided before the hub tier; those that reach it
+    # are feasible and get their walks from the tree tier
+    assert hub_answers.count("no_hub") >= 3
+    assert feasible >= 20 and infeasible >= 20
+
+
 @st.composite
 def sparse_graphs(draw):
     """Plain sparse graphs (one clone per vertex), on which the shuffled

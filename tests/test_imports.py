@@ -1,0 +1,43 @@
+"""The library core stays numpy-only: it imports numpy, the standard
+library and its own modules, nothing else."""
+
+import ast
+import sys
+from pathlib import Path
+
+import scatter_tsp
+
+
+def foreign_imports(source: str) -> list:
+    """(line, module) of every absolute import outside numpy and the
+    standard library."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "numpy" and top not in sys.stdlib_module_names:
+                bad.append((node.lineno, name))
+    return bad
+
+
+def test_the_check_flags_foreign_imports():
+    source = ("import json, scipy.sparse\n"
+              "from numpy.linalg import norm\n"
+              "from .graphs import _Dinic\n"
+              "def f():\n"
+              "    from networkx import Graph\n")
+    assert foreign_imports(source) == [(1, "scipy.sparse"), (5, "networkx")]
+
+
+def test_core_imports_only_numpy_and_the_standard_library():
+    modules = sorted(Path(scatter_tsp.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 9
+    bad = [(path.name, line, name) for path in modules
+           for line, name in foreign_imports(path.read_text())]
+    assert bad == []

@@ -31,6 +31,13 @@ def test_lp_metric_hand_values():
     assert got == pytest.approx(91.0 ** (1.0 / 3.0), rel=1e-12)
 
 
+def test_distance_refuses_non_integer_indices():
+    inst = Instance.lp([[0.0], [1.0], [3.0]])
+    with pytest.raises(ValueError, match="point indices must be integers"):
+        distance(inst, 0.5, 2)
+    assert distance(inst, np.int64(1), 2.0) == 2.0
+
+
 def test_lp_rows_match_pointwise():
     inst = generate("uniform", 12, 3, seed=0, p=2.0)
     rows = inst.distance_rows(range(12))
@@ -99,11 +106,12 @@ def test_non_finite_distances_are_input_errors():
             maximize_scatter(inst, 0.25)
 
 
-def test_strict_metric_checks_triangle_inequality():
-    bad = [[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]]
-    Instance.explicit(bad)  # accepted when not strict
-    with pytest.raises(ValueError):
-        Instance.explicit(bad, strict_metric=True)
+def test_triangle_violation_is_computed_from_the_matrix():
+    bad = Instance.explicit([[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]])
+    assert bad.triangle_violation == "triangle inequality fails: d(0,2) > d(0,1) + d(1,2)"
+    assert Instance.explicit(Instance.lp(TRI).full_matrix()).triangle_violation is None
+    assert Instance.lp(TRI).triangle_violation is None
+    assert Instance.hamming([[0, 1], [1, 0], [1, 1]]).triangle_violation is None
 
 
 def test_points_are_read_only():
@@ -182,8 +190,8 @@ def test_generate_kinds_and_determinism():
     assert a != c
     assert a.points.shape == (10, 2)
 
-    line = generate("line", 5, 2, seed=0, spacing=2.0)
-    assert line.points[:, 0].tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
+    line = generate("line", 5, 2, seed=0)
+    assert line.points[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert np.all(line.points[:, 1] == 0.0)
 
     grid = generate("grid", 6, 2, seed=0)
@@ -194,7 +202,7 @@ def test_generate_kinds_and_determinism():
     assert int(np.sum(r < 1.0)) > 10       # majority sits in the tight cluster
     assert int(np.sum(r >= 10.0)) >= 1
 
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         generate("uniform", 10, 2, seed=0, smell=1.0)
     with pytest.raises(ValueError):
         generate("blob", 10, 2, seed=0)
