@@ -13,17 +13,13 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .instance import (ContractViolation, generate, read_instance, scatter,
                        threshold_tolerance, write_instance)
 from .eptas import DecisionParams, decide_scatter, maximize_scatter_report
 from .oracle import _BRUTE_CAP, brute_force_mstsp
 from . import hardness
-
-_BENCH_FIELDS = ("instance_id", "n", "dim", "metric", "epsilon", "ell_hat",
-                 "witness_scatter", "oracle_opt", "branch", "net_size",
-                 "runtime_ms", "seed")
 
 
 @dataclass
@@ -42,11 +38,7 @@ class BenchRecord:
     seed: int
 
     def row(self) -> list:
-        out = []
-        for name in _BENCH_FIELDS:
-            value = getattr(self, name)
-            out.append("" if value is None else str(value))
-        return out
+        return ["" if value is None else str(value) for value in astuple(self)]
 
     def violations(self) -> list:
         tol = threshold_tolerance(self.ell_hat)
@@ -176,7 +168,7 @@ def cmd_bench(args) -> int:
             problems.append(f"{rec.instance_id} eps={rec.epsilon}: {msg}")
     with open(args.out, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_BENCH_FIELDS)
+        writer.writerow(f.name for f in fields(BenchRecord))
         for rec in records:
             writer.writerow(rec.row())
     print(f"wrote {args.out} with {len(records)} rows")

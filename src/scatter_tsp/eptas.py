@@ -150,7 +150,7 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
 
     if p is None:
         # every threshold degree is >= n/2: constructive Dirac cycle, on
-        # rows computed on demand and the degrees the scan just counted
+        # edge flags computed on demand and the degrees the scan just counted
         view = MetricThresholdView(instance, ell)
         tour = dirac_hamiltonian(view, degrees)
         return _validated(instance, params, tour, "dirac", None)

@@ -8,8 +8,9 @@ low-degree point.
 
 Dirac, the lift and the ball exchange make one cycle move, the crossing
 2-opt (`_two_opt`, found for a pair that must go by `_repair`). Graphs are
-read only through `n`, `rows(ids)`, `edge_flags(us, vs)` and `degrees()`,
-which ThresholdGraph and MetricThresholdView answer alike. The view is the
+read only through `n`, `edge_flags(us, vs)`, whose index arrays broadcast
+(`ids[:, None]` against `np.arange(n)` reads whole rows), and `degrees()`;
+ThresholdGraph and MetricThresholdView answer them alike. The view is the
 one threshold-graph definition: the dense graph, the center graph and the
 degree sweep of the low-degree scan all read it.
 """
@@ -38,9 +39,6 @@ class ThresholdGraph:
         self.n = adj.shape[0]
         self.adjacency = adj
 
-    def rows(self, ids) -> np.ndarray:
-        return self.adjacency[np.asarray(ids, dtype=np.intp)]
-
     def edge_flags(self, us, vs) -> np.ndarray:
         return self.adjacency[np.asarray(us), np.asarray(vs)]
 
@@ -53,7 +51,7 @@ class ThresholdGraph:
 
 class MetricThresholdView:
     """Threshold graph over an instance: i ~ j when i != j and d(i, j)
-    meets the threshold. Rows are computed on demand, so the n x n matrix
+    meets the threshold. Flags are computed on demand, so the n x n matrix
     the large-n Dirac and lifting paths would need is never held.
     """
 
@@ -61,12 +59,6 @@ class MetricThresholdView:
         self.instance = instance
         self.n = instance.n
         self.threshold = float(threshold)
-
-    def rows(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.intp)
-        r = meets_threshold(self.instance.distance_rows(ids), self.threshold)
-        r[np.arange(len(ids)), ids] = False
-        return r
 
     def edge_flags(self, us, vs) -> np.ndarray:
         d = self.instance.distance_pairs(us, vs)
@@ -106,7 +98,8 @@ def threshold_graph(instance: Instance, ell: float) -> ThresholdGraph:
     n = view.n
     adj = np.empty((n, n), dtype=bool)
     for lo in range(0, n, BLOCK_ROWS):
-        adj[lo:lo + BLOCK_ROWS] = view.rows(np.arange(lo, min(lo + BLOCK_ROWS, n)))
+        ids = np.arange(lo, min(lo + BLOCK_ROWS, n))
+        adj[lo:lo + BLOCK_ROWS] = view.edge_flags(ids[:, None], np.arange(n))
     return ThresholdGraph(adj)
 
 
@@ -233,8 +226,8 @@ def dirac_hamiltonian(graph, degrees=None) -> np.ndarray:
     non-adjacent consecutive pair with the classic crossing rotation; the
     degree condition guarantees each repair exists and each strictly
     reduces the number of bad pairs. A repair reads its pair's two
-    endpoints against the next BLOCK_ROWS positions of the cycle, or their
-    two rows when the crossing lies farther on.
+    endpoints against the next BLOCK_ROWS positions of the cycle, and
+    against the whole cycle only when the crossing lies farther on.
     """
     n = graph.n
     if n < 3:
@@ -260,12 +253,9 @@ def _dirac_core(graph) -> np.ndarray:
     # A repair trades its bad pair and the crossing pair for two edges, so
     # `bad` loses at least one pair a pass, gains none, and the loop ends.
     head = 0
-    near = True
     while bad:
-        i, j, dropped = _repair(graph, order, pos, *bad.pop(), near)
+        head, dropped = _repair(graph, order, pos, *bad.pop())
         bad.discard(_key(*dropped))
-        head = i
-        near = (j - i) % n <= BLOCK_ROWS
     return np.concatenate((order[head:], order[:head]))
 
 
@@ -282,11 +272,11 @@ def _two_opt(order, pos, i: int, j: int) -> None:
     pos[order[seg]] = seg
 
 
-def _repair(graph, order, pos, a: int, b: int, near: bool):
+def _repair(graph, order, pos, a: int, b: int):
     """Replace the consecutive pair a, b of the cycle by the crossing 2-opt.
 
     The pair is oriented so that b follows a, at a's position i; j is the
-    first crossing pair after i (see _crossing_after). Returns (i, j, the
+    first crossing pair after i (see _crossing_after). Returns (i, the
     dropped pair (order[j], order[j + 1])); a stays at position i.
     """
     n = len(order)
@@ -294,38 +284,33 @@ def _repair(graph, order, pos, a: int, b: int, near: bool):
     if order[(i + 1) % n] != b:
         a, b = b, a
         i = int(pos[a])
-    j = _crossing_after(graph, order, i, a, b, near)
+    j = _crossing_after(graph, order, i, a, b)
     if j is None:
         raise ContractViolation(
             f"no crossing rotation for pair ({a}, {b}); degree condition broken")
     dropped = (int(order[j]), int(order[(j + 1) % n]))
     _two_opt(order, pos, i, j)
-    return i, j, dropped
+    return i, dropped
 
 
-def _crossing_after(graph, order, i: int, a: int, b: int, near: bool):
+def _crossing_after(graph, order, i: int, a: int, b: int):
     """Position j of the first pair (order[j], order[j + 1]) after position
     i, cyclically, with a ~ order[j] and b ~ order[j + 1], or None.
 
-    On unordered inputs such a pair mostly lies a few positions on. So
-    while the last repair's did (`near`), the BLOCK_ROWS pairs after i are
-    read first as edge flags, on cycles longer than that. Otherwise, or
-    when they hold none, the rows of a and b are read, which cost less per
-    entry.
+    On unordered inputs such a pair mostly lies a few positions on, so on
+    cycles longer than BLOCK_ROWS the BLOCK_ROWS pairs after i are read
+    first. When they hold none, a and b are read against the whole cycle.
     """
     n = len(order)
-    m = BLOCK_ROWS
-    if near and m < n - 1:
-        w = order.take(np.arange(i + 1, i + m + 2), mode="wrap")
-        flags = graph.edge_flags(np.array((a, b)).repeat(m), np.concatenate((w[:-1], w[1:])))
-        cand = flags[:m] & flags[m:]
+    ends = np.array([[a], [b]])
+    if BLOCK_ROWS < n - 1:
+        w = order.take(np.arange(i + 1, i + BLOCK_ROWS + 2), mode="wrap")
+        to_a, to_b = graph.edge_flags(ends, w)
+        cand = to_a[:-1] & to_b[1:]
         if cand.any():
             return (i + 1 + int(np.argmax(cand))) % n
-    row_a, row_b = graph.rows([a, b])
-    cand = row_a[order]
-    cand[:-1] &= row_b[order[1:]]
-    cand[-1] &= row_b[order[0]]
-    return _first_after(cand, i)
+    to_a, to_b = graph.edge_flags(ends, order)
+    return _first_after(to_a & np.roll(to_b, -1), i)
 
 
 def _first_after(flags, i: int):
@@ -346,10 +331,11 @@ def bondy_chvatal_closure(graph):
 
     Repeatedly adds every non-edge whose endpoint degree sum is at least n
     until a fixed point; the closure is unique, so the scan order only
-    affects the log, not the result. Reads all n rows: small n only.
+    affects the log, not the result. Reads all n^2 pairs: small n only.
     """
     n = graph.n
-    adj = graph.rows(np.arange(n))
+    ids = np.arange(n)
+    adj = graph.edge_flags(ids[:, None], ids)
     log = []
     while True:
         deg = adj.sum(axis=1)
@@ -381,14 +367,17 @@ class _LiftGraph:
         self.extra[u].discard(v)
         self.extra[v].discard(u)
 
-    def rows(self, ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.intp)
-        r = np.array(self.base.rows(ids), dtype=bool)
-        for t, i in enumerate(ids.tolist()):
-            extra = self.extra.get(i)
+    def edge_flags(self, us, vs) -> np.ndarray:
+        """The base's flags, OR the overlay edges of the vertices in `us`."""
+        us, vs = np.asarray(us), np.asarray(vs)
+        flags = self.base.edge_flags(us, vs)
+        for u in set(us.ravel().tolist()):
+            extra = self.extra.get(u)
             if extra:
-                r[t, list(extra)] = True
-        return r
+                row = np.zeros(self.n, dtype=bool)
+                row[list(extra)] = True
+                flags |= (us == u) & row[vs]
+        return flags
 
 
 def bc_lift(base, added, cycle) -> np.ndarray:
@@ -398,7 +387,10 @@ def bc_lift(base, added, cycle) -> np.ndarray:
     uses the removed edge, the endpoint degree sum (>= n in the graph at
     that stage) yields a crossing 2-opt that rewires around it. The cycle
     is never rotated: each 2-opt reverses one segment of it. Endpoint
-    degrees are read from the base rows BLOCK_ROWS at a time.
+    degrees are read from the base BLOCK_ROWS vertices at a time.
+
+    Raises ValueError when the log is not a valid addition sequence or the
+    cycle uses a pair that is neither a base edge nor in the log.
     """
     n = base.n
     order = validate_tour(n, cycle).copy()
@@ -413,6 +405,11 @@ def bc_lift(base, added, cycle) -> np.ndarray:
         if in_base:
             raise ValueError(f"added edge {e} is already in the base graph")
         seen.add(e)
+    flags = base.edge_flags(order, np.roll(order, -1))
+    for t in np.flatnonzero(~flags).tolist():
+        e = _key(int(order[t]), int(order[(t + 1) % n]))
+        if e not in seen:
+            raise ValueError(f"cycle pair {e} is neither a base edge nor in the addition log")
 
     # degree sums are checked against base plus the *earlier* log entries,
     # the graph each addition actually extended
@@ -420,7 +417,8 @@ def bc_lift(base, added, cycle) -> np.ndarray:
     deg = {}
     for lo in range(0, len(ends), BLOCK_ROWS):
         ids = ends[lo:lo + BLOCK_ROWS]
-        deg.update(zip(ids.tolist(), base.rows(ids).sum(axis=1).tolist()))
+        block = base.edge_flags(ids[:, None], np.arange(n))
+        deg.update(zip(ids.tolist(), block.sum(axis=1).tolist()))
     for idx, (u, v) in enumerate(log):
         if deg[u] + deg[v] < n:
             raise ValueError(
@@ -434,7 +432,7 @@ def bc_lift(base, added, cycle) -> np.ndarray:
         lift.remove(u, v)
         i = int(pos[u])
         if v in (order[(i + 1) % n], order[i - 1]):
-            _repair(lift, order, pos, u, v, near=False)
+            _repair(lift, order, pos, u, v)
 
     flags = base.edge_flags(order, np.roll(order, -1))
     if not flags.all():

@@ -161,8 +161,8 @@ class Instance:
                           self.p, out)
 
     def distance_pairs(self, us, vs) -> np.ndarray:
-        """Elementwise distances d(us[t], vs[t]), bit for bit as distance_rows
-        computes them."""
+        """Distances d(u, v) over `us` broadcast against `vs`, bit for bit as
+        distance_rows computes them."""
         us = np.asarray(us, dtype=np.intp)
         vs = np.asarray(vs, dtype=np.intp)
         if self.metric_kind == "explicit":
@@ -171,7 +171,9 @@ class Instance:
         # hamming is l1 on 0/1 vectors, exact in float64 like its rows
         p = 1.0 if self.metric_kind == "hamming" else self.p
         out = np.empty(np.broadcast_shapes(us.shape, vs.shape))
-        return _lp_kernel(((cols[c, us], cols[c, vs]) for c in range(self.dim)), p, out)
+        # take gathers a row of 10^4 coordinates in half the time cols[c, vs] takes
+        return _lp_kernel(((cols[c].take(us), cols[c].take(vs)) for c in range(self.dim)),
+                          p, out)
 
     def full_matrix(self) -> np.ndarray:
         """All pairwise distances; intended for small n only."""

@@ -40,7 +40,7 @@ def greedy_delta_net(instance: Instance, subset, delta: float) -> Net:
     Greedy order is ascending point index, which makes the construction
     deterministic; assignment ties also break toward the lowest center.
     """
-    if delta <= 0:
+    if not delta > 0:   # NaN fails this too
         raise ValueError(f"delta must be positive, got {delta}")
     subset = np.unique(integer_array(subset, "subset indices"))
     if len(subset) == 0:
@@ -87,7 +87,7 @@ def greedy_delta_net(instance: Instance, subset, delta: float) -> Net:
 
 def grid_round(points, delta: float) -> np.ndarray:
     """Round each coordinate to the nearest multiple of delta, ties toward +inf."""
-    if delta <= 0:
+    if not delta > 0:   # NaN fails this too
         raise ValueError(f"delta must be positive, got {delta}")
     pts = np.asarray(points, dtype=float)
     return np.floor(pts / delta + 0.5) * delta

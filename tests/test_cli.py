@@ -104,7 +104,9 @@ def test_bench_smoke_schema_and_determinism(tmp_path, capsys):
     assert run(["bench", "--suite", "smoke", "--out", str(out2)], capsys)[0] == 0
 
     rows = _read_rows(out1)
-    assert rows[0] == list(cli._BENCH_FIELDS)
+    assert rows[0] == ["instance_id", "n", "dim", "metric", "epsilon", "ell_hat",
+                       "witness_scatter", "oracle_opt", "branch", "net_size",
+                       "runtime_ms", "seed"]
     assert len(rows) == 1 + 12  # six shapes times two epsilons
     ids = [(r[0], r[4]) for r in rows[1:]]
     assert ids == sorted(ids)  # ordered by instance id then epsilon

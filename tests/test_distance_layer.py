@@ -302,7 +302,8 @@ def test_rows_and_pairs_agree_bit_for_bit(metric, dim):
     dense = threshold_graph(inst, ell)
     view = MetricThresholdView(inst, ell)
     assert np.array_equal(view.edge_flags(us, vs), dense.edge_flags(us, vs))
-    assert np.array_equal(view.rows(np.arange(n)), dense.adjacency)
+    ids = np.arange(n)
+    assert np.array_equal(view.edge_flags(ids[:, None], ids), dense.adjacency)
 
 
 def test_dirac_probe_memory_is_linear_in_n():

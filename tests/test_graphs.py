@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from scatter_tsp import (
     ContractViolation,
@@ -50,8 +51,9 @@ def test_metric_view_matches_dense_graph():
     ell = 0.4
     dense = threshold_graph(inst, ell)
     view = MetricThresholdView(inst, ell)
-    ids = [0, 7, 29]
-    assert np.array_equal(view.rows(ids), dense.rows(ids))
+    ids = np.array([0, 7, 29])[:, None]
+    assert np.array_equal(view.edge_flags(ids, np.arange(30)),
+                          dense.edge_flags(ids, np.arange(30)))
     assert np.array_equal(view.degrees(), dense.degrees())
     us = np.array([0, 3, 5])
     vs = np.array([1, 4, 6])
@@ -199,7 +201,7 @@ def test_closure_of_sparse_graph_can_stay_put():
 
 def test_bc_lift_round_trip():
     rng = np.random.default_rng(77)
-    for n in (8, 13, 24, 40):
+    for n in (8, 13, 24, 40, 150):   # 150: repairs read the 64-pair window first
         base = ThresholdGraph(random_dirac_adjacency(n, rng))
         closed, log = bondy_chvatal_closure(base)
         assert closed.edge_count() == n * (n - 1) // 2  # Dirac closes up fully
@@ -226,6 +228,17 @@ def test_bc_lift_input_validation():
     sparse[4, 0] = sparse[0, 4] = True
     with pytest.raises(ValueError):
         bc_lift(ThresholdGraph(sparse), [(0, 2)], cycle)  # degree sum 4 < 5
+
+
+def test_bc_lift_refuses_a_cycle_off_base_and_log():
+    # the cycle's pair (0, 1) is neither a base edge nor logged: the
+    # caller's input is at fault, not an internal invariant
+    adj = ~np.eye(5, dtype=bool)
+    adj[0, 1] = adj[1, 0] = False
+    base = ThresholdGraph(adj)
+    with pytest.raises(ValueError, match=r"cycle pair \(0, 1\)"):
+        bc_lift(base, [], [0, 1, 2, 3, 4])
+    _check_cycle(adj, bc_lift(base, [(0, 1)], [0, 1, 2, 3, 4]))
 
 
 def _lift_instances():
@@ -255,11 +268,35 @@ def test_bc_lift_on_view_matches_dense_graph():
         _check_cycle(dense.adjacency, lifted)
 
 
+@given(n=st.integers(3, 24), p=st.floats(0.2, 0.8), seed=st.integers(0, 2 ** 32 - 1))
+def test_lift_graph_flags_are_base_or_pending_log_edges(n, p, seed):
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    adj |= adj.T
+    base = ThresholdGraph(adj)
+    _, log = bondy_chvatal_closure(base)
+    lift = _LiftGraph(base, log)
+    ids = np.arange(n)
+    want = adj.copy()
+    for (u, v) in log:
+        want[u, v] = want[v, u] = True
+    # every stage, from the full log to none of it, in lift order
+    for e in [None, *reversed(log)]:
+        if e is not None:
+            lift.remove(*e)
+            want[e] = want[e[::-1]] = False
+        assert np.array_equal(lift.edge_flags(ids[:, None], ids), want)
+        # the crossing search's shape: two endpoints against pair lists
+        ends = rng.integers(0, n, size=(2, 1))
+        vs = rng.integers(0, n, size=(2, 5))
+        assert np.array_equal(lift.edge_flags(ends, vs), want[ends, vs])
+
+
 def test_bc_lift_crossing_through_an_earlier_log_edge(monkeypatch):
     # a graph below the Dirac bound whose closure is complete (found by a
     # seeded search like criterion 9's): when the lift removes (1, 4) from
     # this cycle, its only crossing uses an edge the log added before it,
-    # so lift rows without the overlay find none
+    # so lift flags without the overlay find none
     adj = np.zeros((6, 6), dtype=bool)
     for u, v in ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5)):
         adj[u, v] = adj[v, u] = True
@@ -270,7 +307,7 @@ def test_bc_lift_crossing_through_an_earlier_log_edge(monkeypatch):
     lifted = bc_lift(base, log, cycle)
     assert lifted.tolist() == [2, 4, 5, 0, 3, 1]
     _check_cycle(adj, lifted)
-    monkeypatch.setattr(_LiftGraph, "rows", lambda self, ids: self.base.rows(ids))
+    monkeypatch.setattr(_LiftGraph, "edge_flags", lambda self, us, vs: self.base.edge_flags(us, vs))
     with pytest.raises(ContractViolation, match=r"pair \(1, 4\)"):
         bc_lift(base, log, cycle)
 

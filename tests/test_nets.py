@@ -125,6 +125,16 @@ def test_net_rejects_bad_arguments():
         greedy_delta_net(inst, [0, 5], 1.0)
 
 
+def test_nan_delta_is_refused():
+    # NaN passes `delta <= 0`: grid_round then returned NaNs, and the net
+    # never marked a point, so its loop ran forever (grid_round goes first,
+    # so a regression fails rather than hangs)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        grid_round([[0.2]], math.nan)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        greedy_delta_net(generate("uniform", 10, 2, 1), range(10), math.nan)
+
+
 def test_net_refuses_non_integer_subset():
     inst = Instance.lp([[0.0], [1.0], [2.0]], p=1.0)
     net = greedy_delta_net(inst, [0.0, 2.0], 0.1)
