@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 from .instance import (ContractViolation, generate, read_instance, scatter,
                        threshold_tolerance, write_instance)
 from .eptas import DecisionParams, decide_scatter, maximize_scatter_report
-from .oracle import _BRUTE_CAP, brute_force_mstsp
+from .oracle import _BRUTE_CAP, brute_force_mstsp, check_brute_cap
 from . import hardness
 
 
@@ -67,6 +67,8 @@ def _tour_line(tour) -> str:
 
 def cmd_solve(args) -> int:
     inst = read_instance(args.input)
+    if args.oracle:
+        check_brute_cap(inst.n)   # before the solve, not after it
     ell_hat, tour, probes = maximize_scatter_report(inst, args.epsilon)
     sc = scatter(inst, tour)
     lines = [f"ell_hat {ell_hat}", f"scatter {sc}", f"tour {_tour_line(tour)}"]

@@ -12,7 +12,9 @@ read only through `n`, `edge_flags(us, vs)`, whose index arrays broadcast
 (`ids[:, None]` against `np.arange(n)` reads whole rows), and `degrees()`;
 ThresholdGraph and MetricThresholdView answer them alike. The view is the
 one threshold-graph definition: the dense graph, the center graph and the
-degree sweep of the low-degree scan all read it.
+degree sweep of the low-degree scan all read it. The degree sweep reads
+the half matrix in the tiles of Instance.half_tiles, with one reused
+buffer of flags.
 """
 
 import numpy as np
@@ -68,23 +70,34 @@ class MetricThresholdView:
         """Yields (start, stop, deg) for each block of BLOCK_ROWS vertices in
         ascending order, deg[t] being the final degree of vertex start + t.
 
-        A block reads half rows, from its vertices to start..n-1, and clears
-        its pairs (i, i): the columns left of it are pairs an earlier block
-        has read (distances are symmetric bit for bit) and carried forward
-        as column sums. The first block reads full rows, so a caller that
-        stops at its first hit reads no more than a full-row sweep would.
+        One sweep of Instance.half_tiles: a block reads half rows, from its
+        vertices to start..n-1. The columns left of it are pairs an earlier
+        block has read (distances are symmetric bit for bit) and carried
+        forward as column sums, tile by tile; the flags of every tile go
+        into one bool buffer. Every pair (i, i) is at distance 0, so the
+        degrees start at minus its flag. The first block reads full rows,
+        so a caller that stops at its first hit reads no more than a
+        full-row sweep would.
         """
         n = self.n
-        deg = np.zeros(n, dtype=np.intp)
-        for start in range(0, n, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n)
-            ids = np.arange(start, stop)
-            flags = meets_threshold(self.instance.distance_rows(ids, start), self.threshold)
-            np.fill_diagonal(flags, False)   # column t of the block is vertex start + t
-            deg[start:stop] += flags.sum(axis=1)
-            yield start, stop, deg[start:stop]
-            # only a caller that reads on needs the later vertices' degrees
-            deg[stop:] += flags[:, stop - start:].sum(axis=0)
+        # row i counts its own pair (i, i), at distance 0, once
+        deg = np.full(n, -int(meets_threshold(0.0, self.threshold)), dtype=np.intp)
+        buf = None
+        for start, c0, tile in self.instance.half_tiles():
+            rows, cols = tile.shape
+            if buf is None:
+                buf = np.empty(tile.size, dtype=bool)   # the first tile is the largest
+            flags = meets_threshold(tile, self.threshold, out=buf[:tile.size].reshape(rows, cols))
+            # counts of at most TILE_COLS and BLOCK_ROWS flags: narrow sums
+            # are exact and several times faster than intp ones
+            deg[start:start + rows] += flags.sum(axis=1, dtype=np.uint32)
+            # row t is vertex start + t, column s is c0 + s; the columns of
+            # the block's own vertices carry nothing forward
+            own = max(0, start + rows - c0)
+            if own < cols:
+                deg[c0 + own:c0 + cols] += flags[:, own:].sum(axis=0, dtype=np.uint16)
+            if c0 + cols == n:
+                yield start, start + rows, deg[start:start + rows]
 
     def degrees(self) -> np.ndarray:
         return np.concatenate([deg for _, _, deg in self.degree_blocks()])
@@ -446,24 +459,25 @@ class _Dinic:
     """Max flow with Python integers; its running time does not depend on the
     capacity values, so the many-visits tiers may pass counts up to 10^9.
 
-    Arcs live in flat lists: arc a runs to to[a] with residual capacity
-    cap[a], and a ^ 1 is its reverse. out[u] holds the ids of the arcs
-    leaving u in the order they were added.
+    The network has the arcs tails[j] -> heads[j] with capacity caps[j].
+    They live in flat lists: arc a runs to to[a] with residual capacity
+    cap[a], arc 2j is the j-th given arc and a ^ 1 is a's reverse. out[u]
+    holds the ids of the arcs leaving u in ascending order.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, tails, heads, caps):
         self.n = n
-        self.to = []
-        self.cap = []
-        self.out = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, cap: int) -> int:
-        a = len(self.to)
-        self.to += (v, u)
-        self.cap += (cap, 0)
-        self.out[u].append(a)
-        self.out[v].append(a + 1)
-        return a
+        ends = np.empty(2 * len(caps), dtype=np.intp)
+        ends[0::2] = heads
+        ends[1::2] = tails
+        self.to = ends.tolist()
+        self.cap = [0] * len(ends)
+        self.cap[0::2] = caps
+        # arc a leaves to[a ^ 1]
+        leaves = ends.reshape(-1, 2)[:, ::-1].reshape(-1)
+        order = np.argsort(leaves, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(leaves, minlength=n)).tolist()
+        self.out = [order[b0:b1] for b0, b1 in zip([0] + bounds[:-1], bounds)]
 
     def max_flow(self, s: int, t: int) -> int:
         to, cap, out = self.to, self.cap, self.out
@@ -523,19 +537,18 @@ def bipartite_max_matching(left: int, right: int, edges) -> list:
     returns the matching as sorted (l, r) pairs.
     """
     src, snk = left + right, left + right + 1
-    net = _Dinic(left + right + 2)
-    for l in range(left):
-        net.add(src, l, 1)
-    arcs = {}
+    pairs = {}
     for (l, r) in edges:
         if not (0 <= l < left and 0 <= r < right):
             raise ValueError(f"edge ({l}, {r}) out of range")
-        if (l, r) not in arcs:
-            arcs[(l, r)] = net.add(l, left + r, 1)
-    for r in range(right):
-        net.add(left + r, snk, 1)
+        pairs[(l, r)] = None
+    # arcs src -> l, one l -> left + r per distinct pair, left + r -> snk
+    tails = [src] * left + [l for l, _ in pairs] + [left + r for r in range(right)]
+    heads = list(range(left)) + [left + r for _, r in pairs] + [snk] * right
+    net = _Dinic(left + right + 2, tails, heads, [1] * len(tails))
     net.max_flow(src, snk)
-    return sorted(pair for pair, a in arcs.items() if not net.cap[a])
+    return sorted(pair for j, pair in enumerate(pairs, start=left)
+                  if not net.cap[2 * j])
 
 
 def normalize_tour(instance: Instance, tour, ell: float, p: int) -> np.ndarray:

@@ -18,6 +18,14 @@ as duplicates, whether equal or not (a power can underflow at large p).
 
 A tour is a permutation of 0..n-1 read cyclically; its scatter is the
 minimum distance between consecutive points, closing edge included.
+
+The O(n^2) sweeps, the candidate distances here and the threshold degrees
+of graphs.MetricThresholdView, read the half matrix j >= i through
+Instance.half_tiles: BLOCK_ROWS x TILE_COLS tiles written into one buffer
+per sweep, so a sweep's buffers hold BLOCK_ROWS * TILE_COLS values
+whatever n is (the distinct distances it keeps aside). One kernel,
+_lp_kernel, computes every lp distance, in a tile, a row block or a list
+of pairs, and bit for bit alike.
 """
 
 import functools
@@ -28,9 +36,11 @@ import numpy as np
 
 REL_TOL = 1e-9          # threshold comparisons absorb this much relative roundoff
 DEDUP_REL_TOL = 1e-12   # distances closer than this (relatively) are one candidate
-# rows per block of a full distance sweep: at n = 10^4 a 64-row block and
-# its one temporary take 5 MB each
+# rows per block of a distance sweep or a blocked row read
 BLOCK_ROWS = 64
+# columns per tile of a half-matrix sweep: a 64 x 4096 tile and its one
+# temporary take 2 MB each, whatever n is
+TILE_COLS = 4096
 
 _METRIC_KINDS = ("lp", "hamming", "explicit")
 
@@ -43,9 +53,11 @@ def threshold_tolerance(ell: float) -> float:
     return REL_TOL * max(1.0, abs(ell))
 
 
-def meets_threshold(d, ell: float):
-    """True where d >= ell up to the global tolerance; d may be an array."""
-    return d >= ell - threshold_tolerance(ell)
+def meets_threshold(d, ell: float, out=None):
+    """True where d >= ell up to the global tolerance; d may be an array,
+    and `out` a bool array of its shape to write the flags into."""
+    cut = ell - threshold_tolerance(ell)
+    return d >= cut if out is None else np.greater_equal(d, cut, out=out)
 
 
 class Instance:
@@ -59,6 +71,7 @@ class Instance:
         self.points = None
         self.matrix = None
         self._columns = None
+        self._weights = None
 
         if metric_kind == "explicit":
             if matrix is None:
@@ -111,6 +124,8 @@ class Instance:
         # one contiguous float64 row per coordinate: the distance kernels
         # read whole coordinates at a time
         self._columns = np.ascontiguousarray(pts.T, dtype=np.float64)
+        if metric_kind == "hamming":
+            self._weights = self._columns.sum(axis=0)   # |x| of each 0/1 vector
 
     @classmethod
     def lp(cls, points, p=2.0) -> "Instance":
@@ -135,30 +150,57 @@ class Instance:
         """Distances from each point in `ids` to points start..n-1, as a
         len(ids) x (n - start) block.
 
-        This is the workhorse all bulk distance computations go through;
-        callers sweep in blocks of BLOCK_ROWS rows, so the block and its one
-        temporary stay small. Every entry is computed on its own, so a
-        distance does not depend on the block it was computed in, and
-        d(i, j) == d(j, i) bit for bit.
+        Callers read rows in blocks of BLOCK_ROWS, so the block and its one
+        temporary stay small; the O(n^2) sweeps go through half_tiles.
+        Every entry is computed on its own, so a distance does not depend
+        on the block it was computed in, and d(i, j) == d(j, i) bit for bit.
         """
         ids = np.asarray(ids, dtype=np.intp)
+        return self._fill(ids, slice(start, None), np.empty((len(ids), self.n - start)))
+
+    def half_tiles(self, root: bool = True):
+        """The half matrix d(i, j), j >= i, one tile at a time.
+
+        Yields (lo, c0, tile) with tile[t, s] = d(lo + t, c0 + s): the row
+        blocks lo = 0, BLOCK_ROWS, ... in order, and within a block the
+        columns lo..n-1 in tiles of TILE_COLS, left to right. Every tile is
+        a view of one buffer that the next tile overwrites; it and the lp
+        kernel's temporary are allocated once per sweep, at
+        min(BLOCK_ROWS, n) x min(TILE_COLS, n) entries each. Entries are
+        bit for bit those of distance_rows. root=False leaves lp tiles at
+        the power sums before the p-th root.
+        """
+        n = self.n
+        width = TILE_COLS
+        size = min(BLOCK_ROWS, n) * min(width, n)
+        buf = np.empty(size)
+        tmp = np.empty(size) if self.metric_kind == "lp" and self.dim > 1 else None
+        for lo in range(0, n, BLOCK_ROWS):
+            hi = min(lo + BLOCK_ROWS, n)
+            for c0 in range(lo, n, width):
+                c1 = min(c0 + width, n)
+                count = (hi - lo) * (c1 - c0)
+                tile = buf[:count].reshape(hi - lo, c1 - c0)
+                scratch = None if tmp is None else tmp[:count].reshape(tile.shape)
+                yield lo, c0, self._fill(slice(lo, hi), slice(c0, c1), tile, scratch, root)
+
+    def _fill(self, a, b, out, tmp=None, root=True) -> np.ndarray:
+        """Distances from points `a` to points `b`, each an index array or
+        a slice, written into the len(a) x len(b) array `out`."""
         if self.metric_kind == "explicit":
-            return self.matrix[ids, start:]
+            np.copyto(out, self.matrix[a, b])
+            return out
         cols = self._columns
         if self.metric_kind == "hamming":
-            a = cols[:, ids].T
-            b = cols[:, start:]
-            # 0/1 vectors: d_H(a, b) = |a| + |b| - 2 a.b, exact in float64
-            d = a @ b
-            d *= -2.0
-            d += a.sum(axis=1)[:, None]
-            d += b.sum(axis=0)[None, :]
-            return d
-        a = cols[:, ids]
-        b = cols[:, start:]
-        out = np.empty((len(ids), b.shape[1]))
-        return _lp_kernel(((a[c][:, None], b[c][None, :]) for c in range(self.dim)),
-                          self.p, out)
+            # 0/1 vectors: d_H(x, y) = |x| + |y| - 2 x.y, exact in float64
+            np.matmul(cols[:, a].T, cols[:, b], out=out)
+            out *= -2.0
+            out += self._weights[a, None]
+            out += self._weights[None, b]
+            return out
+        xa, xb = cols[:, a], cols[:, b]
+        return _lp_kernel(((xa[c][:, None], xb[c][None, :]) for c in range(self.dim)),
+                          self.p, out, tmp, root)
 
     def distance_pairs(self, us, vs) -> np.ndarray:
         """Distances d(u, v) over `us` broadcast against `vs`, bit for bit as
@@ -204,19 +246,21 @@ def _triangle_violation(m: np.ndarray) -> str | None:
     return None
 
 
-def _lp_kernel(cols, p: float, out: np.ndarray) -> np.ndarray:
+def _lp_kernel(cols, p: float, out: np.ndarray, tmp=None, root=True) -> np.ndarray:
     """l_p distances accumulated into `out` one coordinate at a time.
 
     `cols` yields one (x, y) pair of coordinate arrays per dimension, which
     broadcast to out's shape. Every entry goes through the same ufuncs in
-    the same order whatever that shape is, so a row block and a list of
-    pairs agree bit for bit. Terms are >= +0, so starting from the first
-    term equals starting from zero.
+    the same order whatever that shape is, so a tile, a row block and a
+    list of pairs agree bit for bit. Terms are >= +0, so starting from the
+    first term equals starting from zero. `tmp`, of out's shape, holds each
+    later term; it is allocated here when not given and dim > 1. With
+    root=False the p-th root is left out: `out` keeps the power sum.
     """
     inf = math.isinf(p)
     c = -1
     for c, (x, y) in enumerate(cols):
-        if c == 1:
+        if c == 1 and tmp is None:
             tmp = np.empty_like(out)
         term = tmp if c else out
         np.subtract(x, y, out=term)
@@ -230,11 +274,17 @@ def _lp_kernel(cols, p: float, out: np.ndarray) -> np.ndarray:
             (np.maximum if inf else np.add)(out, term, out=out)
     if c < 0:
         out.fill(0.0)   # dim = 0: every point is the origin
-    if p == 2.0:
-        np.sqrt(out, out=out)
-    elif not (p == 1.0 or inf):
-        out **= 1.0 / p
+    if root:
+        _lp_root(out, p)
     return out
+
+
+def _lp_root(sums: np.ndarray, p: float) -> None:
+    """The p-th root of l_p power sums, in place; p = 1 and inf need none."""
+    if p == 2.0:
+        np.sqrt(sums, out=sums)
+    elif not (p == 1.0 or math.isinf(p)):
+        sums **= 1.0 / p
 
 
 def distance(instance: Instance, i: int, j: int) -> float:
@@ -285,25 +335,40 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     are merged into it, so a chain of near ties keeps its smallest member
     and every later one that drifts past the tolerance. The optimum scatter
     is always one of these.
+
+    One sweep over the half matrix: each tile of lp power sums is sorted in
+    place and only its distinct values are kept, so the p-th root is taken
+    of the distinct values of the whole matrix and nothing else. A sum is
+    0 exactly when its root is, so zero pairs are counted before the root.
     """
-    n = instance.n
     uniq = []
-    zero_pair = False
-    for lo in range(0, n, BLOCK_ROWS):
-        ids = np.arange(lo, min(lo + BLOCK_ROWS, n))
-        # distances are symmetric bit for bit, so the columns left of the
-        # block hold pairs an earlier block has already read
-        block = instance.distance_rows(ids, lo)
-        # each row holds its own d(i, i) = 0 once; any further zero is a pair
-        zero_pair = zero_pair or np.count_nonzero(block == 0.0) > len(ids)
-        uniq.append(np.unique(block))
-        del block   # not held while the next block is computed
+    zero_pairs = 0
+    mask = None
+    for lo, c0, tile in instance.half_tiles(root=False):
+        rows, cols = tile.shape
+        flat = tile.reshape(-1)
+        flat.sort()
+        if mask is None:
+            mask = np.empty(len(flat), dtype=bool)   # the first tile is the largest
+        # the leading zeros, less the tile's own pairs (i, i)
+        zero_pairs += int(np.searchsorted(flat, 0.0, side="right"))
+        zero_pairs -= max(0, min(lo + rows, c0 + cols) - c0)
+        uniq.append(_distinct(flat, mask[:len(flat)]))
     vals = np.unique(np.concatenate(uniq))
+    p = instance.p
+    if p == 2.0:
+        # sqrt is monotone, so equal roots stay adjacent
+        _lp_root(vals, p)
+        vals = _distinct(vals, np.empty(len(vals), dtype=bool))
+    elif p is not None and not (p == 1.0 or math.isinf(p)):
+        # a rounded pow need not be monotone
+        _lp_root(vals, p)
+        vals = np.unique(vals)
     # np.unique sorts inf and NaN last; an overflowed distance would merge
     # into its predecessor as a near tie and hide from every probe
     if not np.isfinite(vals[-1]):
         raise ValueError("a pairwise distance overflows to a non-finite value")
-    vals = np.concatenate(([0.0] if zero_pair else [], vals[vals > 0.0]))
+    vals = np.concatenate(([0.0] if zero_pairs else [], vals[vals > 0.0]))
     # a value farther than the tolerance from its predecessor is farther
     # still from the last kept value, so only runs of near ties need the
     # sequential walk
@@ -315,6 +380,15 @@ def candidate_distances(instance: Instance) -> np.ndarray:
         if vals[i] - last > DEDUP_REL_TOL * max(1.0, vals[i]):
             keep[i] = True
     return vals[keep]
+
+
+def _distinct(sorted_vals: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array, in a new array; `keep` is
+    bool scratch of the same length."""
+    keep[:1] = True
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=keep[1:])
+    # copying is cheaper than a compress that keeps every value
+    return sorted_vals.copy() if keep.all() else sorted_vals[keep]
 
 
 def generate(kind: str, n: int, dim: int, seed: int, p: float = 2.0) -> Instance:

@@ -42,7 +42,7 @@ materialized on demand.
 """
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 import math
 from typing import NamedTuple
 
@@ -136,19 +136,23 @@ def _arc_flow(k, edges, out_deg, in_deg):
     """
     total = sum(out_deg)
     src, snk = 2 * k, 2 * k + 1
-    net = _Dinic(2 * k + 2)
     inf = total + 1
-    for v in range(k):
-        net.add(src, 2 * v, out_deg[v])
-        net.add(2 * v + 1, snk, in_deg[v])
-    arcs = [(net.add(2 * u, 2 * v + 1, inf), net.add(2 * v, 2 * u + 1, inf))
-            for (u, v) in edges]
+    v = np.arange(k)
+    u, w = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2).T
+    # per vertex v the arcs src -> 2v and 2v+1 -> snk, then per edge {u, w}
+    # the arcs 2u -> 2w+1 and 2w -> 2u+1: ids 4v, 4v + 2, and 4k + 4e, +2
+    tails = np.concatenate((np.column_stack((np.full(k, src), 2 * v + 1)).reshape(-1),
+                            np.column_stack((2 * u, 2 * w)).reshape(-1)))
+    heads = np.concatenate((np.column_stack((2 * v, np.full(k, snk))).reshape(-1),
+                            np.column_stack((2 * w + 1, 2 * u + 1)).reshape(-1)))
+    caps = [c for pair in zip(out_deg, in_deg) for c in pair] + [inf] * (2 * len(edges))
+    net = _Dinic(2 * k + 2, tails, heads, caps)
     if net.max_flow(src, snk) != total:
         return None
     cap = net.cap
     got = {}
-    for edge, (a, b) in zip(edges, arcs):
-        used = (inf - cap[a]) + (inf - cap[b])
+    for a, edge in enumerate(edges, start=k):
+        used = (inf - cap[4 * a]) + (inf - cap[4 * a + 2])
         if used:
             got[edge] = used
     return got

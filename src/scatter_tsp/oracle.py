@@ -108,6 +108,12 @@ def is_hamiltonian(adjacency):
     return dp.reconstruct()
 
 
+def check_brute_cap(n: int) -> None:
+    """ValueError when brute_force_mstsp would refuse n points."""
+    if n > _BRUTE_CAP:
+        raise ValueError(f"n={n} exceeds the oracle cap {_BRUTE_CAP}")
+
+
 def brute_force_mstsp(instance: Instance) -> OracleResult:
     """Exact maximum scatter via binary search on the candidate distances.
 
@@ -115,9 +121,7 @@ def brute_force_mstsp(instance: Instance) -> OracleResult:
     threshold graph at ell, and raising ell only removes edges, so
     feasibility is monotone and the largest feasible candidate is OPT.
     """
-    n = instance.n
-    if n > _BRUTE_CAP:
-        raise ValueError(f"n={n} exceeds the oracle cap {_BRUTE_CAP}")
+    check_brute_cap(instance.n)
     dist = instance.full_matrix()
     cands = candidate_distances(instance)
 

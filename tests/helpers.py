@@ -30,18 +30,10 @@ from scatter_tsp.many_visits import (
 )
 
 
-def closed_walk_feasible(allowed, visits):
-    """Exhaustive check for a closed walk with exact visit counts.
-
-    Memoized DFS over (current vertex, remaining visits); only practical
-    for a handful of vertices with single-digit counts.
-    """
-    allowed = np.asarray(allowed, dtype=bool)
-    visits = [int(v) for v in visits]
-    k = len(visits)
-    if k == 1:
-        return visits[0] == 1  # no self-loops, so one visit or nothing
-    nbr = [tuple(np.flatnonzero(allowed[i]).tolist()) for i in range(k)]
+def _walk_completes(allowed, visits):
+    """Memoized DFS: reach(cur, rem) tells whether a walk at `cur` with
+    `rem` visits left can spend them all and close at vertex 0."""
+    nbr = [tuple(np.flatnonzero(allowed[i]).tolist()) for i in range(len(visits))]
 
     @lru_cache(maxsize=None)
     def reach(cur, rem):
@@ -54,9 +46,43 @@ def closed_walk_feasible(allowed, visits):
                     return True
         return False
 
-    start = list(visits)
+    return reach
+
+
+def _walk_start(visits):
+    start = [int(v) for v in visits]
     start[0] -= 1
-    return reach(0, tuple(start))
+    return tuple(start)
+
+
+def closed_walk_feasible(allowed, visits):
+    """Exhaustive check for a closed walk with exact visit counts.
+
+    Memoized DFS over (current vertex, remaining visits); only practical
+    for a handful of vertices with single-digit counts.
+    """
+    allowed = np.asarray(allowed, dtype=bool)
+    if len(visits) == 1:
+        return visits[0] == 1  # no self-loops, so one visit or nothing
+    return _walk_completes(allowed, visits)(0, _walk_start(visits))
+
+
+def least_closed_walk(allowed, visits):
+    """The lexicographically least closed walk from vertex 0 with exact
+    visit counts, or None: each step takes the least neighbour from which
+    closed_walk_feasible's DFS still completes the walk."""
+    allowed = np.asarray(allowed, dtype=bool)
+    reach = _walk_completes(allowed, visits)
+    cur, rem = 0, _walk_start(visits)
+    if not reach(cur, rem):
+        return None
+    walk = [0]
+    while any(rem):
+        cur = next(j for j in np.flatnonzero(allowed[cur]).tolist()
+                   if rem[j] and reach(j, rem[:j] + (rem[j] - 1,) + rem[j + 1:]))
+        rem = rem[:cur] + (rem[cur] - 1,) + rem[cur + 1:]
+        walk.append(cur)
+    return walk + [0]
 
 
 def validate_multiwalk(spec, mw):

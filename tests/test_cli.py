@@ -51,6 +51,23 @@ def test_solve_reports_and_writes(tmp_path, capsys):
     assert out_path.read_text() == out
 
 
+def test_solve_checks_the_oracle_cap_before_solving(tmp_path, capsys, monkeypatch):
+    # n = 20 is past the oracle's cap: the answer could never be printed,
+    # so the solve must not run at all
+    path = gen_file(tmp_path, capsys, n=20)
+
+    def solve(*args):
+        raise AssertionError("solved an instance the oracle refuses")
+
+    monkeypatch.setattr(cli, "maximize_scatter_report", solve)
+    out_path = tmp_path / "answer.txt"
+    code, out, err = run(["solve", str(path), "--epsilon", "0.25",
+                          "--oracle", "--out", str(out_path)], capsys)
+    assert code == 2 and out == ""
+    assert "n=20 exceeds the oracle cap 16" in err
+    assert not out_path.exists()
+
+
 def test_decide_yes_and_no(tmp_path, capsys):
     path = gen_file(tmp_path, capsys, kind="line", n=10, dim=1)
     code, out, _ = run(["decide", str(path), "--ell", "1.0",

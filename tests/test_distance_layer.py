@@ -1,7 +1,7 @@
-"""The distance layer: one metric kernel for rows and pairs, the half-row
-candidate sweep, the degrees of the low-degree scan, the Dirac cycle on
-rows computed on demand and the quotient's center graph, each against the
-reference versions in helpers.py or the dense rows."""
+"""The distance layer: one metric kernel for tiles, rows and pairs, the
+tiled half-matrix candidate sweep, the degrees of the low-degree scan, the
+Dirac cycle on rows computed on demand and the quotient's center graph,
+each against the reference versions in helpers.py or the dense rows."""
 
 import math
 import tracemalloc
@@ -29,10 +29,19 @@ from scatter_tsp import (
 )
 from scatter_tsp.eptas import _center_graph
 from scatter_tsp.graphs import _dirac_core
-from scatter_tsp.instance import BLOCK_ROWS, DEDUP_REL_TOL
+from scatter_tsp import instance as instance_module
+from scatter_tsp.instance import BLOCK_ROWS, DEDUP_REL_TOL, TILE_COLS
 from helpers import ref_candidate_distances, ref_dirac_tour
 
 METRICS = ["l1", "l2", "l3", "linf", "hamming", "explicit"]
+
+
+def make_instance_from(metric, pts):
+    if metric == "hamming":
+        return Instance.hamming(pts)
+    if metric == "explicit":
+        return Instance.explicit(Instance.lp(pts, p=2.0).full_matrix())
+    return Instance.lp(pts, p=math.inf if metric == "linf" else float(metric[1:]))
 
 
 def make_instance(metric, n, dim, seed, duplicates, near_ties, lattice):
@@ -50,12 +59,7 @@ def make_instance(metric, n, dim, seed, duplicates, near_ties, lattice):
         # distances within DEDUP_REL_TOL of each other, merged into one candidate
         src = rng.integers(0, n, n // 4)
         pts[rng.integers(0, n, n // 4)] = pts[src] * (1.0 + 1e-14)
-    if metric == "hamming":
-        return Instance.hamming(pts)
-    if metric == "explicit":
-        return Instance.explicit(Instance.lp(pts, p=2.0).full_matrix())
-    p = math.inf if metric == "linf" else float(metric[1:])
-    return Instance.lp(pts, p=p)
+    return make_instance_from(metric, pts)
 
 
 instances = st.builds(
@@ -90,6 +94,44 @@ def test_candidate_sweep_crosses_block_edges():
         for metric in METRICS:
             inst = make_instance(metric, n, 3, n, True, True, metric == "l1")
             assert np.array_equal(candidate_distances(inst), ref_candidate_distances(inst))
+
+
+@pytest.mark.parametrize("width", [48, 128])
+@pytest.mark.parametrize("metric", METRICS)
+def test_sweeps_cross_tile_edges(metric, width, monkeypatch):
+    # n = 1, 2 and 3 tile widths, and one either side: pairs straddle the
+    # tile columns as well as the 64-row blocks; at width 48 a block's own
+    # columns span two tiles
+    monkeypatch.setattr(instance_module, "TILE_COLS", width)
+    for n in (width - 1, width, width + 1, 2 * width - 1, 2 * width + 1,
+              3 * width - 1, 3 * width, 3 * width + 1):
+        inst = make_instance(metric, n, 3, n, True, False, metric == "l1")
+        assert np.array_equal(candidate_distances(inst), ref_candidate_distances(inst))
+        for ell in probe_ells(inst):
+            dense = threshold_graph(inst, ell).degrees()
+            assert np.array_equal(MetricThresholdView(inst, ell).degrees(), dense)
+            degrees = np.empty(n, dtype=np.intp)
+            if find_low_degree_point(inst, ell, degrees) is None:
+                assert np.array_equal(degrees, dense)
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_zero_pair_in_an_off_diagonal_tile(metric, monkeypatch):
+    # points 5 and 200 coincide and nothing else does: the pair is read in
+    # the first block's second tile, which holds no pair (i, i)
+    monkeypatch.setattr(instance_module, "TILE_COLS", 128)
+    n = 300
+    rng = np.random.default_rng(3)
+    if metric == "hamming":
+        pts = np.unique(rng.integers(0, 2, size=(2 * n, 16)), axis=0)[:n]
+    else:
+        pts = rng.normal(size=(n, 3))
+    assert candidate_distances(make_instance_from(metric, pts.copy()))[0] > 0.0
+    pts[200] = pts[5]
+    inst = make_instance_from(metric, pts)
+    cand = candidate_distances(inst)
+    assert cand[0] == 0.0 and cand[1] > 0.0
+    assert np.array_equal(cand, ref_candidate_distances(inst))
 
 
 @st.composite
@@ -336,6 +378,37 @@ def test_low_degree_scan_memory_is_linear_in_n():
     assert p is None
     assert peak < 24 * BLOCK_ROWS * n, f"peak {peak / 2 ** 20:.1f} MB"
     assert degrees.min() >= n - 40
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_is_independent_of_n():
+    # four blobs of coincident points, as in the Dirac probe above: a
+    # handful of candidates, so the sweeps hold only their buffers. The
+    # tile and the kernel's temporary take 8 bytes an entry, the distinct
+    # mask or the flags 1; degrees and per-tile values are O(n). The sweeps
+    # of 64 half rows that came before tiles peaked at 21-22 MB here.
+    n = 20_000
+    q = n // 20
+    inst = Instance.lp(np.repeat([[0.0, 0.0], [0.4, 0.0], [0.2, 1.0], [0.2, -1.0]],
+                                 [9 * q, q, 5 * q, 5 * q], axis=0))
+    bound = 20 * BLOCK_ROWS * TILE_COLS + 32 * n
+    peak = traced_peak(lambda: candidate_distances(inst))
+    assert peak < bound, f"candidate sweep peak {peak / 2 ** 20:.1f} MB"
+
+    def degree_sweep():
+        for _ in MetricThresholdView(inst, 0.4).degree_blocks():
+            pass
+
+    peak = traced_peak(degree_sweep)
+    assert peak < bound, f"degree sweep peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_center_graph_memory_is_quadratic_in_k():

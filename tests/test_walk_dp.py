@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scatter_tsp.many_visits import _WALK_STATE_CAP, _walk_dp
-from helpers import closed_walk_feasible, ref_walk_dp
+from helpers import closed_walk_feasible, least_closed_walk, ref_walk_dp
 
 # visits + 1 of (2, 2, 2, 2, 2, 5, 5, 5, 5, 5, 7): prod is exactly the cap
 CAP_VISITS = [1] * 5 + [4] * 5 + [6]
@@ -62,6 +62,22 @@ def test_frontier_sweep_matches_reference(spec):
     # is answered before the DP runs, which has no edge to close a walk on)
     if len(visits) > 1 and math.prod(v + 1 for v in visits) <= 5000:
         assert (got is not None) == closed_walk_feasible(allowed, visits)
+
+
+@settings(max_examples=200)
+@given(walk_specs())
+def test_walk_is_the_reverse_of_the_least_closed_walk(spec):
+    # the DP rebuilds its walk backwards from the last step, taking the
+    # least vertex that was reached each time: read forwards from vertex 0,
+    # the reversed walk is the least of all closed walks with these counts
+    allowed, visits = spec
+    if len(visits) == 1 or math.prod(v + 1 for v in visits) > 5000:
+        return
+    got = _walk_dp(allowed, visits)
+    want = least_closed_walk(allowed, visits)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[::-1] == want
 
 
 @pytest.mark.parametrize("k", [16, 19])
