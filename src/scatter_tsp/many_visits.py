@@ -25,8 +25,10 @@ tree exists).
    A greedy cover comes first. While it has more paths than the hub's
    visit count t, components are refined in order (the walk DP on the
    component's owners where its states fit, seeded restarts on the rest)
-   until the cover fits. Certified lower bounds are computed only when it
-   still does not, and the tier aborts when they leave the gap open.
+   until the cover fits. Only when it still does not is each open
+   component given a certified floor, one max flow on its owner classes
+   (`_flow_floor`, a fractional 2-matching bound), and the tier aborts
+   when the floors leave the gap open.
 5. spanning trees: the arcs of a walk form a strongly connected digraph
    with out- and in-degree visits[v], so they contain a spanning tree of
    the allowed graph with every edge oriented toward vertex 0. Each
@@ -41,6 +43,7 @@ flows uses Python integers, and the Euler walk of the result is only
 materialized on demand.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 import math
@@ -462,46 +465,42 @@ def _restart_paths(comp, adj, initial, target=1):
     return best
 
 
-def _path_cover_lower(comp, adj):
+def _flow_floor(comp, owner, allowed):
     """Certified lower bound on the minimum path cover of one component.
 
-    Deleting a set W splits the rest into pieces no path can rejoin, and
-    the |W| deleted vertices sit on at most |W| paths, so the cover needs
-    at least components(G - W) - |W| paths. Checked for every W of size
-    at most two on small components, size one on medium ones, alongside
-    the degree-one count: a path has two ends, so ceil(leaves / 2) paths
-    are forced.
+    A cover of its m clones with P paths is a forest of m - P edges and
+    degrees <= 2, so P >= m - floor(f / 2) for the max flow f on the double
+    cover (capacity 2 per clone, 1 per arc). Clones of one owner are twins, so the network
+    is built on owner classes (capacity 2 * c_v per sender and receiver,
+    c_u * c_v per allowed pair): splitting a class flow evenly over its
+    clone pairs shows that f is the same, with O(k) nodes.
     """
-    inside = 0
-    for v in comp:
-        inside |= 1 << v
-    leaves = sum(1 for v in comp if (adj.bits[v] & inside).bit_count() == 1)
-    bound = max(1, (leaves + 1) // 2)
-    drops = [()]
-    if len(comp) <= 160:
-        drops.extend((v,) for v in comp)
-    if len(comp) <= 64:
-        drops.extend((comp[a], comp[b])
-                     for a in range(len(comp)) for b in range(a + 1, len(comp)))
-    # the tier only asks about components whose greedy cover has >= 2
-    # paths, so >= 3 clones: dropping two never empties one
-    for W in drops:
-        rest = [v for v in comp if v not in W]
-        pieces = sum(1 for _ in _component_masks(rest, adj.bits))
-        bound = max(bound, pieces - len(W))
-    return bound
+    counts = Counter(owner[x] for x in comp)
+    vs = list(counts)
+    r = len(vs)
+    # senders 0..r-1, receivers r..2r-1; twins get no arc, as allowed has
+    # no self-loop
+    u, w = np.nonzero(np.asarray(allowed)[np.ix_(vs, vs)])
+    tails = np.concatenate((np.full(r, 2 * r), np.arange(r, 2 * r), u))
+    heads = np.concatenate((np.arange(r), np.full(r, 2 * r + 1), r + w))
+    c = [counts[v] for v in vs]
+    caps = [2 * x for x in c] * 2 + [c[a] * c[b] for a, b in zip(u.tolist(), w.tolist())]
+    f = _Dinic(2 * r + 2, tails, heads, caps).max_flow(2 * r, 2 * r + 1)
+    return max(1, len(comp) - f // 2)
 
 
-def _component_masks(vertices, bits):
-    """Connected components of the subgraph induced by `vertices`, as bitmasks.
+def _vertex_components(vertices, adj):
+    """Connected components of the subgraph induced by `vertices`, each a
+    sorted list, in the order of their first vertex in `vertices`.
 
-    Components come in the order of their first vertex in `vertices`. Each
-    is grown one breadth-first layer at a time, so the cost is
-    O(|vertices| * m / 64) word operations.
+    Each is grown one breadth-first layer at a time on the neighbour
+    bitmasks, so the cost is O(|vertices| * m / 64) word operations.
     """
+    bits = adj.bits
     left = 0
     for v in vertices:
         left |= 1 << v
+    comps = []
     for v0 in vertices:
         if not left >> v0 & 1:
             continue
@@ -515,23 +514,13 @@ def _component_masks(vertices, bits):
             layer = reach & left & ~comp
             comp |= layer
         left &= ~comp
-        yield comp
-
-
-def _members(mask):
-    """Set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _vertex_components(vertices, adj):
-    """Connected components of the subgraph induced by `vertices`, each a
-    sorted list, in the order of their first vertex in `vertices`."""
-    return [_members(comp) for comp in _component_masks(vertices, adj.bits)]
+        members = []
+        while comp:
+            low = comp & -comp
+            members.append(low.bit_length() - 1)
+            comp ^= low
+        comps.append(members)
+    return comps
 
 
 _CLONE_CAP = 2048            # clone count admitted to the hub path-cover tier
@@ -556,7 +545,9 @@ def _hub_path_cover(spec):
     Refining never raises a count, so the first component that meets its
     target makes the whole cover fit and ends the search. Only a cover
     that still exceeds t, after every component ran its full search,
-    needs the certified lower bounds: they decide between No and an abort.
+    needs certified lower bounds: an exact component's cover is its own,
+    and every other component's is `_flow_floor`, the degree-2 flow on
+    its owner classes. Their sum decides between No and an abort.
     """
     k = spec.k
     universal = [v for v in range(k) if int(spec.allowed[v].sum()) == k - 1]
@@ -597,7 +588,7 @@ def _hub_path_cover(spec):
         total += len(best) - len(greedy)
     if total > t:
         # every component ran its full search
-        floors = [len(cv) if ex else _path_cover_lower(comp, adj)
+        floors = [len(cv) if ex else _flow_floor(comp, owner, spec.allowed)
                   for comp, cv, ex in zip(comps, covers, exact)]
         if sum(floors) > t:
             return None  # t below the sum of certified lower bounds

@@ -1,13 +1,15 @@
 """Independent oracles and builders shared by the test modules.
 
 Everything here avoids the library's own algorithms: feasibility is decided
-by enumerating walks, optimal scatter by trying every cyclic order, and
-Hamiltonicity by trying every permutation. Slow on purpose, trustworthy on
-purpose. The exceptions are the reference versions at the end: earlier
-implementations of the library's own routines (the eager hub path search,
-the hub tier that refined every component in full, the one-center-at-a-time
-greedy net, the full-row candidate sweep, the dense Dirac path, the per-arc
-walk DP and the recursive max flow), kept to pin their outputs.
+by enumerating walks, optimal scatter by trying every cyclic order,
+Hamiltonicity by trying every permutation, and the hub tier's path-cover
+floor by a max flow on one sender and receiver per clone. Slow on purpose,
+trustworthy on purpose. The exceptions are the reference versions at the
+end: earlier implementations of the library's own routines (the eager hub
+path search, the hub tier that refined every component in full, the
+one-center-at-a-time greedy net, the full-row candidate sweep, the dense
+Dirac path, the per-arc walk DP and the recursive max flow), kept to pin
+their outputs.
 """
 
 import itertools
@@ -24,7 +26,6 @@ from scatter_tsp.many_visits import (
     _clone_adjacency,
     _exact_cover,
     _greedy_paths,
-    _path_cover_lower,
     _restart_paths,
     _vertex_components,
 )
@@ -477,8 +478,26 @@ def ref_walk_dp(allowed, visits):
 # is compared with t. It shares the library's path search, which
 # test_hub_path_cover.py pins to the eager reference above, and its exact
 # cover, which brute force and walk enumeration pin there; so it pins the
-# order in which the library's tier stops early. The tier must give the
-# same answer class: a walk, None, "no_hub", or the same abort message.
+# order in which the library's tier stops early. Its floor is its own:
+# ref_clone_floor on the clone graph, against the library's flow on owner
+# classes. The tier must give the same answer class: a walk, None,
+# "no_hub", or the same abort message.
+
+def ref_clone_floor(comp, rows):
+    """Path-cover floor max(1, m - floor(f / 2)) of the clones in comp, f
+    the max flow on their literal double cover: a sender and a receiver of
+    capacity 2 per clone, a unit arc per adjacent ordered pair."""
+    m = len(comp)
+    src, snk = 2 * m, 2 * m + 1
+    net = _RefDinic(2 * m + 2)
+    for i, a in enumerate(comp):
+        net.add(src, i, 2)
+        net.add(m + i, snk, 2)
+        for j, b in enumerate(comp):
+            if rows[a][b]:
+                net.add(i, m + j, 1)
+    return max(1, m - net.max_flow(src, snk) // 2)
+
 
 def ref_hub_path_cover(spec):
     k = spec.k
@@ -515,7 +534,7 @@ def ref_hub_path_cover(spec):
                 floors.append(len(exact))
             else:
                 refined.append(_restart_paths(comp, adj, greedy))
-                floors.append(_path_cover_lower(comp, adj))
+                floors.append(ref_clone_floor(comp, adj.rows))
         covers = refined
         if sum(len(cv) for cv in covers) > t:
             if sum(floors) > t:

@@ -196,7 +196,7 @@ def test_non_metric_matrix_exit_code(tmp_path, capsys):
 
 
 def test_contract_violation_exit_code(tmp_path, capsys):
-    path = gen_file(tmp_path, capsys, kind="clustered", n=80, dim=2, seed=6)
+    path = gen_file(tmp_path, capsys, kind="clustered", n=120, dim=2, seed=1)
     code, _, err = run(["solve", str(path), "--epsilon", "0.1"], capsys)
     assert code == 3
     assert "error:" in err

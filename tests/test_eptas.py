@@ -207,16 +207,16 @@ def test_out_of_envelope_instance_aborts_loudly():
     # the contract is to abort rather than return an uncertified answer,
     # and the message names the probe, the tier and the shape of what it
     # could not settle
-    inst = generate("clustered", 80, 2, seed=6)
+    inst = generate("clustered", 120, 2, seed=1)
     with pytest.raises(ContractViolation,
-                       match=r"hub path-cover tier undecided: k=49, hub visits t=27, "
-                             r"m=53 clones; greedy cover 28 paths > t >= certified "
-                             r"floor 25; unresolved component sizes \[32\]") as info:
+                       match=r"hub path-cover tier undecided: k=79, hub visits t=41, "
+                             r"m=79 clones; greedy cover 42 paths > t >= certified "
+                             r"floor 41; unresolved component sizes \[48\]") as info:
         maximize_scatter(inst, 0.1)
-    assert re.match(r"probe ell=0\.020339778861304537, net size k=48, hub points 27: "
+    assert re.match(r"probe ell=0\.01858451271309575, net size k=78, hub points 41: "
                     r"hub path-cover", str(info.value))
     # the restart budget the open component spent, all of it
-    assert str(info.value).endswith("; restarts 200/200 on sizes [32]")
+    assert str(info.value).endswith("; restarts 200/200 on sizes [48]")
     assert isinstance(info.value.__cause__, ContractViolation)
 
 

@@ -1,6 +1,7 @@
 """The hub path-cover tier: its answers, against the reference tier that
-refined every component in full, and its path search against the eager
-list-slicing reference in helpers.py."""
+refined every component in full, its path search against the eager
+list-slicing reference in helpers.py, and its floor against the flow on
+the clones themselves."""
 
 import itertools
 
@@ -13,6 +14,7 @@ from scatter_tsp.many_visits import (
     _WALK_STATE_CAP,
     _clone_adjacency,
     _exact_cover,
+    _flow_floor,
     _greedy_paths,
     _hub_path_cover,
     _restart_paths,
@@ -23,6 +25,7 @@ from scatter_tsp.many_visits import (
 )
 from helpers import (
     closed_walk_feasible,
+    ref_clone_floor,
     ref_greedy_paths,
     ref_hub_path_cover,
     ref_restart_covers,
@@ -49,7 +52,7 @@ def assert_matches_reference(adj, subset_seed, restarts=True):
         if restarts and len(ref) > 1:  # the tier restarts only covers it could improve
             assert (_restart_paths(comp, adj, greedy)
                     == ref_restart_paths(comp, adj.rows, ref))
-    # the induced subgraphs _path_cover_lower counts pieces of
+    # a shuffled subset: components follow the order of `vertices`
     rng = np.random.default_rng(subset_seed)
     rest = [v for v in rng.permutation(m).tolist() if rng.random() < 0.8]
     assert _vertex_components(rest, adj) == ref_vertex_components(rest, adj.rows)
@@ -139,6 +142,32 @@ def test_exact_path_cover_matches_brute_force(case):
         assert all(adj.rows[a][b] for a, b in zip(p, p[1:]))
 
 
+@settings(max_examples=80)
+@given(small_clone_covers())
+def test_class_floor_is_the_clone_floor(case):
+    # the flow on owner classes equals the flow on the clones themselves,
+    # and the floor it gives never exceeds the minimum cover
+    allowed, owner, cverts = case
+    adj = _clone_adjacency(allowed, owner)
+    floor = _flow_floor(cverts, owner, allowed)
+    assert floor == ref_clone_floor(cverts, adj.rows)
+    assert floor <= brute_path_cover(cverts, adj.rows)
+
+
+def test_flow_floor_refutes_a_hamiltonian_path():
+    # t = 1 asks for a Hamiltonian path on the 35 clones. Greedy and every
+    # restart find 13 paths, while the degree-one count and the cuts by one
+    # or two clones certify only 1. The 24 clones of owners 4, 5 and 6 are
+    # pairwise non-adjacent with 11 neighbouring clones, which carry at
+    # most 22 of their path edges: the flow floor is 13, the greedy count.
+    allowed = np.array([[0, 1, 1, 1, 1, 1, 1], [1, 0, 0, 0, 0, 0, 1],
+                        [1, 0, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0, 1],
+                        [1, 0, 0, 1, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0],
+                        [1, 1, 0, 1, 0, 0, 0]], dtype=bool)
+    spec = VisitSpec(allowed, [1, 1, 4, 6, 8, 8, 8])
+    assert _hub_path_cover(spec) is None
+
+
 def test_exact_cover_out_of_walk_dp_range():
     # even one hub visit needs 2 * 701 * 601 states, beyond the walk DP's
     # cap; only the count of the cover handed in matters before that check
@@ -189,7 +218,7 @@ def test_component_only_the_walk_dp_decides(monkeypatch):
     # the neighbour-visit count, so the solver reaches the hub tier. The
     # three clones of 2 have no neighbour but the hub and take three of the
     # t = 4 hub visits; greedy and every restart cover the other 27 clones
-    # with 2 paths, and the cut bounds certify only 1. The walk DP on their
+    # with 2 paths, and the flow floor certifies only 1. The walk DP on their
     # owners (2 * 48,600 states) shows that 1 path cannot cover them.
     edges = [(1, 4), (3, 5), (3, 7), (3, 8), (4, 8), (5, 6), (6, 7), (6, 8)]
     spec = hub_spec(edges, [4, 5, 3, 4, 5, 4, 5, 2, 2])
