@@ -146,9 +146,9 @@ class Instance:
         O(n^3) check runs once, on first use."""
         return None if self.matrix is None else _triangle_violation(self.matrix)
 
-    def distance_rows(self, ids, start: int = 0) -> np.ndarray:
-        """Distances from each point in `ids` to points start..n-1, as a
-        len(ids) x (n - start) block.
+    def distance_rows(self, ids) -> np.ndarray:
+        """Distances from each point in `ids` to every point, as a
+        len(ids) x n block.
 
         Callers read rows in blocks of BLOCK_ROWS, so the block and its one
         temporary stay small; the O(n^2) sweeps go through half_tiles.
@@ -156,7 +156,7 @@ class Instance:
         on the block it was computed in, and d(i, j) == d(j, i) bit for bit.
         """
         ids = np.asarray(ids, dtype=np.intp)
-        return self._fill(ids, slice(start, None), np.empty((len(ids), self.n - start)))
+        return self._fill(ids, slice(None), np.empty((len(ids), self.n)))
 
     def half_tiles(self, root: bool = True):
         """The half matrix d(i, j), j >= i, one tile at a time.
@@ -479,6 +479,6 @@ def read_instance(path) -> Instance:
             if p == "inf":
                 p = math.inf
             return Instance.lp(doc["points"], p=p)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:  # a wrong JSON type raises TypeError
         raise ValueError(f"{path}: {e}") from e
     raise ValueError(f"{path}: field 'metric.type': unknown kind {kind!r}")

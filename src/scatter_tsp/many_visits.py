@@ -22,13 +22,13 @@ tree exists).
    support is connected and spanning is a walk.
 4. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
    all others, feasibility is a path-cover question on the other visits.
-   A greedy cover comes first. While it has more paths than the hub's
-   visit count t, components are refined in order (the walk DP on the
-   component's owners where its states fit, seeded restarts on the rest)
-   until the cover fits. Only when it still does not is each open
-   component given a certified floor, one max flow on its owner classes
-   (`_flow_floor`, a fractional 2-matching bound), and the tier aborts
-   when the floors leave the gap open.
+   A greedy cover comes first. When it has more paths than the hub's
+   visit count t, each component gets a certified floor, one max flow on
+   its owner classes (`_flow_floor`, a fractional 2-matching bound), and
+   floors summing past t answer No at once. Otherwise the components above
+   their floors are refined in order (the walk DP on the component's
+   owners where its states fit, seeded restarts on the rest) until the
+   cover fits or the floors pass t; else the tier aborts.
 5. spanning trees: the arcs of a walk form a strongly connected digraph
    with out- and in-degree visits[v], so they contain a spanning tree of
    the allowed graph with every edge oriented toward vertex 0. Each
@@ -99,10 +99,7 @@ class Multiwalk:
     @classmethod
     def from_walk(cls, k: int, walk: list, visits):
         """Pack a closed walk on k vertices (start repeated at the end)."""
-        mg = Multigraph(k)
-        for a, b in zip(walk, walk[1:]):
-            mg.add(a, b, 1)
-        mw = cls(mg, visits)
+        mw = cls(Multigraph(k, Counter(zip(walk, walk[1:]))), visits)
         mw._walk = walk
         return mw
 
@@ -538,16 +535,16 @@ def _hub_path_cover(spec):
 
     The minimum cover is additive over components, and the tier spends its
     work in cost order. Greedy endpoint merging covers every component.
-    While that total exceeds t, components are refined in order: the walk
-    DP on the component's owners solves it exactly when its states fit
-    _WALK_STATE_CAP, and seeded restarts search the others until the
-    component meets t minus the other components' counts.
-    Refining never raises a count, so the first component that meets its
-    target makes the whole cover fit and ends the search. Only a cover
-    that still exceeds t, after every component ran its full search,
-    needs certified lower bounds: an exact component's cover is its own,
-    and every other component's is `_flow_floor`, the degree-2 flow on
-    its owner classes. Their sum decides between No and an abort.
+    When that total exceeds t, `floors` holds each component's certified
+    lower bound (1 for a single path, else `_flow_floor`, the degree-2 flow
+    on its owner classes); floors summing past t answer No at once. The
+    components above their floors are then refined in order: the walk DP
+    on the owners solves one exactly when its states fit _WALK_STATE_CAP,
+    its minimum cover becoming its floor, and seeded restarts search the
+    others until the component meets t minus the other components' counts.
+    Refining never raises a count, so the search ends at the first
+    component that meets its target, or when the floors pass t; a cover
+    still above t after that is an abort.
     """
     k = spec.k
     universal = [v for v in range(k) if int(spec.allowed[v].sum()) == k - 1]
@@ -569,38 +566,37 @@ def _hub_path_cover(spec):
     adj = _clone_adjacency(spec.allowed, owner)
 
     comps = _vertex_components(list(range(m)), adj)
-    if len(comps) > t:
-        return None  # every path stays inside one component
     covers = [_greedy_paths(comp, adj) for comp in comps]
     total = sum(len(cv) for cv in covers)
-    exact = [len(cv) == 1 for cv in covers]  # a single path is its own floor
-    for i, comp in enumerate(comps):
-        if total <= t:
-            break
-        greedy = covers[i]
-        if exact[i]:
-            continue
-        best = _exact_cover(comp, owner, spec.allowed, h, greedy)
-        exact[i] = best is not None
-        if best is None:
-            best = _restart_paths(comp, adj, greedy, t - (total - len(greedy)))
-        covers[i] = best
-        total += len(best) - len(greedy)
     if total > t:
-        # every component ran its full search
-        floors = [len(cv) if ex else _flow_floor(comp, owner, spec.allowed)
-                  for comp, cv, ex in zip(comps, covers, exact)]
+        # a single path is its own floor
+        floors = [1 if len(cv) == 1 else _flow_floor(comp, owner, spec.allowed)
+                  for comp, cv in zip(comps, covers)]
+        for i, comp in enumerate(comps):
+            if total <= t or sum(floors) > t:
+                break
+            greedy = covers[i]
+            if len(greedy) == floors[i]:
+                continue  # no cover is shorter than its floor
+            best = _exact_cover(comp, owner, spec.allowed, h, greedy)
+            if best is None:
+                best = _restart_paths(comp, adj, greedy, t - (total - len(greedy)))
+            else:
+                floors[i] = len(best)
+            covers[i] = best
+            total += len(best) - len(greedy)
         if sum(floors) > t:
             return None  # t below the sum of certified lower bounds
-        open_sizes = [len(comp) for comp, cv, floor in zip(comps, covers, floors)
-                      if len(cv) > floor]
-        # an open component never met its target, so it spent every trial
-        spent = ", ".join(f"{n}/{n}" for n in map(_restart_trials, open_sizes))
-        raise ContractViolation(
-            f"hub path-cover tier undecided: k={k}, hub visits t={t}, "
-            f"m={m} clones; greedy cover {total} paths > t >= certified floor "
-            f"{sum(floors)}; unresolved component sizes {open_sizes}; "
-            f"restarts {spent} on sizes {open_sizes}")
+        if total > t:
+            open_sizes = [len(comp) for comp, cv, floor in zip(comps, covers, floors)
+                          if len(cv) > floor]
+            # an open component never met its target, so it spent every trial
+            spent = ", ".join(f"{n}/{n}" for n in map(_restart_trials, open_sizes))
+            raise ContractViolation(
+                f"hub path-cover tier undecided: k={k}, hub visits t={t}, "
+                f"m={m} clones; greedy cover {total} paths > t >= certified floor "
+                f"{sum(floors)}; unresolved component sizes {open_sizes}; "
+                f"restarts {spent} on sizes {open_sizes}")
 
     paths = [list(p) for cv in covers for p in cv]
     i = 0
@@ -702,9 +698,7 @@ def many_visits_tour(spec: VisitSpec):
     g0 = _arc_flow(k, edges, visits, visits)
     if g0 is None:
         return None
-    mg0 = Multigraph(k)
-    for (u, v), x in g0.items():
-        mg0.add(u, v, x)
+    mg0 = Multigraph(k, g0)
     if mg0.support_is_connected_spanning():
         return Multiwalk(mg0, visits)  # relaxation solution happens to work
 
@@ -736,10 +730,8 @@ def many_visits_tour(spec: VisitSpec):
         if y is None:
             failed.add(children)
             continue
-        mg = Multigraph(k)
+        mg = Multigraph(k, y)
         for t in tree:
             mg.add(*edges[t], 1)
-        for (u, v), x in y.items():
-            mg.add(u, v, x)
         return Multiwalk(mg, visits)
     return None

@@ -167,6 +167,19 @@ def test_input_error_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+def test_wrong_json_types_exit_code(tmp_path, capsys):
+    # numpy and float() raise TypeError, not ValueError, on these values
+    files = {"dict_matrix.json": '{"version": 1, "metric": {"type": "explicit"}, '
+                                 '"matrix": {"a": 1}}',
+             "list_p.json": '{"version": 1, "metric": {"type": "lp", "p": [2]}, '
+                            '"points": [[0, 0], [1, 0], [0, 1]]}'}
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run(["solve", str(path), "--epsilon", "0.5"], capsys)
+        assert code == 2 and f"error: {path}:" in err, name
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_distances_exit_code(tmp_path, capsys):
     # 1e400 parses as inf; the l2 points are finite but their distances

@@ -168,6 +168,34 @@ def test_flow_floor_refutes_a_hamiltonian_path():
     assert _hub_path_cover(spec) is None
 
 
+def test_floors_past_t_answer_before_any_search(monkeypatch):
+    # t = 8 asks for 8 paths over one component of 26 clones, which greedy
+    # covers with 10 and whose flow floor is 10: the floor refutes t before
+    # the walk DP or a restart would spend its budget on it
+    allowed = np.array([[0, 1, 1, 1, 1, 1, 1, 1, 1], [1, 0, 1, 0, 0, 0, 0, 0, 0],
+                        [1, 1, 0, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0, 1],
+                        [1, 0, 1, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 1, 0, 1, 0, 0],
+                        [1, 0, 0, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0, 1],
+                        [1, 0, 0, 1, 0, 0, 0, 1, 0]], dtype=bool)
+    visits = [8, 3, 1, 3, 4, 3, 4, 4, 4]
+    owner = [v for v in range(1, 9) for _ in range(visits[v])]
+    adj = _clone_adjacency(allowed, owner)
+    comp, = _vertex_components(list(range(26)), adj)
+    assert len(_greedy_paths(comp, adj)) == _flow_floor(comp, owner, allowed) == 10
+    searches = []
+
+    def counted(search):
+        def run(*args):
+            searches.append(search.__name__)
+            return search(*args)
+        return run
+
+    for search in (_exact_cover, _restart_paths):
+        monkeypatch.setattr(many_visits, search.__name__, counted(search))
+    assert _hub_path_cover(VisitSpec(allowed, visits)) is None
+    assert searches == []
+
+
 def test_exact_cover_out_of_walk_dp_range():
     # even one hub visit needs 2 * 701 * 601 states, beyond the walk DP's
     # cap; only the count of the cover handed in matters before that check
@@ -377,18 +405,43 @@ def test_hub_decisions_match_full_refinement(spec):
 def test_hub_decisions_near_the_greedy_count(monkeypatch):
     # t at most two below the greedy cover's count, where the restarts
     # decide; a seeded sweep, so that every answer class and a restart
-    # search that stops at its target are sure to occur
+    # search that stops at its target are sure to occur. No search may run
+    # on a component whose cover meets its certified floor (1 for a single
+    # path, else the flow floor, or the minimum cover the walk DP found),
+    # nor once the floors of all components sum past t.
     stops = []
+    floors = {}  # component -> certified floor, for the spec in hand
+    hub_visits = []  # t, for the spec in hand
+
+    def searched(comp, cover):
+        assert len(cover) > floors[tuple(comp)]
+        assert sum(floors.values()) <= hub_visits[-1]
+
+    def exact(comp, owner, allowed, h, greedy):
+        if not floors:
+            hub_visits.append(spec.visits[h])
+            adj = _clone_adjacency(allowed, owner)
+            for c in _vertex_components(list(range(len(owner))), adj):
+                one = len(_greedy_paths(c, adj)) == 1
+                floors[tuple(c)] = 1 if one else _flow_floor(c, owner, allowed)
+        searched(comp, greedy)
+        paths = _exact_cover(comp, owner, allowed, h, greedy)
+        if paths is not None:
+            floors[tuple(comp)] = len(paths)
+        return paths
 
     def counted(comp, adj, initial, target=1):
+        searched(comp, initial)
         paths = _restart_paths(comp, adj, initial, target)
         stops.append(len(paths) <= max(target, 1))
         return paths
 
+    monkeypatch.setattr(many_visits, "_exact_cover", exact)
     monkeypatch.setattr(many_visits, "_restart_paths", counted)
     rng = np.random.default_rng(0)
     classes = set()
     for _ in range(60):
+        floors.clear()
         k = int(rng.integers(4, 9))
         quotient = np.triu(rng.random((k, k)) < rng.uniform(0.2, 0.5), 1)
         quotient |= quotient.T
@@ -398,6 +451,7 @@ def test_hub_decisions_near_the_greedy_count(monkeypatch):
         greedy = sum(len(_greedy_paths(comp, adj)) for comp in comps)
         t = max(1, greedy - int(rng.integers(0, 3)))
         edges = [(u + 1, v + 1) for u, v in zip(*np.nonzero(np.triu(quotient)))]
-        classes.add(assert_decision_matches_reference(hub_spec(edges, [t] + visits)))
+        spec = hub_spec(edges, [t] + visits)
+        classes.add(assert_decision_matches_reference(spec))
     assert classes == {"walk", "None", "abort"}
     assert any(stops) and not all(stops)
