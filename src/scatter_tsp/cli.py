@@ -10,7 +10,6 @@ its guarantee exits 3 once the CSV is written.
 
 import argparse
 import csv
-import math
 import sys
 import time
 from dataclasses import astuple, dataclass, fields
@@ -18,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 from .instance import (ContractViolation, generate, read_instance, scatter,
                        threshold_tolerance, write_instance)
 from .eptas import DecisionParams, decide_scatter, maximize_scatter_report
-from .oracle import _BRUTE_CAP, brute_force_mstsp, check_brute_cap
+from .oracle import brute_force_mstsp, check_brute_cap
 from . import hardness
 
 
@@ -55,8 +54,6 @@ class BenchRecord:
 
 def _metric_name(inst) -> str:
     if inst.metric_kind == "lp":
-        if math.isinf(inst.p):
-            return "linf"
         return f"l{inst.p:g}"
     return inst.metric_kind
 
@@ -151,7 +148,7 @@ def _run_cell(cell):
     accepted = [p for p in probes if p["answer"] and p["ell"] == ell_hat]
     branch = accepted[-1]["branch"] if accepted else "dirac"
     net_size = accepted[-1]["net_size"] if accepted else None
-    opt = brute_force_mstsp(inst).opt if want_oracle and n <= _BRUTE_CAP else None
+    opt = brute_force_mstsp(inst).opt if want_oracle else None
     return BenchRecord(
         instance_id=f"{kind}-n{n}-d{dim}-s{seed}",
         n=n, dim=dim, metric=_metric_name(inst), epsilon=eps,

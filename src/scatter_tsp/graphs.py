@@ -1,10 +1,13 @@
 """Threshold graphs and the Hamiltonicity toolbox.
 
 Contains the constructive Dirac cycle builder, Bondy-Chvatal closure with
-edge lifting, Eulerian tours of multigraphs, max flow (`_Dinic`, which the
-many-visits tiers share) with bipartite matching as unit max flow on it,
-and the ball exchange that normalizes a high-scatter tour around a
-low-degree point.
+edge lifting, Eulerian tours of multigraphs, the one max flow, and the
+ball exchange that normalizes a high-scatter tour around a low-degree
+point. Every flow has one shape, senders with supplies, receivers with
+demands and capacitated arcs between them: `transport` lays out its
+network, source and sink arcs included, and returns the flow on each
+given arc. The many-visits tiers and bipartite matching only pass arcs
+in and read flows back.
 
 Dirac, the lift and the ball exchange make one cycle move, the crossing
 2-opt (`_two_opt`, found for a pair that must go by `_repair`). Graphs are
@@ -17,12 +20,15 @@ the half matrix in the tiles of Instance.half_tiles, with one reused
 buffer of flags.
 """
 
+from itertools import compress
+
 import numpy as np
 
 from .instance import (
     BLOCK_ROWS,
     ContractViolation,
     Instance,
+    integer_array,
     meets_threshold,
     validate_tour,
 )
@@ -142,10 +148,6 @@ class Multigraph:
         new = self.mult.get(key, 0) + int(m)
         if new > 0:   # m >= 0, so only a new pair added 0 times stays out
             self.mult[key] = new
-
-    def multiplicity(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self.mult.get(key, 0)
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.k, dtype=object)
@@ -455,100 +457,110 @@ def bc_lift(base, added, cycle) -> np.ndarray:
     return order
 
 
-class _Dinic:
-    """Max flow with Python integers; its running time does not depend on the
-    capacity values, so the many-visits tiers may pass counts up to 10^9.
+def transport(supply, demand, tails, heads, caps):
+    """Maximum flow of a transportation network, as (value, flows).
 
-    The network has the arcs tails[j] -> heads[j] with capacity caps[j].
-    They live in flat lists: arc a runs to to[a] with residual capacity
-    cap[a], arc 2j is the j-th given arc and a ^ 1 is a's reverse. out[u]
-    holds the ids of the arcs leaving u in ascending order.
+    Sender i offers supply[i], receiver j takes at most demand[j], and
+    arc e carries at most caps[e] from sender tails[e] to receiver
+    heads[e]; flows[e] is its flow in the maximum flow found. Senders try
+    their arcs in the order given. All amounts are nonnegative Python
+    integers, and the running time does not depend on them, so the
+    many-visits tiers may pass counts up to 10^9.
     """
+    s, r, m = len(supply), len(demand), len(caps)
+    tails, heads = (integer_array(x, "arc ends") for x in (tails, heads))
+    if m and not (0 <= tails.min() <= tails.max() < s and 0 <= heads.min() <= heads.max() < r):
+        raise ValueError("arc ends out of range")
+    src, snk = s + r, s + r + 1
+    # arc e, then a source arc per sender and a sink arc per receiver;
+    # receiver j is node s + j
+    tails = np.concatenate((tails, np.full(s, src), np.arange(s, s + r)))
+    heads = np.concatenate((s + heads, np.arange(s), np.full(r, snk)))
+    # flat arcs: 2e is the e-th arc and a ^ 1 is a's reverse, so the flow
+    # on arc e ends up as the residual capacity of 2e + 1
+    cap = [0] * (2 * len(tails))
+    cap[0::2] = [*caps, *supply, *demand]
+    leaves = np.column_stack((tails, heads)).reshape(-1)
+    order = np.argsort(leaves, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(leaves, minlength=s + r + 2)).tolist()
+    out = [order[b0:b1] for b0, b1 in zip([0] + bounds[:-1], bounds)]
+    to = np.column_stack((heads, tails)).reshape(-1).tolist()
+    return _max_flow(to, cap, out, src, snk), cap[1:2 * m:2]
 
-    def __init__(self, n: int, tails, heads, caps):
-        self.n = n
-        ends = np.empty(2 * len(caps), dtype=np.intp)
-        ends[0::2] = heads
-        ends[1::2] = tails
-        self.to = ends.tolist()
-        self.cap = [0] * len(ends)
-        self.cap[0::2] = caps
-        # arc a leaves to[a ^ 1]
-        leaves = ends.reshape(-1, 2)[:, ::-1].reshape(-1)
-        order = np.argsort(leaves, kind="stable").tolist()
-        bounds = np.cumsum(np.bincount(leaves, minlength=n)).tolist()
-        self.out = [order[b0:b1] for b0, b1 in zip([0] + bounds[:-1], bounds)]
 
-    def max_flow(self, s: int, t: int) -> int:
-        to, cap, out = self.to, self.cap, self.out
-        flow = 0
+def _max_flow(to, cap, out, s: int, t: int) -> int:
+    """Dinic's max flow from s to t; cap is updated to the residual.
+
+    Arc a runs to to[a] with residual capacity cap[a] and a ^ 1 is its
+    reverse; out[u] holds the ids of the arcs leaving u in ascending order.
+    """
+    n = len(out)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            for a in out[u]:
+                if cap[a] and level[to[a]] < 0:
+                    level[to[a]] = level[u] + 1
+                    queue.append(to[a])
+        if level[t] < 0:
+            return flow
+        # blocking flow by depth-first search over level-increasing
+        # arcs; it[u] is the next arc of u to try, and stays on an arc
+        # while paths through it may still carry flow
+        it = [0] * n
+        path = []
+        u = s
         while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for a in out[u]:
-                    if cap[a] and level[to[a]] < 0:
-                        level[to[a]] = level[u] + 1
-                        queue.append(to[a])
-            if level[t] < 0:
-                return flow
-            # blocking flow by depth-first search over level-increasing
-            # arcs; it[u] is the next arc of u to try, and stays on an arc
-            # while paths through it may still carry flow
-            it = [0] * self.n
-            path = []
-            u = s
-            while True:
-                if u == t:
-                    pushed = min(cap[a] for a in path)
-                    for a in path:
-                        cap[a] -= pushed
-                        cap[a ^ 1] += pushed
-                    flow += pushed
-                    # the arcs before the first saturated one keep capacity
-                    # and their pointers, so a search restarted from s would
-                    # walk the same prefix again: resume at its end instead
-                    cut = next(i for i, a in enumerate(path) if not cap[a])
-                    u = to[path[cut] ^ 1]
-                    del path[cut:]
-                    continue
-                arcs = out[u]
-                i = it[u]
-                step = level[u] + 1
-                while i < len(arcs) and not (cap[arcs[i]] and level[to[arcs[i]]] == step):
-                    i += 1
-                it[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    u = to[arcs[i]]
-                elif path:
-                    # dead end: the arc into u carries nothing more this phase
-                    u = to[path.pop() ^ 1]
-                    it[u] += 1
-                else:
-                    break
+            if u == t:
+                pushed = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                flow += pushed
+                # the arcs before the first saturated one keep capacity
+                # and their pointers, so a search restarted from s would
+                # walk the same prefix again: resume at its end instead
+                cut = next(i for i, a in enumerate(path) if not cap[a])
+                u = to[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs = out[u]
+            i = it[u]
+            step = level[u] + 1
+            while i < len(arcs) and not (cap[arcs[i]] and level[to[arcs[i]]] == step):
+                i += 1
+            it[u] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                u = to[arcs[i]]
+            elif path:
+                # dead end: the arc into u carries nothing more this phase
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                break
 
 
 def bipartite_max_matching(left: int, right: int, edges) -> list:
-    """Maximum matching of a bipartite graph, as a unit-capacity max flow.
+    """Maximum matching of a bipartite graph, as a unit-capacity transport.
 
-    `edges` is a list of (l, r) pairs with 0 <= l < left, 0 <= r < right;
-    returns the matching as sorted (l, r) pairs.
+    `edges` is a list of integer (l, r) pairs with 0 <= l < left and
+    0 <= r < right; returns the matching as sorted (l, r) pairs.
     """
-    src, snk = left + right, left + right + 1
     pairs = {}
     for (l, r) in edges:
+        if l != int(l) or r != int(r):
+            raise ValueError(f"edge ends must be integers, got ({l}, {r})")
+        l, r = int(l), int(r)
         if not (0 <= l < left and 0 <= r < right):
             raise ValueError(f"edge ({l}, {r}) out of range")
         pairs[(l, r)] = None
-    # arcs src -> l, one l -> left + r per distinct pair, left + r -> snk
-    tails = [src] * left + [l for l, _ in pairs] + [left + r for r in range(right)]
-    heads = list(range(left)) + [left + r for _, r in pairs] + [snk] * right
-    net = _Dinic(left + right + 2, tails, heads, [1] * len(tails))
-    net.max_flow(src, snk)
-    return sorted(pair for j, pair in enumerate(pairs, start=left)
-                  if not net.cap[2 * j])
+    _, flows = transport([1] * left, [1] * right, [l for l, _ in pairs],
+                         [r for _, r in pairs], [1] * len(pairs))
+    return sorted(compress(pairs, flows))
 
 
 def normalize_tour(instance: Instance, tour, ell: float, p: int) -> np.ndarray:
@@ -564,6 +576,9 @@ def normalize_tour(instance: Instance, tour, ell: float, p: int) -> np.ndarray:
     order = validate_tour(n, tour).copy()
     if ell <= 0:
         raise ValueError("ell must be positive")
+    p = int(integer_array(p, "point index"))
+    if not 0 <= p < n:
+        raise ValueError(f"point index {p} out of range, n={n}")
     dp = instance.distance_rows([p])[0]
     inside = ~meets_threshold(dp, ell)       # open ball B_p
     outside2 = meets_threshold(dp, 2.0 * ell)  # complement of the 2*ell ball

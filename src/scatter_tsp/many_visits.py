@@ -38,6 +38,9 @@ tree exists).
    exactly. Residual problems repeat heavily across trees, so failures
    are memoized by children vector.
 
+The relaxation, the tree residuals and the hub floor each pass their arcs
+to `graphs.transport` and read the flows back.
+
 Visit counts may be as large as 10^9; all arithmetic on multiplicities and
 flows uses Python integers, and the Euler walk of the result is only
 materialized on demand.
@@ -45,14 +48,14 @@ materialized on demand.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .instance import ContractViolation, integer_array
-from .graphs import Multigraph, _Dinic, eulerian_tour
+from .graphs import Multigraph, eulerian_tour, transport
 
 _WALK_STATE_CAP = 700_000    # product of (visits_v + 1) admitted to the walk DP
 _NODE_CAP = 400_000          # recursion nodes in the tree enumeration
@@ -91,15 +94,14 @@ class VisitSpec:
 class Multiwalk:
     """Result of a feasible spec: edge multiplicities plus a lazy Euler walk."""
 
-    def __init__(self, multiplicities: Multigraph, visits):
+    def __init__(self, multiplicities: Multigraph):
         self.multiplicities = multiplicities
-        self.visits = list(visits)
         self._walk = None
 
     @classmethod
-    def from_walk(cls, k: int, walk: list, visits):
+    def from_walk(cls, k: int, walk: list):
         """Pack a closed walk on k vertices (start repeated at the end)."""
-        mw = cls(Multigraph(k, Counter(zip(walk, walk[1:]))), visits)
+        mw = cls(Multigraph(k, Counter(zip(walk, walk[1:]))))
         mw._walk = walk
         return mw
 
@@ -126,36 +128,20 @@ class Multiwalk:
 def _arc_flow(k, edges, out_deg, in_deg):
     """Edge multiplicities of a digraph with the given out- and in-degrees, or None.
 
-    Transportation max flow on the double cover: vertex v splits into a
-    sender of capacity out_deg[v] and a receiver of capacity in_deg[v],
-    and an allowed edge {u,v} carries both arcs u->v and v->u. The two
-    degree sums are equal at both callers, and the network is bipartite,
-    so a flow saturating every sender exists exactly when the digraph
-    does; the multiplicity returned for {u,v} is the flow on both of its
-    arcs, and the degree of v is out_deg[v] + in_deg[v].
+    A transportation problem on the double cover: vertex v is a sender of
+    supply out_deg[v] and a receiver of demand in_deg[v], and an allowed
+    edge {u,v} gives the arcs u->v and v->u. The two degree sums are equal
+    at both callers, so a flow saturating every sender exists exactly when
+    the digraph does; the multiplicity returned for {u,v} is the flow on
+    both of its arcs, and the degree of v is out_deg[v] + in_deg[v].
     """
     total = sum(out_deg)
-    src, snk = 2 * k, 2 * k + 1
-    inf = total + 1
-    v = np.arange(k)
-    u, w = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2).T
-    # per vertex v the arcs src -> 2v and 2v+1 -> snk, then per edge {u, w}
-    # the arcs 2u -> 2w+1 and 2w -> 2u+1: ids 4v, 4v + 2, and 4k + 4e, +2
-    tails = np.concatenate((np.column_stack((np.full(k, src), 2 * v + 1)).reshape(-1),
-                            np.column_stack((2 * u, 2 * w)).reshape(-1)))
-    heads = np.concatenate((np.column_stack((2 * v, np.full(k, snk))).reshape(-1),
-                            np.column_stack((2 * w + 1, 2 * u + 1)).reshape(-1)))
-    caps = [c for pair in zip(out_deg, in_deg) for c in pair] + [inf] * (2 * len(edges))
-    net = _Dinic(2 * k + 2, tails, heads, caps)
-    if net.max_flow(src, snk) != total:
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    value, flows = transport(out_deg, in_deg, ends.reshape(-1), ends[:, ::-1].reshape(-1),
+                             [total + 1] * (2 * len(edges)))
+    if value != total:
         return None
-    cap = net.cap
-    got = {}
-    for a, edge in enumerate(edges, start=k):
-        used = (inf - cap[4 * a]) + (inf - cap[4 * a + 2])
-        if used:
-            got[edge] = used
-    return got
+    return {e: a + b for e, a, b in zip(edges, flows[0::2], flows[1::2]) if a + b}
 
 
 def _short_of_neighbour_visits(allowed, visits):
@@ -468,21 +454,17 @@ def _flow_floor(comp, owner, allowed):
     A cover of its m clones with P paths is a forest of m - P edges and
     degrees <= 2, so P >= m - floor(f / 2) for the max flow f on the double
     cover (capacity 2 per clone, 1 per arc). Clones of one owner are twins, so the network
-    is built on owner classes (capacity 2 * c_v per sender and receiver,
-    c_u * c_v per allowed pair): splitting a class flow evenly over its
-    clone pairs shows that f is the same, with O(k) nodes.
+    is built on owner classes (supply and demand 2 * c_v, capacity c_u * c_v
+    per allowed pair): splitting a class flow evenly over its clone pairs
+    shows that f is the same, with O(k) nodes.
     """
     counts = Counter(owner[x] for x in comp)
     vs = list(counts)
-    r = len(vs)
-    # senders 0..r-1, receivers r..2r-1; twins get no arc, as allowed has
-    # no self-loop
-    u, w = np.nonzero(np.asarray(allowed)[np.ix_(vs, vs)])
-    tails = np.concatenate((np.full(r, 2 * r), np.arange(r, 2 * r), u))
-    heads = np.concatenate((np.arange(r), np.full(r, 2 * r + 1), r + w))
     c = [counts[v] for v in vs]
-    caps = [2 * x for x in c] * 2 + [c[a] * c[b] for a, b in zip(u.tolist(), w.tolist())]
-    f = _Dinic(2 * r + 2, tails, heads, caps).max_flow(2 * r, 2 * r + 1)
+    # twins get no arc, as allowed has no self-loop
+    u, w = np.nonzero(np.asarray(allowed)[np.ix_(vs, vs)])
+    two = [2 * x for x in c]
+    f, _ = transport(two, two, u, w, [c[a] * c[b] for a, b in zip(u.tolist(), w.tolist())])
     return max(1, len(comp) - f // 2)
 
 
@@ -682,14 +664,14 @@ def many_visits_tour(spec: VisitSpec):
     visits = spec.visits
     if k == 1:
         if visits[0] == 1:
-            return Multiwalk(Multigraph(1), visits)
+            return Multiwalk(Multigraph(1))
         return None
 
     if _short_of_neighbour_visits(spec.allowed, visits):
         return None
     walked = _walk_dp(spec.allowed, visits)
     if walked != "out_of_range":
-        return None if walked is None else Multiwalk.from_walk(k, walked, visits)
+        return None if walked is None else Multiwalk.from_walk(k, walked)
 
     edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(spec.allowed)))]
 
@@ -700,13 +682,13 @@ def many_visits_tour(spec: VisitSpec):
         return None
     mg0 = Multigraph(k, g0)
     if mg0.support_is_connected_spanning():
-        return Multiwalk(mg0, visits)  # relaxation solution happens to work
+        return Multiwalk(mg0)  # relaxation solution happens to work
 
     hub = _hub_path_cover(spec)
     if hub is None:
         return None
     if hub != "no_hub":
-        return Multiwalk.from_walk(k, hub, visits)
+        return Multiwalk.from_walk(k, hub)
 
     # a tree oriented toward vertex 0 gives every other vertex one arc to
     # its parent and the rest of its tree edges as arcs in from its
@@ -733,5 +715,5 @@ def many_visits_tour(spec: VisitSpec):
         mg = Multigraph(k, y)
         for t in tree:
             mg.add(*edges[t], 1)
-        return Multiwalk(mg, visits)
+        return Multiwalk(mg)
     return None

@@ -24,6 +24,7 @@ from scatter_tsp import (
     normalize_tour,
     scatter,
     threshold_graph,
+    transport,
 )
 from scatter_tsp.graphs import _LiftGraph
 from helpers import random_dirac_adjacency, ring_far_instance
@@ -73,13 +74,13 @@ def test_multigraph_basics():
     mg = Multigraph(3)
     mg.add(0, 1, 2)
     mg.add(2, 1)
-    assert mg.multiplicity(1, 0) == 2
-    assert mg.multiplicity(1, 2) == 1
+    assert mg.mult[(0, 1)] == 2
+    assert mg.mult[(1, 2)] == 1
     assert mg.degrees().tolist() == [2, 3, 1]
     assert mg.edge_total() == 3
     assert mg.support_is_connected_spanning()
     mg.add(0, 1, 0)  # zero increment changes nothing
-    assert mg.multiplicity(0, 1) == 2
+    assert mg.mult[(0, 1)] == 2
     assert not Multigraph(3, {(0, 1): 1}).support_is_connected_spanning()
     with pytest.raises(ValueError):
         mg.add(1, 1)
@@ -94,10 +95,10 @@ def test_multigraph_basics():
 def test_multigraph_refuses_non_integer_multiplicity():
     mg = Multigraph(2)
     mg.add(0, 1, 2.0)
-    assert mg.multiplicity(0, 1) == 2
+    assert mg.mult[(0, 1)] == 2
     with pytest.raises(ValueError, match="multiplicity must be a nonnegative integer"):
         mg.add(0, 1, 1.5)
-    assert mg.multiplicity(0, 1) == 2
+    assert mg.mult[(0, 1)] == 2
 
 
 def test_multigraph_refuses_non_integer_vertices():
@@ -312,6 +313,18 @@ def test_bc_lift_crossing_through_an_earlier_log_edge(monkeypatch):
         bc_lift(base, log, cycle)
 
 
+def test_transport_hand_networks():
+    # the second phase reroutes through the reverse of arc (0, 0)
+    assert transport([1, 1], [1, 1], [0, 0, 1], [0, 1, 0], [1, 1, 1]) == (2, [0, 1, 1])
+    # the supply binds below the arc and the demand
+    assert transport([1], [5], [0], [0], [3]) == (1, [1])
+    # the arc (0, 0) and the demands bind; arc 2 gets what receiver 1 has left
+    assert transport([4, 4], [3, 3], [0, 0, 1], [0, 1, 1], [2, 10**9, 10**9]) == (5, [2, 2, 1])
+    assert transport([2], [2], [], [], []) == (0, [])
+    with pytest.raises(ValueError, match="out of range"):
+        transport([1], [1], [0], [1], [1])   # receiver 1 does not exist
+
+
 def test_bipartite_matching_hand_cases():
     # complete 3 x 3: a perfect matching of size 3
     full = [(l, r) for l in range(3) for r in range(3)]
@@ -336,6 +349,10 @@ def test_bipartite_matching_hand_cases():
         bipartite_max_matching(2, 2, [(0, 2)])
     with pytest.raises(ValueError):
         bipartite_max_matching(2, 2, [(-1, 0)])
+    # a fractional end is refused, not truncated to vertex 0
+    with pytest.raises(ValueError, match="integers"):
+        bipartite_max_matching(2, 2, [(0.5, 1), (1, 0)])
+    assert bipartite_max_matching(2, 2, [(1.0, 0), (0, 1)]) == [(0, 1), (1, 0)]
 
 
 def _brute_max_matching(l, mask, used=frozenset()):
@@ -407,6 +424,24 @@ def test_normalize_tour_preconditions():
         normalize_tour(inst, tour, 20.0, 0)  # scatter falls below this ell
     with pytest.raises(ValueError):
         normalize_tour(inst, tour, -1.0, 0)
+
+
+def test_normalize_tour_checks_the_point_index():
+    inst, tour, ell = ring_far_instance(c=4, k=5, extra=3, seed=0)
+    n = inst.n
+    # swap points 0 and n - 1, so that the low-degree point is n - 1
+    swap = np.arange(n)
+    swap[[0, n - 1]] = [n - 1, 0]
+    inst = Instance.lp(inst.points[swap], p=2.0)
+    tour = swap[tour]
+    out = normalize_tour(inst, tour, ell, n - 1)
+    assert sorted(out.tolist()) == list(range(n))
+    with pytest.raises(ValueError, match="out of range"):
+        normalize_tour(inst, tour, ell, -1)   # no alias of point n - 1
+    with pytest.raises(ValueError, match="point index must be integers"):
+        normalize_tour(inst, tour, ell, n - 1.5)
+    with pytest.raises(ValueError, match="out of range"):
+        normalize_tour(inst, tour, ell, n)
 
 
 def test_normalize_tour_no_op_when_clean():

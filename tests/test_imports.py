@@ -1,5 +1,6 @@
 """The library core stays numpy-only: it imports numpy, the standard
-library and its own modules, nothing else."""
+library and its own modules, nothing else. A module imports no underscore
+name from a sibling: what another module needs is public."""
 
 import ast
 import sys
@@ -40,4 +41,31 @@ def test_core_imports_only_numpy_and_the_standard_library():
     assert len(modules) >= 9
     bad = [(path.name, line, name) for path in modules
            for line, name in foreign_imports(path.read_text())]
+    assert bad == []
+
+
+def private_sibling_imports(source: str) -> list:
+    """(line, name) of every underscore name imported from a sibling module
+    of the package."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or node.module.split(".")[0] == "scatter_tsp"):
+            bad.extend((node.lineno, alias.name) for alias in node.names
+                       if alias.name.startswith("_"))
+    return bad
+
+
+def test_the_check_flags_private_sibling_imports():
+    source = ("from .graphs import Multigraph, _max_flow\n"
+              "from scatter_tsp.oracle import _BRUTE_CAP\n"
+              "from . import hardness\n"
+              "from collections import _OrderedDictKeysView\n")
+    assert private_sibling_imports(source) == [(1, "_max_flow"), (2, "_BRUTE_CAP")]
+
+
+def test_modules_import_no_private_name_of_a_sibling():
+    modules = sorted(Path(scatter_tsp.__file__).parent.rglob("*.py"))
+    bad = [(path.name, line, name) for path in modules
+           for line, name in private_sibling_imports(path.read_text())]
     assert bad == []
