@@ -93,17 +93,23 @@ def find_low_degree_point(instance: Instance, ell: float, degrees=None) -> int |
     """Lowest-index point with more than n/2 points within distance ell,
     i.e. below the Dirac bound: its threshold degree is < n/2.
 
-    When there is none and `degrees` (an integer array of length n) is
-    given, it is filled with every point's degree in the threshold graph at
-    ell, the same numbers threshold_graph(instance, ell).degrees() gives.
+    The first BLOCK_ROWS points are read in full rows first, and their
+    lowest hit is returned. Only when they hold none do all degrees come
+    from the bounded degree sweep of MetricThresholdView.degrees. When no
+    point is low and `degrees` (an integer array of length n) is given, it
+    is filled with every point's degree in the threshold graph at ell, the
+    same numbers threshold_graph(instance, ell).degrees() gives.
     """
     n = instance.n
-    for start, stop, deg in MetricThresholdView(instance, ell).degree_blocks():
-        hit = np.flatnonzero(2 * deg < n)
-        if len(hit):
-            return start + int(hit[0])
-        if degrees is not None:
-            degrees[start:stop] = deg
+    view = MetricThresholdView(instance, ell)
+    deg = view.head_degrees()
+    if len(deg) < n and not (2 * deg < n).any():
+        deg = view.degrees()
+    hit = np.flatnonzero(2 * deg < n)
+    if len(hit):
+        return int(hit[0])
+    if degrees is not None:
+        degrees[:] = deg
     return None
 
 
@@ -140,9 +146,12 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
     """Yes with a (1-epsilon)*ell witness, or No certifying OPT < ell.
 
     Raises ValueError on an explicit matrix that breaks the triangle
-    inequality."""
+    inequality, and on lp points whose distances overflow float64, as
+    candidate_distances does."""
     if instance.triangle_violation is not None:
         raise ValueError(f"the solver needs a metric: {instance.triangle_violation}")
+    if instance.overflows:
+        raise ValueError("a pairwise distance overflows to a non-finite value")
     n = instance.n
     ell = params.ell
     degrees = np.empty(n, dtype=np.intp)

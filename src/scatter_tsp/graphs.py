@@ -15,9 +15,11 @@ read only through `n`, `edge_flags(us, vs)`, whose index arrays broadcast
 (`ids[:, None]` against `np.arange(n)` reads whole rows), and `degrees()`;
 ThresholdGraph and MetricThresholdView answer them alike. The view is the
 one threshold-graph definition: the dense graph, the center graph and the
-degree sweep of the low-degree scan all read it. The degree sweep reads
-the half matrix in the tiles of Instance.half_tiles, with one reused
-buffer of flags.
+degrees of the low-degree scan all read it. Its degree sweep reads the
+half matrix in the box pairs of the instance's spatial order
+(Instance.half_tiles with a select): a box pair whose corner bounds settle
+the threshold counts as all edges or none without a distance, and the
+others are read in tiles, their flags written into one reused buffer.
 """
 
 from itertools import compress
@@ -72,41 +74,63 @@ class MetricThresholdView:
         d = self.instance.distance_pairs(us, vs)
         return meets_threshold(d, self.threshold) & (np.asarray(us) != np.asarray(vs))
 
-    def degree_blocks(self):
-        """Yields (start, stop, deg) for each block of BLOCK_ROWS vertices in
-        ascending order, deg[t] being the final degree of vertex start + t.
-
-        One sweep of Instance.half_tiles: a block reads half rows, from its
-        vertices to start..n-1. The columns left of it are pairs an earlier
-        block has read (distances are symmetric bit for bit) and carried
-        forward as column sums, tile by tile; the flags of every tile go
-        into one bool buffer. Every pair (i, i) is at distance 0, so the
-        degrees start at minus its flag. The first block reads full rows,
-        so a caller that stops at its first hit reads no more than a
-        full-row sweep would.
-        """
-        n = self.n
-        # row i counts its own pair (i, i), at distance 0, once
-        deg = np.full(n, -int(meets_threshold(0.0, self.threshold)), dtype=np.intp)
-        buf = None
-        for start, c0, tile in self.instance.half_tiles():
-            rows, cols = tile.shape
-            if buf is None:
-                buf = np.empty(tile.size, dtype=bool)   # the first tile is the largest
-            flags = meets_threshold(tile, self.threshold, out=buf[:tile.size].reshape(rows, cols))
-            # counts of at most TILE_COLS and BLOCK_ROWS flags: narrow sums
-            # are exact and several times faster than intp ones
-            deg[start:start + rows] += flags.sum(axis=1, dtype=np.uint32)
-            # row t is vertex start + t, column s is c0 + s; the columns of
-            # the block's own vertices carry nothing forward
-            own = max(0, start + rows - c0)
-            if own < cols:
-                deg[c0 + own:c0 + cols] += flags[:, own:].sum(axis=0, dtype=np.uint16)
-            if c0 + cols == n:
-                yield start, start + rows, deg[start:start + rows]
+    def head_degrees(self) -> np.ndarray:
+        """Degrees of the first min(BLOCK_ROWS, n) vertices, from their full
+        rows: the first row block of Instance.half_tiles in index order."""
+        deg = -int(meets_threshold(0.0, self.threshold))
+        for _, _, tile in self.instance.half_tiles(blocks=1):
+            deg = deg + meets_threshold(tile, self.threshold).sum(axis=1)
+        return deg
 
     def degrees(self) -> np.ndarray:
-        return np.concatenate([deg for _, _, deg in self.degree_blocks()])
+        """Every vertex's degree, from one bounded sweep of
+        Instance.half_tiles in the instance's spatial order.
+
+        A box pair whose gap bound meets the threshold has every pair as an
+        edge, and one whose far bound does not has none: both are counted
+        without a distance. The other box pairs are read in tiles, each box
+        against itself and the boxes after it; a tile's row sums go to its
+        box and its column sums to the later boxes (distances are symmetric
+        bit for bit). The flags of every tile go into one bool buffer.
+        Every pair (i, i) is at distance 0, so the degrees start at minus
+        its flag.
+        """
+        inst = self.instance
+        n = self.n
+        ell = self.threshold
+        # by position in the spatial order
+        deg = np.full(n, -int(meets_threshold(0.0, ell)), dtype=np.intp)
+        # what settled box pairs add to later boxes, as a difference array
+        carry = np.zeros(n + 1, dtype=np.intp)
+
+        def select(edges, gap, far):
+            full = meets_threshold(gap, ell)
+            read = meets_threshold(far, ell) & ~full
+            deg[edges[0]:edges[1]] += np.diff(edges)[full].sum()
+            # later boxes count the row box; its own pairs are in its row sums
+            rows = edges[1] - edges[0]
+            full[0] = False
+            carry[edges[:-1][full]] += rows
+            carry[edges[1:][full]] -= rows
+            return read
+
+        buf = np.empty(0, dtype=bool)
+        for lo, cols, tile in inst.half_tiles(select=select):
+            if buf.size < tile.size:
+                buf = np.empty(tile.size, dtype=bool)
+            flags = meets_threshold(tile, ell, out=buf[:tile.size].reshape(tile.shape))
+            rows = len(tile)
+            # counts of at most TILE_COLS and BLOCK_ROWS flags: narrow sums
+            # are exact and several times faster than intp ones
+            deg[lo:lo + rows] += flags.sum(axis=1, dtype=np.uint32)
+            # the columns of the row box's own vertices carry nothing forward
+            own = int(np.searchsorted(cols, lo + rows))
+            if own < len(cols):
+                deg[cols[own:]] += flags[:, own:].sum(axis=0, dtype=np.uint16)
+        deg += np.cumsum(carry[:n])
+        out = np.empty(n, dtype=np.intp)
+        out[inst.spatial_order] = deg
+        return out
 
 
 def threshold_graph(instance: Instance, ell: float) -> ThresholdGraph:

@@ -12,20 +12,25 @@ No answers rest on that inequality, so `Instance.triangle_violation` names
 the first triple that breaks it, and the solver refuses such an instance.
 
 Every distance must be finite: a non-finite matrix entry is rejected at
-construction, and lp points whose distances overflow float64 when the
-candidate distances are computed. Two points at computed distance 0 count
-as duplicates, whether equal or not (a power can underflow at large p).
+construction, and lp points whose distances overflow float64
+(`Instance.overflows`) when the candidate distances are computed or a
+threshold is decided. Two points at computed distance 0 count as
+duplicates, whether equal or not (a power can underflow at large p).
 
 A tour is a permutation of 0..n-1 read cyclically; its scatter is the
 minimum distance between consecutive points, closing edge included.
 
-The O(n^2) sweeps, the candidate distances here and the threshold degrees
-of graphs.MetricThresholdView, read the half matrix j >= i through
-Instance.half_tiles: BLOCK_ROWS x TILE_COLS tiles written into one buffer
-per sweep, so a sweep's buffers hold BLOCK_ROWS * TILE_COLS values
-whatever n is (the distinct distances it keeps aside). One kernel,
-_lp_kernel, computes every lp distance, in a tile, a row block or a list
-of pairs, and bit for bit alike.
+The O(n^2) sweeps read the half matrix through Instance.half_tiles:
+BLOCK_ROWS x TILE_COLS tiles written into one buffer per sweep, so a
+sweep's buffers hold BLOCK_ROWS * TILE_COLS values whatever n is (the
+distinct distances it keeps aside). The candidate distances here read it
+in index order. The threshold degrees of graphs.MetricThresholdView read
+it in Instance.spatial_order, a Morton order of the coordinate ranks that
+is computed once per instance, as boxes of BLOCK_ROWS points: the corners
+of two boxes bound every distance between them, and a box pair that its
+bounds settle is left out. One kernel, _lp_kernel, computes every lp
+distance, in a tile, a row block or a list of pairs, and the box bounds
+from the box corners, bit for bit alike.
 """
 
 import functools
@@ -158,31 +163,134 @@ class Instance:
         ids = np.asarray(ids, dtype=np.intp)
         return self._fill(ids, slice(None), np.empty((len(ids), self.n)))
 
-    def half_tiles(self, root: bool = True):
-        """The half matrix d(i, j), j >= i, one tile at a time.
+    @functools.cached_property
+    def spatial_order(self) -> np.ndarray:
+        """Point ids in Morton order of their dense coordinate ranks, ties
+        by id; the identity for an explicit matrix. Computed once, on
+        first use.
 
-        Yields (lo, c0, tile) with tile[t, s] = d(lo + t, c0 + s): the row
-        blocks lo = 0, BLOCK_ROWS, ... in order, and within a block the
-        columns lo..n-1 in tiles of TILE_COLS, left to right. Every tile is
-        a view of one buffer that the next tile overwrites; it and the lp
-        kernel's temporary are allocated once per sweep, at
+        Each coordinate is replaced by its rank among that coordinate's
+        distinct values, and the ranks' bits are interleaved from the most
+        significant down, coordinate 0 first within a bit. Points close in
+        every coordinate get close keys, so BLOCK_ROWS consecutive points
+        of this order fill a small box.
+        """
+        if self.matrix is not None or self.dim == 0:
+            return np.arange(self.n)
+        ranks = [np.unique(col, return_inverse=True)[1] for col in self._columns]
+        levels = max(1, max(int(r.max()) for r in ranks).bit_length())
+        keys = np.zeros((-(-levels * self.dim // 64), self.n), dtype=np.uint64)
+        for k in range(levels * self.dim):
+            level, c = divmod(k, self.dim)
+            bit = ((ranks[c] >> (levels - 1 - level)) & 1).astype(np.uint64)
+            keys[k // 64] |= bit << np.uint64(63 - k % 64)
+        # lexsort's last key is its first, and it is stable: ties keep id order
+        return np.lexsort(keys[::-1])
+
+    @functools.cached_property
+    def overflows(self) -> bool:
+        """Whether some pair's computed distance is not finite: lp points
+        whose differences or power sums overflow float64. Computed once,
+        on first use.
+
+        Every pair's power sum is at most the one of the coordinate
+        spreads of the whole point set, computed by the same kernel; that
+        bound below half the largest float settles it, even for a pow
+        rounded off by a few ulps. Otherwise every tile is read.
+        """
+        if self.metric_kind != "lp":
+            return False
+        cols = self._columns
+        spreads = np.subtract(cols.max(axis=1), cols.min(axis=1))
+        bound = _lp_kernel(((s, 0.0) for s in spreads[:, None]), self.p, np.empty(1),
+                           root=False)
+        if bound[0] <= np.finfo(float).max / 2:
+            return False
+        return any(np.isinf(tile.max()) for _, _, tile in self.half_tiles(root=False))
+
+    def half_tiles(self, root: bool = True, blocks=None, select=None):
+        """The half matrix one tile at a time: in index order, or given
+        `select`, in spatial order with the box pairs it leaves out.
+
+        Yields (lo, cols, tile), tile[t, s] being the distance between the
+        points at positions lo + t and cols[s]; cols ascends from >= lo.
+        A position is a point id, or with `select` an index into
+        spatial_order. The row blocks lo = 0, BLOCK_ROWS, ... come in
+        order, only the first `blocks` of them when that is given, and
+        within a block its columns lo..n-1 come left to right in tiles of
+        at most TILE_COLS. So in index order the first block is full rows.
+
+        With `select`, each block of BLOCK_ROWS positions is a box. For lp
+        instances under p = 1, 2 or inf, and hamming ones, select(edges,
+        gap, far) is called once per row block: edges holds the boundaries
+        lo, hi, ..., n of its box and the later ones, and gap[k] <= d <=
+        far[k] for every computed distance d from a point of the row box
+        to one of box k (edges[k] to edges[k + 1], k = 0 the row box
+        itself). Only the boxes where the bool array it returns is True
+        are read. Under any other p (a rounded pow need not be monotone)
+        and for an explicit matrix, every box is read.
+
+        Every tile is a view of one buffer that the next tile overwrites;
+        it and the lp kernel's temporary are allocated once per sweep, at
         min(BLOCK_ROWS, n) x min(TILE_COLS, n) entries each. Entries are
         bit for bit those of distance_rows. root=False leaves lp tiles at
         the power sums before the p-th root.
         """
         n = self.n
+        # an explicit matrix has no coordinates to order by: it is read as is
+        order = None if select is None or self.matrix is not None else self.spatial_order
+        starts = range(0, n, BLOCK_ROWS)
+        bounds = None if order is None else self._box_bounds(order, starts)
         width = TILE_COLS
         size = min(BLOCK_ROWS, n) * min(width, n)
         buf = np.empty(size)
         tmp = np.empty(size) if self.metric_kind == "lp" and self.dim > 1 else None
-        for lo in range(0, n, BLOCK_ROWS):
+        for box, lo in enumerate(starts[:blocks]):
             hi = min(lo + BLOCK_ROWS, n)
-            for c0 in range(lo, n, width):
-                c1 = min(c0 + width, n)
-                count = (hi - lo) * (c1 - c0)
-                tile = buf[:count].reshape(hi - lo, c1 - c0)
+            cols = np.arange(lo, n)
+            if bounds is not None:
+                edges = np.append(starts[box:], n)
+                read = select(edges, *bounds(box))
+                cols = cols[np.repeat(read, np.diff(edges))]
+            a = slice(lo, hi) if order is None else order[lo:hi]
+            for s in range(0, len(cols), width):
+                ids = cols[s:s + width]
+                count = (hi - lo) * len(ids)
+                tile = buf[:count].reshape(hi - lo, len(ids))
                 scratch = None if tmp is None else tmp[:count].reshape(tile.shape)
-                yield lo, c0, self._fill(slice(lo, hi), slice(c0, c1), tile, scratch, root)
+                # in index order every box is read: the ids are one run
+                b = slice(ids[0], ids[-1] + 1) if order is None else order[ids]
+                yield lo, ids, self._fill(a, b, tile, scratch, root)
+
+    def _box_bounds(self, order, starts):
+        """bounds(box) -> (gap, far) for the boxes of the points
+        order[starts[k]:starts[k + 1]], as half_tiles documents them, or
+        None when they would not be exact.
+
+        Per coordinate, the gap is fl(lo_b - hi_a), fl(lo_a - hi_b) or 0
+        where the boxes overlap, and the far side is the larger of
+        fl(hi_b - lo_a) and fl(hi_a - lo_b); both then go through
+        _lp_kernel like a pair's differences. An IEEE subtract, abs,
+        multiply, add, max and sqrt are correctly rounded, hence monotone,
+        so every computed distance lies between the two. Hamming distances
+        are exact integers, the l1 distances of the 0/1 vectors.
+        """
+        p = 1.0 if self.metric_kind == "hamming" else self.p
+        if p is None or not (p in (1.0, 2.0) or math.isinf(p)):
+            return None
+        cols = self._columns.take(order, axis=1)
+        lows = np.minimum.reduceat(cols, starts, axis=1)
+        highs = np.maximum.reduceat(cols, starts, axis=1)
+
+        def bounds(box):
+            lo_a, hi_a = lows[:, box, None], highs[:, box, None]
+            lo_b, hi_b = lows[:, box:], highs[:, box:]
+            gap = np.maximum(np.maximum(lo_b - hi_a, lo_a - hi_b), 0.0)
+            far = np.maximum(hi_b - lo_a, hi_a - lo_b)
+            return tuple(_lp_kernel(((x, 0.0) for x in diffs), p, np.empty(diffs.shape[1]))
+                         for diffs in (gap, far))
+
+        return bounds
 
     def _fill(self, a, b, out, tmp=None, root=True) -> np.ndarray:
         """Distances from points `a` to points `b`, each an index array or
@@ -191,14 +299,15 @@ class Instance:
             np.copyto(out, self.matrix[a, b])
             return out
         cols = self._columns
+        # gathered coordinates in C order: the kernel reads strided ones slower
+        xa, xb = (cols[:, i] if isinstance(i, slice) else cols.take(i, axis=1) for i in (a, b))
         if self.metric_kind == "hamming":
             # 0/1 vectors: d_H(x, y) = |x| + |y| - 2 x.y, exact in float64
-            np.matmul(cols[:, a].T, cols[:, b], out=out)
+            np.matmul(xa.T, xb, out=out)
             out *= -2.0
             out += self._weights[a, None]
             out += self._weights[None, b]
             return out
-        xa, xb = cols[:, a], cols[:, b]
         return _lp_kernel(((xa[c][:, None], xb[c][None, :]) for c in range(self.dim)),
                           self.p, out, tmp, root)
 
@@ -344,15 +453,14 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     uniq = []
     zero_pairs = 0
     mask = None
-    for lo, c0, tile in instance.half_tiles(root=False):
-        rows, cols = tile.shape
+    for lo, cols, tile in instance.half_tiles(root=False):
         flat = tile.reshape(-1)
         flat.sort()
         if mask is None:
             mask = np.empty(len(flat), dtype=bool)   # the first tile is the largest
         # the leading zeros, less the tile's own pairs (i, i)
         zero_pairs += int(np.searchsorted(flat, 0.0, side="right"))
-        zero_pairs -= max(0, min(lo + rows, c0 + cols) - c0)
+        zero_pairs -= int(np.searchsorted(cols, lo + len(tile)))
         uniq.append(_distinct(flat, mask[:len(flat)]))
     vals = np.unique(np.concatenate(uniq))
     p = instance.p

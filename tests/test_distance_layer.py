@@ -403,11 +403,7 @@ def test_sweep_memory_is_independent_of_n():
     peak = traced_peak(lambda: candidate_distances(inst))
     assert peak < bound, f"candidate sweep peak {peak / 2 ** 20:.1f} MB"
 
-    def degree_sweep():
-        for _ in MetricThresholdView(inst, 0.4).degree_blocks():
-            pass
-
-    peak = traced_peak(degree_sweep)
+    peak = traced_peak(lambda: MetricThresholdView(inst, 0.4).degrees())
     assert peak < bound, f"degree sweep peak {peak / 2 ** 20:.1f} MB"
 
 
