@@ -433,8 +433,11 @@ def bc_lift(base, added, cycle) -> np.ndarray:
     """
     n = base.n
     order = validate_tour(n, cycle).copy()
-    log = [_key(int(u), int(v)) for (u, v) in added]
-    known = base.edge_flags(*np.array(log, dtype=np.intp).reshape(-1, 2).T)
+    ends = integer_array(added, "addition log entries").reshape(len(added), 2)
+    if not np.all((0 <= ends) & (ends < n)):
+        raise ValueError(f"addition log names a vertex outside 0..{n - 1}")
+    log = [_key(u, v) for u, v in ends.tolist()]
+    known = base.edge_flags(*ends.T)
     seen = set()
     for e, in_base in zip(log, known.tolist()):
         if e[0] == e[1]:
@@ -452,7 +455,7 @@ def bc_lift(base, added, cycle) -> np.ndarray:
 
     # degree sums are checked against base plus the *earlier* log entries,
     # the graph each addition actually extended
-    ends = np.unique(np.array(log, dtype=np.intp))
+    ends = np.unique(ends)
     deg = {}
     for lo in range(0, len(ends), BLOCK_ROWS):
         ids = ends[lo:lo + BLOCK_ROWS]

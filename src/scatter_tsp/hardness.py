@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import ContractViolation, Instance
+from .instance import ContractViolation, Instance, integer_array
 from .graphs import bipartite_max_matching
 from .oracle import brute_force_mstsp, is_hamiltonian
 
@@ -80,12 +80,13 @@ class CubicBipartiteGraph:
     side: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2:
-            raise ValueError("vertex count must be even and at least 4")
+        n = self.n
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 4 or n % 2:
+            raise ValueError("vertex count must be an even integer, at least 4")
         norm = []
-        for (u, v) in self.edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        for edge in self.edges:
+            u, v = integer_array(edge, "edge ends").tolist()
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")

@@ -22,7 +22,9 @@ tree exists).
    support is connected and spanning is a walk.
 4. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
    all others, feasibility is a path-cover question on the other visits.
-   A greedy cover comes first. When it has more paths than the hub's
+   A greedy cover comes first: endpoint merges, then Pósa rotations
+   searched breadth first, which stop at the first queued end that can
+   merge with another path. When it has more paths than the hub's
    visit count t, each component gets a certified floor, one max flow on
    its owner classes (`_flow_floor`, a fractional 2-matching bound), and
    floors summing past t answer No at once. Otherwise the components above
@@ -306,32 +308,35 @@ def _merge_pass(paths, adj):
     return merged
 
 
-def _rotation_variants(path, rows):
-    """Paths reachable by Pósa rotations that keep path[0] fixed, one per endpoint.
+def _first_rotation(path, rows, bits, others):
+    """The first Pósa rotation of `path` whose end meets `others`, or None.
 
-    Yielded lazily in breadth-first order: `path` itself, then for each
-    yielded variant q, the rotations q[:pos + 1] + reversed(q[pos + 1:])
-    about every pivot q[pos] adjacent to q[-1], in pivot order, skipping
-    those whose new endpoint q[pos + 1] was reached before. A queued
-    rotation is held as (q, pos) and sliced only when it is yielded, so a
-    caller that stops at the first useful variant pays O(L) per variant it
-    looked at rather than per variant reachable.
+    Rotations keep path[0] fixed and come in breadth-first order: `path`
+    itself, then for each variant q in queue order, the rotations
+    q[:pos + 1] + reversed(q[pos + 1:]) about every pivot q[pos] adjacent
+    to q[-1], in pivot order, skipping those whose new end q[pos + 1] was
+    reached before. Each end is tested when its rotation is queued, and
+    the queue order is the breadth-first order, so the search stops at the
+    first queued end that can merge: no variant queued after that end's
+    parent has its pivots scanned. A queued rotation is held as (q, pos)
+    and sliced only when its own pivots are scanned.
     """
+    if bits[path[-1]] & others:
+        return path
     seen = {path[-1]}
     queue = [(path, None)]
-    qi = 0
-    while qi < len(queue):
-        q, pos = queue[qi]
-        qi += 1
+    for q, pos in queue:  # the loop reaches rotations appended while it runs
         if pos is not None:
             q = q[:pos + 1] + q[:pos:-1]
-        yield q
         row = rows[q[-1]]
         for pos in compress(range(len(q) - 2), map(row.__getitem__, q)):
             e = q[pos + 1]
             if e not in seen:
+                if bits[e] & others:
+                    return q[:pos + 1] + q[:pos:-1]
                 seen.add(e)
                 queue.append((q, pos))
+    return None
 
 
 def _rotate_merge_once(paths, adj):
@@ -347,23 +352,22 @@ def _rotate_merge_once(paths, adj):
         others = every_end & ~((1 << paths[i][0]) | (1 << paths[i][-1]))
         for flip in (False, True):
             base = paths[i][::-1] if flip else paths[i]
-            for rot in _rotation_variants(base, rows):
-                e = rot[-1]
-                if not bits[e] & others:
+            rot = _first_rotation(base, rows, bits, others)
+            if rot is None:
+                continue
+            row = rows[rot[-1]]
+            for j in range(len(paths)):
+                if j == i:
                     continue
-                row = rows[e]
-                for j in range(len(paths)):
-                    if j == i:
-                        continue
-                    r = paths[j]
-                    if row[r[0]]:
-                        paths[i] = rot + r
-                    elif row[r[-1]]:
-                        paths[i] = rot + r[::-1]
-                    else:
-                        continue
-                    paths.pop(j)
-                    return True
+                r = paths[j]
+                if row[r[0]]:
+                    paths[i] = rot + r
+                elif row[r[-1]]:
+                    paths[i] = rot + r[::-1]
+                else:
+                    continue
+                paths.pop(j)
+                return True
     return False
 
 
@@ -374,8 +378,9 @@ def _greedy_paths(vertices, adj):
     endpoint merges with one rotation merge: Pósa rotations of each path in
     turn (its reverse second), taken in breadth-first order, until the
     first variant whose end is adjacent to an end of another path, which
-    it joins. The search for that merge stops there; the covers are the
-    same as those of building every rotation first, only cheaper.
+    it joins. `_first_rotation` tests each end as its rotation is queued,
+    so the search stops at the first queued end that can merge; the covers
+    are the same as those of building every rotation first, only cheaper.
     """
     paths = [[v] for v in vertices]
     while len(paths) > 1:

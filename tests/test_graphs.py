@@ -231,6 +231,21 @@ def test_bc_lift_input_validation():
         bc_lift(ThresholdGraph(sparse), [(0, 2)], cycle)  # degree sum 4 < 5
 
 
+def test_bc_lift_refuses_bad_vertex_ids():
+    # on the 4-cycle, (0, 2) is a valid addition (degree sum 4 >= n); a
+    # fractional or wrapped id must not be read as it
+    c4 = np.zeros((4, 4), dtype=bool)
+    for i in range(4):
+        c4[i, (i + 1) % 4] = c4[(i + 1) % 4, i] = True
+    cycle = [0, 1, 2, 3]
+    assert bc_lift(ThresholdGraph(c4), [(0, 2)], cycle).tolist() == cycle
+    for bad in ((0.5, 2), (-4, 2), (4, 2), (0, 2.0000001)):
+        with pytest.raises(ValueError):
+            bc_lift(ThresholdGraph(c4), [bad], cycle)
+    with pytest.raises(ValueError):
+        bc_lift(ThresholdGraph(c4), [(0, 2, 1)], cycle)
+
+
 def test_bc_lift_refuses_a_cycle_off_base_and_log():
     # the cycle's pair (0, 1) is neither a base edge nor logged: the
     # caller's input is at fault, not an internal invariant

@@ -62,6 +62,16 @@ def test_cubic_graph_constructor_guards():
         CubicBipartiteGraph(5, [(0, 1)])
 
 
+def test_cubic_graph_refuses_non_integer_ids():
+    k33_edges = [(i, 3 + j) for i in range(3) for j in range(3)]
+    assert CubicBipartiteGraph(6, k33_edges).edges == k33_edges
+    with pytest.raises(ValueError):  # would be truncated to (0, 3)
+        CubicBipartiteGraph(6, [(0.5, 3)] + k33_edges[1:])
+    for n in (6.0, np.float64(6), "6", True):
+        with pytest.raises(ValueError):
+            CubicBipartiteGraph(n, k33_edges)
+
+
 def test_sides_two_color_the_graph():
     for build in ALL_GRAPHS:
         g = build()

@@ -3,7 +3,9 @@ refined every component in full, its path search against the eager
 list-slicing reference in helpers.py, and its floor against the flow on
 the clones themselves."""
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from scatter_tsp.many_visits import (
     _WALK_STATE_CAP,
     _clone_adjacency,
     _exact_cover,
+    _first_rotation,
     _flow_floor,
     _greedy_paths,
     _hub_path_cover,
@@ -30,6 +33,7 @@ from helpers import (
     ref_hub_path_cover,
     ref_restart_covers,
     ref_restart_paths,
+    ref_rotation_variants,
     ref_vertex_components,
     validate_multiwalk,
 )
@@ -94,6 +98,79 @@ def test_large_clone_graphs_match_reference(seed):
     visits = rng.integers(20, 41, size=k).tolist()
     assert sum(visits) >= 300
     assert_matches_reference(clone_graph(quotient, visits), seed, restarts=False)
+
+
+def test_long_paths_match_reference():
+    # 665 clones; the greedy cover has a path of 545, and 12 of its
+    # rotation searches end in a merge on paths of at least 300 clones
+    rng = np.random.default_rng(17)
+    k = 16
+    quotient = np.triu(rng.random((k, k)) < 0.2, 1)
+    quotient |= quotient.T
+    adj = clone_graph(quotient, rng.integers(35, 50, size=k).tolist())
+    order = list(range(len(adj.rows)))
+    greedy = _greedy_paths(order, adj)
+    assert len(order) == 665 and max(map(len, greedy)) == 545
+    assert greedy == ref_greedy_paths(order, adj.rows)
+
+
+def random_mask(rng, m, density):
+    return int.from_bytes(np.packbits(rng.random(m) < density,
+                                      bitorder="little").tobytes(), "little")
+
+
+@settings(max_examples=40)
+@given(clone_graphs(), st.integers(0, 2 ** 32 - 1))
+def test_first_rotation_is_the_first_reference_variant_that_meets(adj, seed):
+    # masks of `others` on the paths of a greedy cover, both ways round:
+    # random ones, and one neighbour of a random variant's end that no
+    # earlier end has, so that hits come at every depth. The search returns
+    # the first of the reference's breadth-first variants whose end meets
+    # the mask, or None when none does
+    rng = np.random.default_rng(seed)
+    m = len(adj.rows)
+    for comp in _vertex_components(list(range(m)), adj):
+        for path in _greedy_paths(comp, adj):
+            for base in (path, path[::-1]):
+                variants = ref_rotation_variants(base, adj.rows)
+                masks = [random_mask(rng, m, d) for d in (0.0, 0.02, 0.5)]
+                ends = [adj.bits[q[-1]] for q in variants]
+                for j in rng.permutation(len(variants))[:3].tolist():
+                    fresh = ends[j] & ~functools.reduce(operator.or_, ends[:j], 0)
+                    near = [x for x in range(m) if fresh >> x & 1]
+                    if near:
+                        masks.append(1 << int(rng.choice(near)))
+                for others in masks:
+                    first = next((q for q in variants if adj.bits[q[-1]] & others), None)
+                    assert _first_rotation(base, adj.rows, adj.bits, others) == first
+
+
+class CountedRows(list):
+    """Adjacency rows that record which vertices' rows were read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return super().__getitem__(v)
+
+
+@pytest.mark.parametrize("link, rotation", [(1, [0, 4, 3, 2, 1]), (2, [0, 1, 4, 3, 2])])
+def test_first_rotation_stops_at_the_queued_end(link, rotation):
+    # path 0-1-2-3-4 with chords 4-0 and 4-1: the rotations about pivots 0
+    # and 1 are queued in that order, with ends 1 and 2. Vertex 5, another
+    # path's end, is adjacent to `link` alone. The hit is queued while the
+    # path's own pivots are scanned, so no second variant is scanned, not
+    # even the one queued before a hit on end 2
+    allowed = np.zeros((6, 6), dtype=bool)
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 1), (5, link)]:
+        allowed[u, v] = allowed[v, u] = True
+    adj = _clone_adjacency(allowed, list(range(6)))
+    rows = CountedRows(adj.rows)
+    assert _first_rotation([0, 1, 2, 3, 4], rows, adj.bits, 1 << 5) == rotation
+    assert rows.read == [4]
 
 
 def with_hub(quotient):
