@@ -187,6 +187,17 @@ class Multigraph:
         """True when the positive edges connect all k vertices."""
         return len(_support_reach(self.mult, 0)[1]) == self.k
 
+    def support_components(self) -> list:
+        """Vertex sets of the components of the positive edges, isolated
+        vertices included, in the order of their least vertex."""
+        comps = []
+        left = set(range(self.k))
+        while left:
+            comp = _support_reach(self.mult, min(left))[1]
+            comps.append(comp)
+            left -= comp
+        return comps
+
 
 def _support_reach(mult: dict, start: int):
     """Neighbour lists of the pairs in `mult`, and the vertices they join to `start`.

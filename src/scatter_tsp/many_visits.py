@@ -2,12 +2,12 @@
 
 The solver is exact: it answers feasibility correctly for every spec, or
 aborts loudly when its search budget is genuinely exhausted; it never
-returns a wrong answer. `many_visits_tour` runs five tiers in order, each
+returns a wrong answer. `many_visits_tour` runs four tiers in order, each
 of which either decides the spec or hands it on. A disconnected allowed
 graph needs no pass of its own: each tier after the first answers it with
 None (the walk DP never reaches the far component, the relaxation has no
-solution or a disconnected support, no vertex is a hub, and no spanning
-tree exists).
+solution or a disconnected support, no vertex is a hub, and a component
+with no allowed arc leaving it gives a branch node no children).
 
 1. neighbour visits (`_short_of_neighbour_visits`): an O(k^2) count that
    only answers No. The visits of v cut the walk into visits[v] gaps whose
@@ -16,12 +16,21 @@ tree exists).
 2. walk DP (`_walk_dp`): a reachability sweep over (remaining visits,
    current vertex) states, exact whenever prod(visits_v + 1) is at most
    _WALK_STATE_CAP. This covers plain Hamiltonicity of small quotients.
-3. even-flow relaxation (`_arc_flow` with out = in = visits): an
-   Eulerian digraph with the prescribed degrees but without the
-   connectivity requirement. No solution means no walk; a solution whose
-   support is connected and spanning is a walk.
-4. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
-   all others, feasibility is a path-cover question on the other visits.
+3. subtour branching on the even-flow relaxation (`_subtour_branching`,
+   after Carpaneto & Toth). Its root is the relaxation, `_arc_flow` with
+   out = in = visits: an Eulerian digraph with the prescribed degrees but
+   without the connectivity requirement. No solution means no walk; a
+   solution whose support is connected and spanning is a walk. A branch
+   node forces a multiset F of arcs and solves the relaxation on the
+   residual degrees visits - out_F and visits - in_F. When F plus the
+   flow is still disconnected, it branches on each allowed arc leaving
+   the support component C with the fewest of them. This is exact: a
+   connected Eulerian X containing F has an arc leaving C, and F lies
+   inside the support, so that arc is in X - F. More than _NODE_CAP
+   nodes abort.
+4. hub path cover (`_hub_path_cover`), run after the branching's root and
+   before its first branch node: when some vertex is adjacent to all
+   others, feasibility is a path-cover question on the other visits.
    A greedy cover comes first: endpoint merges, then Pósa rotations
    searched breadth first, which stop at the first queued end that can
    merge with another path. When it has more paths than the hub's
@@ -31,16 +40,8 @@ tree exists).
    their floors are refined in order (the walk DP on the component's
    owners where its states fit, seeded restarts on the rest) until the
    cover fits or the floors pass t; else the tier aborts.
-5. spanning trees: the arcs of a walk form a strongly connected digraph
-   with out- and in-degree visits[v], so they contain a spanning tree of
-   the allowed graph with every edge oriented toward vertex 0. Each
-   enumerated tree is oriented that way, and the remaining arcs
-   (out-degree visits[v] - [v != 0], in-degree visits[v] - children(v))
-   form a bipartite transportation problem that `_arc_flow` decides
-   exactly. Residual problems repeat heavily across trees, so failures
-   are memoized by children vector.
 
-The relaxation, the tree residuals and the hub floor each pass their arcs
+The relaxation, the branch nodes and the hub floor each pass their arcs
 to `graphs.transport` and read the flows back.
 
 Visit counts may be as large as 10^9; all arithmetic on multiplicities and
@@ -60,7 +61,7 @@ from .instance import ContractViolation, integer_array
 from .graphs import Multigraph, eulerian_tour, transport
 
 _WALK_STATE_CAP = 700_000    # product of (visits_v + 1) admitted to the walk DP
-_NODE_CAP = 400_000          # recursion nodes in the tree enumeration
+_NODE_CAP = 20_000           # nodes of the subtour branching
 
 
 @dataclass
@@ -173,8 +174,8 @@ def _walk_dp(allowed, visits):
     each code can step to, masked by the visits that code has left, and
     the states found are written with one scatter on flat int32 indices
     into the table. Covers the small-visit regime (including plain
-    Hamiltonicity) where spanning tree enumeration would blow up on a No
-    answer.
+    Hamiltonicity), where a No answer would take the subtour branching
+    through every node of its search.
     """
     k = len(visits)
     bases = [1] * k
@@ -600,62 +601,61 @@ def _hub_path_cover(spec):
     return walk
 
 
-def _spanning_trees(k, edges, degree_cap):
-    """Yield spanning trees as (edge-index tuple, degree tuple) in a fixed order.
+def _subtour_branching(spec, edges, root):
+    """Subtour branching on the relaxation (Carpaneto & Toth 1980), or None.
 
-    Include/exclude walk over the lex-sorted edge list, include first,
-    pruning branches that can no longer connect the graph and skipping
-    trees whose degree at some v would exceed degree_cap[v]. Explicit
-    stack, since the branch depth equals the edge count. Yields None and
-    stops once _NODE_CAP recursion nodes are spent, so that the caller
-    aborts rather than reading the enumeration as complete.
+    A node is a multiset F of forced arcs, kept as a sorted tuple, and runs
+    `_arc_flow` on the residual degrees visits - out_F and visits - in_F;
+    a negative residual or no flow prunes it. F plus the flow, taken as an
+    undirected multigraph, has degree 2 * visits[v] at every v, so a
+    connected spanning support answers Yes. Otherwise the node branches
+    once on each allowed arc u->w leaving the support component C with the
+    fewest such arcs. The root is the relaxation `root`, F empty. A
+    connected X containing F has an arc leaving C, and F lies inside the
+    support, so that arc is in X - F and some child still lies inside X.
+    Children reached twice are searched once. More than _NODE_CAP nodes
+    abort.
     """
-    m = len(edges)
+    k, visits = spec.k, spec.visits
+    stack = [((), root)]
+    seen = set()
     nodes = 0
-
-    def find(parent, x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def connectable(parent, i):
-        # union edges i..m-1 into a copy of the forest: can it still span?
-        # Called only below k - 1 chosen edges, so cnt starts at >= 2.
-        cnt = sum(parent[v] == v for v in range(k))
-        link = list(parent)
-        for t in range(i, m):
-            a = find(link, edges[t][0])
-            b = find(link, edges[t][1])
-            if a != b:
-                link[a] = b
-                cnt -= 1
-                if cnt == 1:
-                    return True
-        return False
-
-    stack = [(0, list(range(k)), (), tuple([0] * k))]
     while stack:
-        i, parent, chosen, tdeg = stack.pop()
+        forced, flow = stack.pop()
         nodes += 1
         if nodes > _NODE_CAP:
-            yield None
-            return
-        if len(chosen) == k - 1:
-            yield chosen, tdeg
-            continue
-        if i == m or not connectable(parent, i):
-            continue
-        u, v = edges[i]
-        ru, rv = find(parent, u), find(parent, v)
-        stack.append((i + 1, parent, chosen, tdeg))
-        if ru != rv and tdeg[u] < degree_cap[u] and tdeg[v] < degree_cap[v]:
-            p2 = list(parent)
-            p2[ru] = rv
-            t2 = list(tdeg)
-            t2[u] += 1
-            t2[v] += 1
-            stack.append((i + 1, p2, chosen + (i,), tuple(t2)))
+            raise ContractViolation(
+                f"subtour branching undecided: k={k}, {len(edges)} allowed edges; "
+                f"branch nodes > _NODE_CAP={_NODE_CAP}")
+        if flow is None:
+            out_deg, in_deg = list(visits), list(visits)
+            for u, w in forced:
+                out_deg[u] -= 1
+                in_deg[w] -= 1
+            if min(out_deg) < 0 or min(in_deg) < 0:
+                continue
+            flow = _arc_flow(k, edges, out_deg, in_deg)
+            if flow is None:
+                continue
+        mg = Multigraph(k, flow)
+        for arc in forced:
+            mg.add(*arc)
+        comps = mg.support_components()
+        if len(comps) == 1:
+            return Multiwalk(mg)
+        cuts = []
+        for comp in comps:
+            inside = np.zeros(k, dtype=bool)
+            inside[list(comp)] = True
+            cuts.append(spec.allowed & np.outer(inside, ~inside))
+        cut = min(cuts, key=np.count_nonzero)
+        # pushed in reverse, so the children are searched in arc order
+        for u, w in reversed(np.argwhere(cut).tolist()):
+            child = tuple(sorted((*forced, (u, w))))
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, None))
+    return None
 
 
 def many_visits_tour(spec: VisitSpec):
@@ -695,30 +695,4 @@ def many_visits_tour(spec: VisitSpec):
     if hub != "no_hub":
         return Multiwalk.from_walk(k, hub)
 
-    # a tree oriented toward vertex 0 gives every other vertex one arc to
-    # its parent and the rest of its tree edges as arcs in from its
-    # children, so children(v) = deg(v) - [v != 0] <= visits[v] is the cap
-    out_deg = [visits[v] - (v != 0) for v in range(k)]
-    degree_cap = [visits[v] + (v != 0) for v in range(k)]
-    failed = set()
-    examined = 0
-    for found in _spanning_trees(k, edges, degree_cap):
-        if found is None:
-            raise ContractViolation(
-                f"spanning-tree tier undecided: k={k}, {len(edges)} allowed edges; "
-                f"{examined} trees examined, enumeration nodes > _NODE_CAP={_NODE_CAP}; "
-                f"{len(failed)} distinct children vectors failed")
-        examined += 1
-        tree, tdeg = found
-        children = tuple(tdeg[v] - (v != 0) for v in range(k))
-        if children in failed:
-            continue
-        y = _arc_flow(k, edges, out_deg, [visits[v] - children[v] for v in range(k)])
-        if y is None:
-            failed.add(children)
-            continue
-        mg = Multigraph(k, y)
-        for t in tree:
-            mg.add(*edges[t], 1)
-        return Multiwalk(mg)
-    return None
+    return _subtour_branching(spec, edges, g0)

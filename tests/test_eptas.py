@@ -20,7 +20,7 @@ from scatter_tsp import (
     meets_threshold,
     scatter,
 )
-from scatter_tsp import eptas
+from scatter_tsp import eptas, many_visits
 from helpers import brute_scatter
 
 
@@ -230,3 +230,24 @@ def test_clustered_instance_in_envelope():
     for rec in probes:
         if rec["branch"] == "many_visits" and rec["net_size"] is not None:
             assert rec["net_size"] >= 1
+
+
+@pytest.mark.parametrize("n, epsilon", [(20, 0.25), (30, 0.5), (60, 0.5)])
+def test_spread_out_cells_answer_through_the_subtour_branching(monkeypatch, n, epsilon):
+    # uniform points give quotients with no hub whose relaxations have
+    # disconnected supports, so the subtour branching decides some probes
+    inst = generate("uniform", n, 2, seed=4)
+    branched = []
+    branching = many_visits._subtour_branching
+
+    def counted(*args):
+        branched.append(args)
+        return branching(*args)
+
+    monkeypatch.setattr(many_visits, "_subtour_branching", counted)
+    ell_hat, tour, probes = maximize_scatter_report(inst, epsilon)
+    assert sorted(tour.tolist()) == list(range(n))
+    assert meets_threshold(scatter(inst, tour), (1 - epsilon) * ell_hat)
+    assert any(r["branch"] == "many_visits" and r["answer"] and r["ell"] == ell_hat
+               for r in probes)
+    assert branched

@@ -82,6 +82,8 @@ def test_multigraph_basics():
     mg.add(0, 1, 0)  # zero increment changes nothing
     assert mg.mult[(0, 1)] == 2
     assert not Multigraph(3, {(0, 1): 1}).support_is_connected_spanning()
+    assert mg.support_components() == [{0, 1, 2}]
+    assert Multigraph(5, {(3, 1): 1, (4, 0): 2}).support_components() == [{0, 4}, {1, 3}, {2}]
     with pytest.raises(ValueError):
         mg.add(1, 1)
     with pytest.raises(ValueError):

@@ -370,7 +370,7 @@ def test_small_hub_specs_match_walk_enumeration():
 
 def test_specs_over_the_clone_cap_fall_through(monkeypatch):
     # above _CLONE_CAP clones the hub tier answers "no_hub" and the
-    # spanning-tree tier decides; a walk DP capped at nothing sends these
+    # subtour branching decides; a walk DP capped at nothing sends these
     # small specs that far
     monkeypatch.setattr(many_visits, "_CLONE_CAP", 4)
     monkeypatch.setattr(many_visits, "_WALK_STATE_CAP", 1)
@@ -402,7 +402,7 @@ def test_specs_over_the_clone_cap_fall_through(monkeypatch):
             assert got is None
             infeasible += 1
     # most specs are decided before the hub tier; those that reach it
-    # are feasible and get their walks from the tree tier
+    # are feasible and get their walks from the subtour branching
     assert hub_answers.count("no_hub") >= 3
     assert feasible >= 20 and infeasible >= 20
 

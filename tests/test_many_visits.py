@@ -1,5 +1,6 @@
 """Closed walks with prescribed visit counts over an allowed-edge graph."""
 
+from collections import Counter
 import time
 
 import numpy as np
@@ -76,6 +77,7 @@ def test_disconnected_support_is_infeasible():
     assert many_visits_tour(spec_of([(0, 1), (2, 3)], [1, 1, 1, 1])) is None
     # no connectivity pass runs first: each tier must answer None alone
     rng = np.random.default_rng(7)
+    roots = 0
     for _ in range(40):
         k = int(rng.integers(2, 8))
         cut = int(rng.integers(1, k))  # vertices 0..cut-1 never meet the rest
@@ -84,12 +86,17 @@ def test_disconnected_support_is_infeasible():
         adj = adj | adj.T
         small = [int(v) for v in rng.integers(1, 4, size=k)]
         large = [int(v) for v in rng.integers(1, 10 ** 6, size=k)]
-        for visits in (small, large):
+        # each edge once both ways is a relaxation solution for these counts
+        degree = [int(d) for d in adj.sum(axis=1)]
+        for visits in (small, large, degree) if min(degree) else (small, large):
             spec = VisitSpec(adj, visits)
             assert many_visits_tour(spec) is None
             assert _walk_dp(adj, visits) in (None, "out_of_range")
             edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj)))]
-            assert list(many_visits._spanning_trees(k, edges, [k] * k)) == []
+            root = _arc_flow(k, edges, visits, visits)
+            if root is not None:
+                roots += 1
+                assert many_visits._subtour_branching(spec, edges, root) is None
             assert many_visits._hub_path_cover(spec) == "no_hub"
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(many_visits, "_short_of_neighbour_visits",
@@ -98,6 +105,7 @@ def test_disconnected_support_is_infeasible():
                 assert many_visits_tour(spec) is None
                 mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
                 assert many_visits_tour(spec) is None
+    assert roots >= 10  # the branching ran from 10 disconnected roots
 
 
 def test_matches_walk_enumeration_on_random_specs():
@@ -205,18 +213,18 @@ def test_neighbour_visit_count_refuses_no_feasible_spec():
 # count refutes it at once: the walk does not alternate between 0 and 3, so
 # 0 needs 10^5 + 1 visits next to it and has 10^5. Without that count the
 # walk DP is out of range, the relaxation's support is disconnected and no
-# vertex is a hub, so the spanning-tree tier refuses it once all three
-# spanning trees fail.
+# vertex is a hub, so the subtour branching refuses it: every arc leaving
+# {0, 3} takes a visit of 3 that 0 needs.
 LEAF_SPEC = ([(0, 3), (1, 2), (1, 3), (1, 4), (2, 3)], [10 ** 5, 2, 1, 10 ** 5, 1])
 
 # feasible, passes the neighbour-visit count, out of the walk DP's range,
 # has no hub, and its relaxation's support is disconnected: only the
-# spanning-tree tier can answer it, and it does after a few trees
-TREE_SPEC = ([(0, 2), (0, 6), (1, 2), (1, 5), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5),
-              (4, 6), (5, 6)], [104, 3, 112, 1, 1, 3, 3])
+# subtour branching can answer it, and it does at its first branch node
+BRANCH_SPEC = ([(0, 2), (0, 6), (1, 2), (1, 5), (1, 6), (2, 5), (2, 6), (3, 4), (3, 5),
+                (4, 6), (5, 6)], [104, 3, 112, 1, 1, 3, 3])
 
 
-def test_tree_tier_refuses_leaf_spec(monkeypatch):
+def test_branching_refuses_leaf_spec(monkeypatch):
     spec = spec_of(*LEAF_SPEC)
     assert _short_of_neighbour_visits(spec.allowed, spec.visits)
     assert many_visits_tour(spec) is None
@@ -224,8 +232,8 @@ def test_tree_tier_refuses_leaf_spec(monkeypatch):
     assert many_visits_tour(spec) is None
 
 
-def test_tree_tier_spec_reaches_the_tree_tier():
-    spec = spec_of(*TREE_SPEC)
+def test_branch_spec_reaches_the_branching():
+    spec = spec_of(*BRANCH_SPEC)
     assert not _short_of_neighbour_visits(spec.allowed, spec.visits)
     assert _walk_dp(spec.allowed, spec.visits) == "out_of_range"
     assert many_visits._hub_path_cover(spec) == "no_hub"
@@ -234,17 +242,16 @@ def test_tree_tier_spec_reaches_the_tree_tier():
     validate_multiwalk(spec, mw)
 
 
-def test_tree_tier_abort_names_node_budget(monkeypatch):
-    monkeypatch.setattr(many_visits, "_NODE_CAP", 10)
+def test_branching_abort_names_node_budget(monkeypatch):
+    monkeypatch.setattr(many_visits, "_NODE_CAP", 1)
     with pytest.raises(ContractViolation,
-                       match=r"spanning-tree tier undecided: k=7, 11 allowed edges; "
-                             r"1 trees examined, enumeration nodes > _NODE_CAP=10; "
-                             r"1 distinct children vectors failed"):
-        many_visits_tour(spec_of(*TREE_SPEC))
+                       match=r"subtour branching undecided: k=7, 11 allowed edges; "
+                             r"branch nodes > _NODE_CAP=1$"):
+        many_visits_tour(spec_of(*BRANCH_SPEC))
 
 
 @st.composite
-def tree_tier_specs(draw):
+def branching_specs(draw):
     k = draw(st.integers(2, 7))
     density = draw(st.floats(0, 1))
     pairs = k * (k - 1) // 2
@@ -260,19 +267,19 @@ def tree_tier_specs(draw):
     return VisitSpec(adj, visits)
 
 
-def test_tree_tier_matches_walk_dp_and_enumeration():
+def test_branching_matches_walk_dp_and_enumeration():
     # the neighbour-visit count, the walk DP and the hub tier are switched
     # off, so every spec whose relaxation has a disconnected support is
-    # decided by the tree tier
+    # decided by the subtour branching
     reached = []
-    enumerate_trees = many_visits._spanning_trees
+    branching = many_visits._subtour_branching
 
     def counted(*args):
         reached.append(args)
-        return enumerate_trees(*args)
+        return branching(*args)
 
     @settings(max_examples=400, derandomize=True)
-    @given(tree_tier_specs())
+    @given(branching_specs())
     def check(spec):
         assert np.prod([v + 1 for v in spec.visits]) <= _WALK_STATE_CAP
         want = _walk_dp(spec.allowed, spec.visits) is not None
@@ -283,21 +290,21 @@ def test_tree_tier_matches_walk_dp_and_enumeration():
                        lambda allowed, visits: False)
             mp.setattr(many_visits, "_walk_dp", lambda allowed, visits: "out_of_range")
             mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
-            mp.setattr(many_visits, "_spanning_trees", counted)
+            mp.setattr(many_visits, "_subtour_branching", counted)
             got = many_visits_tour(spec)
         assert (got is not None) == want
         if got is not None:
             validate_multiwalk(spec, got)
 
     check()
-    assert len(reached) >= 40  # 62 of the 400 derandomized examples
+    assert len(reached) >= 40  # 60 of the 400 derandomized examples
 
 
 @st.composite
 def flow_problems(draw):
     """(k, edges, out_deg, in_deg) as _arc_flow's two callers pose them: the
-    relaxation's out = in = visits, or the spanning-tree tier's residual
-    degrees after a spanning tree is oriented toward vertex 0."""
+    relaxation's out = in = visits, or a branch node's residual degrees,
+    visits minus the out- and in-degrees of a multiset of forced arcs."""
     k = draw(st.integers(1, 12))
     pairs = k * (k - 1) // 2
     adj = np.zeros((k, k), dtype=bool)
@@ -306,27 +313,15 @@ def flow_problems(draw):
     edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(adj))]
     visits = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10 ** 9)),
                            min_size=k, max_size=k))
-    if draw(st.booleans()):
+    if not edges or draw(st.booleans()):
         return k, edges, visits, visits
-    parent = list(range(k))
-
-    def root(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    degree = [0] * k
-    for i in draw(st.permutations(range(len(edges)))):
-        u, v = edges[i]
-        if root(u) != root(v):
-            parent[root(u)] = root(v)
-            degree[u] += 1
-            degree[v] += 1
-    assume(len({root(v) for v in range(k)}) == 1)
-    children = [degree[v] - (v != 0) for v in range(k)]
-    visits = [max(visits[v], children[v]) for v in range(k)]
-    return (k, edges, [visits[v] - (v != 0) for v in range(k)],
-            [visits[v] - children[v] for v in range(k)])
+    arcs = edges + [(v, u) for u, v in edges]
+    forced = draw(st.lists(st.sampled_from(arcs), min_size=1, max_size=3 * k))
+    out_f = Counter(u for u, _ in forced)
+    in_f = Counter(w for _, w in forced)
+    visits = [max(visits[v], out_f[v], in_f[v]) for v in range(k)]
+    return (k, edges, [visits[v] - out_f[v] for v in range(k)],
+            [visits[v] - in_f[v] for v in range(k)])
 
 
 @settings(max_examples=300)
