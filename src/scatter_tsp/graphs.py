@@ -5,9 +5,9 @@ edge lifting, Eulerian tours of multigraphs, the one max flow, and the
 ball exchange that normalizes a high-scatter tour around a low-degree
 point. Every flow has one shape, senders with supplies, receivers with
 demands and capacitated arcs between them: `transport` lays out its
-network, source and sink arcs included, and returns the flow on each
-given arc. The many-visits tiers and bipartite matching only pass arcs
-in and read flows back.
+network, source and sink arcs included, fills Dinic's first phase
+directly and returns the flow on each given arc. The many-visits tiers
+and bipartite matching only pass arcs in and read flows back.
 
 Dirac, the lift and the ball exchange make one cycle move, the crossing
 2-opt (`_two_opt`, found for a pair that must go by `_repair`). Graphs are
@@ -504,6 +504,14 @@ def transport(supply, demand, tails, heads, caps):
     their arcs in the order given. All amounts are nonnegative Python
     integers, and the running time does not depend on them, so the
     many-visits tiers may pass counts up to 10^9.
+
+    Dinic's first phase is filled directly: senders in index order, each
+    sender's arcs in arc order, each arc pushing min(supply left, demand
+    left, cap). That is exactly the phase on this network. Every path of
+    the first level graph is source, sender, receiver, sink, and the
+    blocking-flow search takes the senders and their arcs in that order,
+    leaving an arc only when it, its sender's supply or its receiver's
+    demand is used up. `_max_flow` runs the later phases on the residual.
     """
     s, r, m = len(supply), len(demand), len(caps)
     tails, heads = (integer_array(x, "arc ends") for x in (tails, heads))
@@ -517,13 +525,32 @@ def transport(supply, demand, tails, heads, caps):
     # flat arcs: 2e is the e-th arc and a ^ 1 is a's reverse, so the flow
     # on arc e ends up as the residual capacity of 2e + 1
     cap = [0] * (2 * len(tails))
-    cap[0::2] = [*caps, *supply, *demand]
+    cap[0:2 * m:2] = caps
     leaves = np.column_stack((tails, heads)).reshape(-1)
     order = np.argsort(leaves, kind="stable").tolist()
     bounds = np.cumsum(np.bincount(leaves, minlength=s + r + 2)).tolist()
     out = [order[b0:b1] for b0, b1 in zip([0] + bounds[:-1], bounds)]
     to = np.column_stack((heads, tails)).reshape(-1).tolist()
-    return _max_flow(to, cap, out, src, snk), cap[1:2 * m:2]
+    # the first phase; a sender's given arcs come before the reverse of its
+    # source arc, the one arc it has at or past 2m
+    left = list(demand)
+    sent = [0] * s
+    for i, arcs in enumerate(out[:s]):
+        give = supply[i]
+        for a in arcs:
+            if not give or a >= 2 * m:
+                break
+            j = to[a] - s
+            x = min(give, cap[a], left[j])
+            if x:
+                cap[a] -= x
+                cap[a + 1] += x
+                left[j] -= x
+                give -= x
+        sent[i] = supply[i] - give
+    cap[2 * m::2] = [g - x for g, x in zip(supply, sent)] + left
+    cap[2 * m + 1::2] = sent + [d - x for d, x in zip(demand, left)]
+    return sum(sent) + _max_flow(to, cap, out, src, snk), cap[1:2 * m:2]
 
 
 def _max_flow(to, cap, out, s: int, t: int) -> int:

@@ -31,9 +31,12 @@ with no allowed arc leaving it gives a branch node no children).
 4. hub path cover (`_hub_path_cover`), run after the branching's root and
    before its first branch node: when some vertex is adjacent to all
    others, feasibility is a path-cover question on the other visits.
-   A greedy cover comes first: endpoint merges, then Pósa rotations
-   searched breadth first, which stop at the first queued end that can
-   merge with another path. When it has more paths than the hub's
+   A greedy cover comes first: sweeps of endpoint merges run once to a
+   fixed point, then Pósa rotation merges until one fails. No sweep runs
+   between them, as none could merge: a rotation merge leaves every
+   path's two ends ends of different paths before. The rotations are
+   searched breadth first and stop at the first queued end that can
+   merge with another path. When the cover has more paths than the hub's
    visit count t, each component gets a certified floor, one max flow on
    its owner classes (`_flow_floor`, a fractional 2-matching bound), and
    floors summing past t answer No at once. Otherwise the components above
@@ -258,13 +261,13 @@ def _clone_adjacency(allowed, owner):
     neighbours. Clones of one owner are twins, so they share one row list
     and one bitmask: memory is O(k * m) rather than O(m^2).
     """
-    allowed = np.asarray(allowed, dtype=bool)
     ow = np.asarray(owner, dtype=np.intp)
-    per_owner = {}
-    for u in dict.fromkeys(owner):
-        row = allowed[u][ow] & (ow != u)
-        mask = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        per_owner[u] = (row.tolist(), mask)
+    owners = list(dict.fromkeys(owner))
+    us = np.asarray(owners, dtype=np.intp)
+    block = np.asarray(allowed, dtype=bool)[np.ix_(us, ow)] & (us[:, None] != ow)
+    packed = np.packbits(block, axis=1, bitorder="little")
+    per_owner = {u: (row, int.from_bytes(b.tobytes(), "little"))
+                 for u, row, b in zip(owners, block.tolist(), packed)}
     return _Adjacency([per_owner[u][0] for u in owner],
                       [per_owner[u][1] for u in owner])
 
@@ -375,20 +378,26 @@ def _rotate_merge_once(paths, adj):
 def _greedy_paths(vertices, adj):
     """Disjoint paths covering `vertices`: endpoint merges plus rotations.
 
-    Starts from singletons in `vertices` order and alternates a sweep of
-    endpoint merges with one rotation merge: Pósa rotations of each path in
-    turn (its reverse second), taken in breadth-first order, until the
-    first variant whose end is adjacent to an end of another path, which
-    it joins. `_first_rotation` tests each end as its rotation is queued,
-    so the search stops at the first queued end that can merge; the covers
-    are the same as those of building every rotation first, only cheaper.
+    Starts from singletons in `vertices` order and runs sweeps of endpoint
+    merges until one merges nothing, then rotation merges until one fails:
+    Pósa rotations of each path in turn (its reverse second), taken in
+    breadth-first order, until the first variant whose end is adjacent to
+    an end of another path, which it joins. `_first_rotation` tests each
+    end as its rotation is queued, so the search stops at the first queued
+    end that can merge; the covers are the same as those of building every
+    rotation first, only cheaper.
+
+    No sweep runs between rotation merges, because it could merge nothing:
+    after a sweep that merged nothing, no two paths have adjacent ends, and
+    a rotation merge keeps that so. The joined path's ends are the rotated
+    path's fixed end and the far end of the path it joins, both ends of
+    different paths before, and every other path is unchanged.
     """
     paths = [[v] for v in vertices]
-    while len(paths) > 1:
-        if _merge_pass(paths, adj):
-            continue
-        if not _rotate_merge_once(paths, adj):
-            break
+    while len(paths) > 1 and _merge_pass(paths, adj):
+        pass
+    while len(paths) > 1 and _rotate_merge_once(paths, adj):
+        pass
     return paths
 
 
@@ -678,7 +687,7 @@ def many_visits_tour(spec: VisitSpec):
     if walked != "out_of_range":
         return None if walked is None else Multiwalk.from_walk(k, walked)
 
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(spec.allowed)))]
+    edges = list(zip(*(x.tolist() for x in np.nonzero(np.triu(spec.allowed)))))
 
     # necessary relaxation: an Eulerian digraph with out- and in-degree
     # visits[v] but no connectivity requirement

@@ -8,8 +8,8 @@ trustworthy on purpose. The exceptions are the reference versions at the
 end: earlier implementations of the library's own routines (the eager hub
 path search, the hub tier that refined every component in full, the
 one-center-at-a-time greedy net, the full-row candidate sweep, the dense
-Dirac path, the per-arc walk DP and the recursive max flow), kept to pin
-their outputs.
+Dirac path, the per-arc walk DP, the recursive max flow and the transport
+that ran every Dinic phase by search), kept to pin their outputs.
 """
 
 import itertools
@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from scatter_tsp import ContractViolation, CubicBipartiteGraph, Instance, threshold_graph
+from scatter_tsp.graphs import _max_flow
 from scatter_tsp.instance import DEDUP_REL_TOL
 from scatter_tsp.many_visits import (
     _CLONE_CAP,
@@ -269,6 +270,8 @@ def ref_rotate_merge_once(paths, allowed):
 
 
 def ref_greedy_paths(vertices, allowed):
+    # the loop that sweeps again after every rotation merge; the library
+    # skips those sweeps, which can merge nothing
     paths = [[v] for v in vertices]
     while len(paths) > 1:
         if ref_merge_pass(paths, allowed):
@@ -637,3 +640,21 @@ def ref_arc_flow(k, edges, out_deg, in_deg):
         if used:
             got[(u, v)] = used
     return got
+
+
+def ref_transport(supply, demand, tails, heads, caps):
+    """`graphs.transport` with every phase searched: the network laid out
+    as the library lays it out, and `_max_flow` run from zero flow."""
+    s, r, m = len(supply), len(demand), len(caps)
+    tails, heads = (np.asarray(x, dtype=np.intp).reshape(-1) for x in (tails, heads))
+    src, snk = s + r, s + r + 1
+    tails = np.concatenate((tails, np.full(s, src), np.arange(s, s + r)))
+    heads = np.concatenate((s + heads, np.arange(s), np.full(r, snk)))
+    cap = [0] * (2 * len(tails))
+    cap[0::2] = [*caps, *supply, *demand]
+    leaves = np.column_stack((tails, heads)).reshape(-1)
+    order = np.argsort(leaves, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(leaves, minlength=s + r + 2)).tolist()
+    out = [order[b0:b1] for b0, b1 in zip([0] + bounds[:-1], bounds)]
+    to = np.column_stack((heads, tails)).reshape(-1).tolist()
+    return _max_flow(to, cap, out, src, snk), cap[1:2 * m:2]

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scatter_tsp import (
     ContractViolation,
@@ -27,7 +27,7 @@ from scatter_tsp import (
     transport,
 )
 from scatter_tsp.graphs import _LiftGraph
-from helpers import random_dirac_adjacency, ring_far_instance
+from helpers import random_dirac_adjacency, ref_transport, ring_far_instance
 
 
 def test_threshold_graph_hand_case():
@@ -340,6 +340,46 @@ def test_transport_hand_networks():
     assert transport([2], [2], [], [], []) == (0, [])
     with pytest.raises(ValueError, match="out of range"):
         transport([1], [1], [0], [1], [1])   # receiver 1 does not exist
+
+
+@st.composite
+def transport_problems(draw):
+    """(supply, demand, tails, heads, caps) in three shapes, arcs in a drawn
+    order (tails not sorted by sender): the hub floor's, 2 c_v on each side
+    and binding caps c_u c_v per allowed pair; free amounts, zeros among the
+    supplies, demands and caps as often as not; and a matching's unit caps
+    on distinct pairs."""
+    shape = draw(st.sampled_from(["floor", "free", "unit"]))
+    s = draw(st.integers(1, 8))
+    if shape == "floor":
+        c = draw(st.lists(st.integers(1, 6), min_size=s, max_size=s))
+        upper = draw(st.lists(st.booleans(), min_size=s * s, max_size=s * s))
+        adj = np.array(upper, dtype=bool).reshape(s, s)
+        adj = np.triu(adj, 1) | np.triu(adj, 1).T
+        pairs = list(zip(*(x.tolist() for x in np.nonzero(adj))))
+        supply = demand = [2 * x for x in c]
+        caps = [c[u] * c[w] for u, w in pairs]
+    else:
+        r = draw(st.integers(1, 8))
+        unit = shape == "unit"
+        pairs = draw(st.lists(st.tuples(st.integers(0, s - 1), st.integers(0, r - 1)),
+                              max_size=3 * max(s, r), unique=unit))
+        amounts = (st.just(1) if unit else
+                   st.one_of(st.integers(0, 4), st.integers(0, 10 ** 9)))
+        supply = draw(st.lists(amounts, min_size=s, max_size=s))
+        demand = draw(st.lists(amounts, min_size=r, max_size=r))
+        caps = draw(st.lists(amounts, min_size=len(pairs), max_size=len(pairs)))
+    order = draw(st.permutations(range(len(pairs))))
+    return (supply, demand, [pairs[e][0] for e in order], [pairs[e][1] for e in order],
+            [caps[e] for e in order])
+
+
+@settings(max_examples=400)
+@given(transport_problems())
+def test_transport_fills_the_first_phase_as_dinic_searches_it(problem):
+    # the direct first phase must leave the residual that the phase's
+    # search leaves, so every later phase and every arc flow agree
+    assert transport(*problem) == ref_transport(*problem)
 
 
 def test_bipartite_matching_hand_cases():

@@ -3,6 +3,7 @@ refined every component in full, its path search against the eager
 list-slicing reference in helpers.py, and its floor against the flow on
 the clones themselves."""
 
+import copy
 import functools
 import itertools
 import operator
@@ -20,7 +21,9 @@ from scatter_tsp.many_visits import (
     _flow_floor,
     _greedy_paths,
     _hub_path_cover,
+    _merge_pass,
     _restart_paths,
+    _rotate_merge_once,
     _short_of_neighbour_visits,
     _vertex_components,
     _walk_dp,
@@ -62,6 +65,20 @@ def assert_matches_reference(adj, subset_seed, restarts=True):
     assert _vertex_components(rest, adj) == ref_vertex_components(rest, adj.rows)
 
 
+def sweep_after_each_rotation(order, adj):
+    """Build the cover of `order` step by step: sweeps to their fixed point,
+    then rotation merges, asserting that a sweep on a copy merges nothing
+    after each one. Returns the cover and its rotation merges."""
+    paths = [[v] for v in order]
+    while len(paths) > 1 and _merge_pass(paths, adj):
+        pass
+    rotations = 0
+    while len(paths) > 1 and _rotate_merge_once(paths, adj):
+        rotations += 1
+        assert not _merge_pass(copy.deepcopy(paths), adj)
+    return paths, rotations
+
+
 def draw_quotient(draw, k):
     upper = draw(st.lists(st.booleans(), min_size=k * (k - 1) // 2,
                           max_size=k * (k - 1) // 2))
@@ -101,8 +118,8 @@ def test_large_clone_graphs_match_reference(seed):
 
 
 def test_long_paths_match_reference():
-    # 665 clones; the greedy cover has a path of 545, and 12 of its
-    # rotation searches end in a merge on paths of at least 300 clones
+    # 665 clones; the greedy cover has a path of 545, and 12 of its 25
+    # rotation merges are on paths of at least 300 clones
     rng = np.random.default_rng(17)
     k = 16
     quotient = np.triu(rng.random((k, k)) < 0.2, 1)
@@ -112,6 +129,8 @@ def test_long_paths_match_reference():
     greedy = _greedy_paths(order, adj)
     assert len(order) == 665 and max(map(len, greedy)) == 545
     assert greedy == ref_greedy_paths(order, adj.rows)
+    paths, rotations = sweep_after_each_rotation(order, adj)
+    assert paths == greedy and rotations == 25
 
 
 def random_mask(rng, m, density):
@@ -532,3 +551,25 @@ def test_hub_decisions_near_the_greedy_count(monkeypatch):
         classes.add(assert_decision_matches_reference(spec))
     assert classes == {"walk", "None", "abort"}
     assert any(stops) and not all(stops)
+
+
+def hub_clone_graph(spec):
+    """The clone graph of a hub spec, vertex 0 taken as the hub."""
+    return clone_graph(spec.allowed[1:, 1:], spec.visits[1:])
+
+
+@settings(max_examples=40)
+@given(st.one_of(clone_graphs(), sparse_graphs(), twin_hub_specs().map(hub_clone_graph)),
+       st.integers(0, 2 ** 32 - 1))
+def test_no_sweep_merges_after_a_rotation_merge(adj, seed):
+    # in the components' order and in a shuffled one, as the restarts run it;
+    # the covers, restarts included, are those of the loop that sweeps
+    # after every rotation merge
+    rng = np.random.default_rng(seed)
+    for comp in _vertex_components(list(range(len(adj.rows))), adj):
+        for order in (rng.permutation(comp).tolist(), comp):
+            paths, _ = sweep_after_each_rotation(order, adj)
+            assert paths == _greedy_paths(order, adj) == ref_greedy_paths(order, adj.rows)
+        if len(paths) > 1:
+            assert (_restart_paths(comp, adj, paths)
+                    == ref_restart_paths(comp, adj.rows, paths))
