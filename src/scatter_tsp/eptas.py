@@ -15,8 +15,10 @@ points within 3*ell of p are grouped by a delta-net, points beyond act
 interchangeably as a single hub, and feasibility reduces to a many-visits
 walk on the quotient graph. Expanding a walk back to points loses at most
 2*delta per edge on net edges; hub edges that land too close to the 2*ell
-boundary are removed afterwards by cycle rotations, both endpoints being
-far from p and hence of high threshold degree. With delta = epsilon*ell/4
+boundary are removed afterwards by the Dirac repair of the expanded tour
+(graphs.repair_cycle at (1 - epsilon)*ell): both endpoints lie beyond
+2*ell of p, so each is adjacent to the more than n/2 points within ell of
+p, and the pair's degree sum exceeds n. With delta = epsilon*ell/4
 and quotient edges admitted at ell - 2*delta, a Yes answer always carries
 a tour of scatter at least (1 - epsilon)*ell, while No certifies that no
 scatter-ell tour exists. Both steps use the triangle inequality, so an
@@ -36,10 +38,11 @@ from .instance import (
     tour_edge_lengths,
     validate_tour,
 )
-from .graphs import (  # noqa: F401  threshold_graph: importable here as before
+from .graphs import (  # noqa: F401  bc_lift, threshold_graph: perfbench/spans.py wraps them here
     MetricThresholdView,
     bc_lift,
     dirac_hamiltonian,
+    repair_cycle,
     threshold_graph,
 )
 from .nets import greedy_delta_net
@@ -175,7 +178,7 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
     allowed[:k, :k] = _center_graph(instance, centers, ell - 2.0 * params.net_delta)
     if nq:
         # hub stands for all far points; a short expanded hub edge has both
-        # endpoints beyond 2*ell of p and is lifted out afterwards
+        # endpoints beyond 2*ell of p and is repaired out afterwards
         allowed[k, :k] = True
         allowed[:k, k] = True
 
@@ -203,13 +206,12 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
     lengths = tour_edge_lengths(instance, tour)
     short = np.flatnonzero(~meets_threshold(lengths, wit_thresh))
     if len(short):
-        log = [(int(tour[i]), int(tour[(i + 1) % n])) for i in short]
-        base = MetricThresholdView(instance, wit_thresh)
         try:
-            tour = bc_lift(base, log, tour)
-        except ValueError as exc:
+            tour = repair_cycle(MetricThresholdView(instance, wit_thresh), tour)
+        except ContractViolation as exc:
             raise ContractViolation(
-                f"lift of {len(log)} short hub edges failed: {exc}") from exc
+                f"probe ell={ell!r}: lift of {len(short)} short hub edges "
+                f"failed: {exc}") from exc
     return _validated(instance, params, tour, "many_visits", k)
 
 

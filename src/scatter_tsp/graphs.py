@@ -9,17 +9,19 @@ network, source and sink arcs included, fills Dinic's first phase
 directly and returns the flow on each given arc. The many-visits tiers
 and bipartite matching only pass arcs in and read flows back.
 
-Dirac, the lift and the ball exchange make one cycle move, the crossing
-2-opt (`_two_opt`, found for a pair that must go by `_repair`). Graphs are
-read only through `n`, `edge_flags(us, vs)`, whose index arrays broadcast
-(`ids[:, None]` against `np.arange(n)` reads whole rows), and `degrees()`;
-ThresholdGraph and MetricThresholdView answer them alike. The view is the
-one threshold-graph definition: the dense graph, the center graph and the
-degrees of the low-degree scan all read it. Its degree sweep reads the
-half matrix in the box pairs of the instance's spatial order
-(Instance.half_tiles with a select): a box pair whose corner bounds settle
-the threshold counts as all edges or none without a distance, and the
-others are read in tiles, their flags written into one reused buffer.
+One cycle repair, `repair_cycle`, serves Dirac and the solver's quotient
+lift. It, `bc_lift` and the ball exchange make one cycle move, the
+crossing 2-opt (`_two_opt`, found for a pair that must go by `_repair`).
+Graphs are read only through `n`, `edge_flags(us, vs)`, whose index
+arrays broadcast (`ids[:, None]` against `np.arange(n)` reads whole rows),
+and `degrees()`; ThresholdGraph and MetricThresholdView answer them
+alike. The view is the one threshold-graph definition: the dense graph,
+the center graph and the degrees of the low-degree scan all read it. Its
+degree sweep reads the half matrix in the box pairs of the instance's
+spatial order (Instance.half_tiles with a select): a box pair whose corner
+bounds settle the threshold counts as all edges or none without a
+distance, and the others are read in tiles, their flags written into one
+reused buffer.
 """
 
 from itertools import compress
@@ -272,12 +274,8 @@ def dirac_hamiltonian(graph, degrees=None) -> np.ndarray:
 
     `graph` is a ThresholdGraph or a MetricThresholdView; `degrees`, when
     given, are its exact vertex degrees, which spares a sweep over all rows.
-    Starts from the identity cyclic order and repeatedly repairs a
-    non-adjacent consecutive pair with the classic crossing rotation; the
-    degree condition guarantees each repair exists and each strictly
-    reduces the number of bad pairs. A repair reads its pair's two
-    endpoints against the next BLOCK_ROWS positions of the cycle, and
-    against the whole cycle only when the crossing lies farther on.
+    The degree condition is checked here; the cycle is repair_cycle's,
+    from the identity cyclic order.
     """
     n = graph.n
     if n < 3:
@@ -287,21 +285,31 @@ def dirac_hamiltonian(graph, degrees=None) -> np.ndarray:
     if 2 * int(deg[worst]) < n:
         raise ValueError(
             f"vertex {worst} has degree {int(deg[worst])} < n/2 = {n / 2}")
-    return _dirac_core(graph)
+    return repair_cycle(graph, np.arange(n))
 
 
-def _dirac_core(graph) -> np.ndarray:
+def repair_cycle(graph, cycle) -> np.ndarray:
+    """Hamiltonian cycle of `graph` made from the cyclic order `cycle`.
+
+    Repeatedly repairs a non-adjacent consecutive pair with the classic
+    crossing rotation. A repair trades its bad pair and the crossing pair
+    for two edges, so no bad pair is ever made and each repair removes at
+    least one. When every bad pair of `cycle` has endpoint degree sum >= n,
+    each repair exists: Dirac's condition, and the short hub edges of the
+    quotient lift. A repair reads its pair's two endpoints against the
+    next BLOCK_ROWS positions of the cycle, and against the whole cycle
+    only when the crossing lies farther on. A cycle with no bad pair comes
+    back as given; raises ContractViolation for a pair with no crossing.
+    """
     n = graph.n
-    order = np.arange(n)
+    order = validate_tour(n, cycle).copy()
     nxt = np.roll(order, -1)
     bad_mask = ~graph.edge_flags(order, nxt)
     bad = {_key(int(order[i]), int(nxt[i])) for i in np.nonzero(bad_mask)[0]}
-    pos = np.arange(n)
+    pos = np.argsort(order)
     # `order` is never rotated: a repair at a's position i reverses only
     # the cyclic segment after i. The tour starts at the last repair's a,
     # where the textbook repair, which rotates a to the front, leaves it.
-    # A repair trades its bad pair and the crossing pair for two edges, so
-    # `bad` loses at least one pair a pass, gains none, and the loop ends.
     head = 0
     while bad:
         head, dropped = _repair(graph, order, pos, *bad.pop())
@@ -402,42 +410,15 @@ def bondy_chvatal_closure(graph):
     return ThresholdGraph(adj), log
 
 
-class _LiftGraph:
-    """Base graph plus a mutable overlay of added edges; read-only on the base."""
-
-    def __init__(self, base, added):
-        self.base = base
-        self.n = base.n
-        self.extra = {}
-        for (u, v) in added:
-            self.extra.setdefault(u, set()).add(v)
-            self.extra.setdefault(v, set()).add(u)
-
-    def remove(self, u: int, v: int) -> None:
-        self.extra[u].discard(v)
-        self.extra[v].discard(u)
-
-    def edge_flags(self, us, vs) -> np.ndarray:
-        """The base's flags, OR the overlay edges of the vertices in `us`."""
-        us, vs = np.asarray(us), np.asarray(vs)
-        flags = self.base.edge_flags(us, vs)
-        for u in set(us.ravel().tolist()):
-            extra = self.extra.get(u)
-            if extra:
-                row = np.zeros(self.n, dtype=bool)
-                row[list(extra)] = True
-                flags |= (us == u) & row[vs]
-        return flags
-
-
 def bc_lift(base, added, cycle) -> np.ndarray:
     """Turn a Hamiltonian cycle of base+added into one of base alone.
 
     Added edges are removed in reverse log order; whenever the cycle still
     uses the removed edge, the endpoint degree sum (>= n in the graph at
     that stage) yields a crossing 2-opt that rewires around it. The cycle
-    is never rotated: each 2-opt reverses one segment of it. Endpoint
-    degrees are read from the base BLOCK_ROWS vertices at a time.
+    is never rotated: each 2-opt reverses one segment of it. Like
+    bondy_chvatal_closure, it reads the base once as an n x n matrix and
+    removes the log edges from a dense copy: small n only.
 
     Raises ValueError when the log is not a valid addition sequence or the
     cycle uses a pair that is neither a base edge nor in the log.
@@ -447,31 +428,26 @@ def bc_lift(base, added, cycle) -> np.ndarray:
     ends = integer_array(added, "addition log entries").reshape(len(added), 2)
     if not np.all((0 <= ends) & (ends < n)):
         raise ValueError(f"addition log names a vertex outside 0..{n - 1}")
+    ids = np.arange(n)
+    adj = base.edge_flags(ids[:, None], ids)
     log = [_key(u, v) for u, v in ends.tolist()]
-    known = base.edge_flags(*ends.T)
     seen = set()
-    for e, in_base in zip(log, known.tolist()):
+    for e in log:
         if e[0] == e[1]:
             raise ValueError(f"self-loop {e} in addition log")
         if e in seen:
             raise ValueError(f"edge {e} appears twice in addition log")
-        if in_base:
+        if adj[e]:
             raise ValueError(f"added edge {e} is already in the base graph")
         seen.add(e)
-    flags = base.edge_flags(order, np.roll(order, -1))
-    for t in np.flatnonzero(~flags).tolist():
+    for t in np.flatnonzero(~adj[order, np.roll(order, -1)]).tolist():
         e = _key(int(order[t]), int(order[(t + 1) % n]))
         if e not in seen:
             raise ValueError(f"cycle pair {e} is neither a base edge nor in the addition log")
 
     # degree sums are checked against base plus the *earlier* log entries,
     # the graph each addition actually extended
-    ends = np.unique(ends)
-    deg = {}
-    for lo in range(0, len(ends), BLOCK_ROWS):
-        ids = ends[lo:lo + BLOCK_ROWS]
-        block = base.edge_flags(ids[:, None], np.arange(n))
-        deg.update(zip(ids.tolist(), block.sum(axis=1).tolist()))
+    deg = adj.sum(axis=1).tolist()
     for idx, (u, v) in enumerate(log):
         if deg[u] + deg[v] < n:
             raise ValueError(
@@ -479,15 +455,17 @@ def bc_lift(base, added, cycle) -> np.ndarray:
         deg[u] += 1
         deg[v] += 1
 
-    lift = _LiftGraph(base, log)
+    for e in log:
+        adj[e] = adj[e[::-1]] = True
+    lift = ThresholdGraph(adj)
     pos = np.argsort(order)
     for (u, v) in reversed(log):
-        lift.remove(u, v)
+        adj[u, v] = adj[v, u] = False
         i = int(pos[u])
         if v in (order[(i + 1) % n], order[i - 1]):
             _repair(lift, order, pos, u, v)
 
-    flags = base.edge_flags(order, np.roll(order, -1))
+    flags = lift.edge_flags(order, np.roll(order, -1))
     if not flags.all():
         t = int(np.argmin(flags))
         raise ContractViolation(

@@ -558,6 +558,21 @@ def write_instance(instance: Instance, path) -> None:
         fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    # json reads true and false as bools, which numpy and float() take for 1 and 0
+    return type(value) in (int, float)
+
+
+def _numbers(doc, field: str):
+    """doc[field], refused unless it is a list whose entries are numbers
+    or lists of numbers."""
+    rows = doc[field]
+    if not isinstance(rows, list) or not all(
+            all(map(_is_number, r)) if isinstance(r, list) else _is_number(r) for r in rows):
+        raise ValueError(f"field {field!r}: expected lists of JSON numbers")
+    return rows
+
+
 def read_instance(path) -> Instance:
     try:
         with open(path) as fh:
@@ -567,7 +582,7 @@ def read_instance(path) -> Instance:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     version = doc.get("version")
-    if version != 1:
+    if not _is_number(version) or version != 1:
         raise ValueError(f"{path}: field 'version': expected 1, got {version!r}")
     metric = doc.get("metric")
     if not isinstance(metric, dict) or "type" not in metric:
@@ -577,16 +592,18 @@ def read_instance(path) -> Instance:
         if kind == "explicit":
             if "matrix" not in doc:
                 raise ValueError("field 'matrix' is required for explicit metric")
-            return Instance.explicit(doc["matrix"])
+            return Instance.explicit(_numbers(doc, "matrix"))
         if "points" not in doc:
             raise ValueError("field 'points' is required")
         if kind == "hamming":
-            return Instance.hamming(doc["points"])
+            return Instance.hamming(_numbers(doc, "points"))
         if kind == "lp":
             p = metric.get("p", 2.0)
             if p == "inf":
                 p = math.inf
-            return Instance.lp(doc["points"], p=p)
-    except (TypeError, ValueError) as e:  # a wrong JSON type raises TypeError
+            elif not _is_number(p):
+                raise ValueError(f"field 'metric.p': expected a number or \"inf\", got {p!r}")
+            return Instance.lp(_numbers(doc, "points"), p=p)
+    except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
     raise ValueError(f"{path}: field 'metric.type': unknown kind {kind!r}")

@@ -278,22 +278,23 @@ def _merge_pass(paths, adj):
     # which only costs a wasted scan), so path i skips the rest of the sweep
     # as soon as its ends have no neighbour among them
     rows, bits = adj
+    count = len(paths)   # len(paths), kept as pops shorten it
     ends = [(1 << p[0]) | (1 << p[-1]) for p in paths]
     later = ends + [0]
-    for j in range(len(paths) - 1, -1, -1):
+    for j in range(count - 1, -1, -1):
         later[j] |= later[j + 1]
     merged = False
     i = 0
-    while i < len(paths):
+    while i < count:
         j = i + 1
-        while j < len(paths):
+        while j < count:
             pi = paths[i]
             near = bits[pi[0]] | bits[pi[-1]]
             if not near & later[j]:
                 break
-            while j < len(paths) and not near & ends[j]:
+            while j < count and not near & ends[j]:
                 j += 1
-            if j == len(paths):
+            if j == count:
                 break
             pj = paths[j]
             if rows[pi[-1]][pj[0]]:
@@ -307,6 +308,7 @@ def _merge_pass(paths, adj):
             paths.pop(j)
             ends.pop(j)
             later.pop(j)
+            count -= 1
             merged = True
         i += 1
     return merged

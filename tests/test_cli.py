@@ -168,16 +168,38 @@ def test_input_error_exit_codes(tmp_path, capsys):
 
 
 def test_wrong_json_types_exit_code(tmp_path, capsys):
-    # numpy and float() raise TypeError, not ValueError, on these values
-    files = {"dict_matrix.json": '{"version": 1, "metric": {"type": "explicit"}, '
-                                 '"matrix": {"a": 1}}',
-             "list_p.json": '{"version": 1, "metric": {"type": "lp", "p": [2]}, '
-                            '"points": [[0, 0], [1, 0], [0, 1]]}'}
-    for name, text in files.items():
+    # numpy and float() would read true as 1, "3" as 3 and null as a
+    # missing p; only JSON numbers (and "inf" for p) are accepted
+    pts = '"points": [[0, 0], [1, 0], [0, 1]]'
+    lp = '{"version": 1, "metric": {"type": "lp", "p": %s}, ' + pts + '}'
+    explicit = '{"version": 1, "metric": {"type": "explicit"}, "matrix": %s}'
+    files = {"dict_matrix.json": (explicit % '{"a": 1}', "'matrix'"),
+             "bool_matrix.json": (explicit % '[[0, 1, 1], [1, 0, true], [1, true, 0]]',
+                                  "'matrix'"),
+             "list_p.json": (lp % "[2]", "'metric.p'"),
+             "bool_p.json": (lp % "true", "'metric.p'"),
+             "string_p.json": (lp % '"3"', "'metric.p'"),
+             "null_p.json": (lp % "null", "'metric.p'"),
+             "bool_version.json": ('{"version": true, "metric": {"type": "lp"}, ' + pts + '}',
+                                   "'version'"),
+             "string_points.json": ('{"version": 1, "metric": {"type": "lp"}, '
+                                    '"points": [["0", 0], [1, 0], [0, 1]]}', "'points'"),
+             "bool_points.json": ('{"version": 1, "metric": {"type": "lp"}, '
+                                  '"points": [[false, 0], [1, 0], [0, true]]}', "'points'"),
+             "bool_hamming.json": ('{"version": 1, "metric": {"type": "hamming"}, '
+                                   '"points": [[0, 1], [1, 0], [true, 1]]}', "'points'")}
+    for name, (text, field) in files.items():
         path = tmp_path / name
         path.write_text(text)
         code, _, err = run(["solve", str(path), "--epsilon", "0.5"], capsys)
-        assert code == 2 and f"error: {path}:" in err, name
+        assert code == 2 and f"error: {path}:" in err and field in err, name
+    # the same files with JSON numbers in those places load
+    for text in (lp % "3", lp % '"inf"', explicit % "[[0, 1, 1], [1, 0, 1.5], [1, 1.5, 0]]",
+                 '{"version": 1.0, "metric": {"type": "hamming"}, '
+                 '"points": [[0, 1], [1, 0], [1, 1.0]]}'):
+        path = tmp_path / "fine.json"
+        path.write_text(text)
+        assert read_instance(path).n == 3
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -23,12 +23,12 @@ from scatter_tsp import (
     find_low_degree_point,
     maximize_scatter,
     meets_threshold,
+    repair_cycle,
     scatter,
     threshold_graph,
     tour_edge_lengths,
 )
 from scatter_tsp.eptas import _center_graph
-from scatter_tsp.graphs import _dirac_core
 from scatter_tsp import instance as instance_module
 from scatter_tsp.instance import BLOCK_ROWS, DEDUP_REL_TOL, TILE_COLS
 from helpers import ref_candidate_distances, ref_dirac_tour
@@ -273,17 +273,17 @@ def test_dirac_repair_segment_wraps_past_the_end(n, far):
     inst = Instance.explicit(np.where(adj, 2.0, 1.0) - np.eye(n))
     want = [n - 2, *range(far, -1, -1), n - 1, *range(far + 1, n - 2)]
     assert ref_dirac_tour(inst, 2.0).tolist() == want
-    assert _dirac_core(ThresholdGraph(adj)).tolist() == want
+    assert repair_cycle(ThresholdGraph(adj), np.arange(n)).tolist() == want
     assert dirac_hamiltonian(MetricThresholdView(inst, 2.0)).tolist() == want
 
 
-def test_dirac_core_raises_without_a_crossing_pair():
+def test_repair_cycle_raises_without_a_crossing_pair():
     # the path 0-1-2-3: the closing pair (3, 0) has no crossing rotation
     adj = np.zeros((4, 4), dtype=bool)
     for u in range(3):
         adj[u, u + 1] = adj[u + 1, u] = True
     with pytest.raises(ContractViolation, match="no crossing rotation"):
-        _dirac_core(ThresholdGraph(adj))
+        repair_cycle(ThresholdGraph(adj), np.arange(4))
 
 
 def test_dirac_on_view_repairs_like_dense_path():

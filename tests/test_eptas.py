@@ -74,19 +74,30 @@ def test_decide_matches_oracle_dichotomy():
                 assert out.branch in ("dirac", "many_visits")
 
 
+def _lift_recorder(monkeypatch):
+    """The short pairs of each tour handed to eptas.repair_cycle."""
+    lifted = []
+    repair = eptas.repair_cycle
+
+    def recorded(graph, tour):
+        ok = graph.edge_flags(tour, np.roll(tour, -1))
+        lifted.append([(int(tour[i]), int(tour[(i + 1) % len(tour)]))
+                       for i in np.flatnonzero(~ok)])
+        return repair(graph, tour)
+
+    monkeypatch.setattr(eptas, "repair_cycle", recorded)
+    return lifted
+
+
+LIFT_POINTS = [[0, 0], [-0.15, -0.96], [-0.36, -0.86], [0.8, -0.42],
+               [-1.13, -1.69], [2.85, 0.21], [3.01, 1.03]]
+
+
 def test_decide_lifts_short_hub_edges(monkeypatch):
     # the walk expands to a tour whose hub edge (6, 5) is shorter than
     # (1 - eps) * ell, so the decision has to lift it out before answering
-    lifted = []
-    lift = eptas.bc_lift
-
-    def counted(base, log, tour):
-        lifted.append(list(log))
-        return lift(base, log, tour)
-
-    monkeypatch.setattr(eptas, "bc_lift", counted)
-    inst = Instance.lp([[0, 0], [-0.15, -0.96], [-0.36, -0.86], [0.8, -0.42],
-                        [-1.13, -1.69], [2.85, 0.21], [3.01, 1.03]])
+    lifted = _lift_recorder(monkeypatch)
+    inst = Instance.lp(LIFT_POINTS)
     ell, eps = 1.0, 0.1
     out = decide_scatter(inst, DecisionParams(ell, eps))
     assert lifted == [[(6, 5)]]
@@ -96,6 +107,27 @@ def test_decide_lifts_short_hub_edges(monkeypatch):
     opt = brute_force_mstsp(inst).opt
     assert meets_threshold(opt, ell)  # OPT >= ell: Yes is the only right answer
     assert out.witness_scatter <= opt
+
+
+def test_decide_lifts_perturbed_copies(monkeypatch):
+    # perturbed copies of the instance above: a short hub edge joins two
+    # points beyond 2 * ell of p, each adjacent to the majority within
+    # ell of p, so every lift's repair exists and no decision aborts
+    lifted = _lift_recorder(monkeypatch)
+    rng = np.random.default_rng(23)
+    lifts = 0
+    for _ in range(300):
+        inst = Instance.lp(np.array(LIFT_POINTS) + rng.normal(0.0, 0.05, (7, 2)))
+        opt = brute_force_mstsp(inst).opt
+        for eps in (0.1, 0.2):
+            out = decide_scatter(inst, DecisionParams(1.0, eps))
+            if meets_threshold(opt, 1.0):
+                assert out.answer
+            if out.answer:
+                assert meets_threshold(scatter(inst, out.witness), 1.0 - eps)
+            lifts += len(lifted)   # one record per lifted decision
+            lifted.clear()
+    assert lifts >= 100   # 171 of the 600 decisions lift
 
 
 def test_decide_line_instance():
