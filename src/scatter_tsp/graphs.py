@@ -1,10 +1,13 @@
 """Threshold graphs and the Hamiltonicity toolbox.
 
 Contains the constructive Dirac cycle builder, Bondy-Chvatal closure with
-edge lifting, Eulerian tours of multigraphs, the one max flow, and the
-ball exchange that normalizes a high-scatter tour around a low-degree
-point. Every flow has one shape, senders with supplies, receivers with
-demands and capacitated arcs between them: `transport` lays out its
+edge lifting, Eulerian tours of multigraphs, the one connectivity routine,
+the one max flow, and the ball exchange that normalizes a high-scatter
+tour around a low-degree point. `components(k, pairs)` builds its
+neighbour lists once per call and serves the multigraph support checks,
+`eulerian_tour`, the many-visits hub tier (on its owner graph) and the
+cubic graphs' 2-coloring. Every flow has one shape, senders with
+supplies, receivers with demands and capacitated arcs between them: `transport` lays out its
 network, source and sink arcs included, fills Dinic's first phase
 directly and returns the flow on each given arc. The many-visits tiers
 and bipartite matching only pass arcs in and read flows back.
@@ -187,38 +190,40 @@ class Multigraph:
 
     def support_is_connected_spanning(self) -> bool:
         """True when the positive edges connect all k vertices."""
-        return len(_support_reach(self.mult, 0)[1]) == self.k
+        return len(components(self.k, self.mult)) == 1
 
     def support_components(self) -> list:
         """Vertex sets of the components of the positive edges, isolated
         vertices included, in the order of their least vertex."""
-        comps = []
-        left = set(range(self.k))
-        while left:
-            comp = _support_reach(self.mult, min(left))[1]
-            comps.append(comp)
-            left -= comp
-        return comps
+        return components(self.k, self.mult)
 
 
-def _support_reach(mult: dict, start: int):
-    """Neighbour lists of the pairs in `mult`, and the vertices they join to `start`.
+def components(k: int, pairs) -> list:
+    """Vertex sets of the components of the graph on 0..k-1 whose edges are
+    the vertex pairs `pairs`, isolated vertices included, in the order of
+    their least vertex.
 
-    The lists are keyed by vertex and hold only vertices with an edge; the
-    reached set always holds `start`.
+    The neighbour lists are built once; each component is then one
+    graph search from its least vertex.
     """
-    nbrs = {}
-    for (u, v) in mult:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in nbrs.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return nbrs, seen
+    nbrs = [[] for _ in range(k)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    comps = []
+    placed = [False] * k
+    for start in range(k):
+        if placed[start]:
+            continue
+        placed[start] = True
+        comp = [start]
+        for x in comp:  # the loop reaches vertices appended while it runs
+            for w in nbrs[x]:
+                if not placed[w]:
+                    placed[w] = True
+                    comp.append(w)
+        comps.append(set(comp))
+    return comps
 
 
 def eulerian_tour(graph: Multigraph) -> list:
@@ -234,13 +239,15 @@ def eulerian_tour(graph: Multigraph) -> list:
     positive = [v for v in range(graph.k) if deg[v] > 0]
     if not positive:
         return [0]
-    # connectivity of the positive-degree part
-    nbrs, seen = _support_reach(graph.mult, positive[0])
-    if len(seen) != len(positive):
+    # the positive-degree vertices are those of the components with an edge
+    if sum(len(c) > 1 for c in components(graph.k, graph.mult)) > 1:
         raise ValueError("positive-degree subgraph is disconnected")
 
     remaining = dict(graph.mult)
-    adj = {v: sorted(nbrs[v]) for v in positive}
+    adj = {v: [] for v in positive}
+    for u, v in sorted(graph.mult):  # sorted pairs leave every list sorted
+        adj[u].append(v)
+        adj[v].append(u)
     ptr = {v: 0 for v in positive}
     start = positive[0]
     stack = [start]

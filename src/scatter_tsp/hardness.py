@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import ContractViolation, Instance, integer_array
-from .graphs import bipartite_max_matching
+from .graphs import bipartite_max_matching, components
 from .oracle import brute_force_mstsp, is_hamiltonian
 
 _REED_MULLER_MAX_M = 20   # memory guard: words occupy 4^m bytes
@@ -71,8 +71,8 @@ class CubicBipartiteGraph:
     """Simple 3-regular bipartite graph with a fixed 2-coloring.
 
     Edges are normalized to sorted pairs in lexicographic order. The
-    side array is the bipartition: each component is 2-colored by BFS
-    with its lowest vertex on side 0, so the labeling is deterministic.
+    side array is the bipartition: each component is 2-colored with its
+    lowest vertex on side 0, so the labeling is deterministic.
     """
 
     n: int
@@ -83,6 +83,9 @@ class CubicBipartiteGraph:
         n = self.n
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 4 or n % 2:
             raise ValueError("vertex count must be an even integer, at least 4")
+        if len(self.edges) != 3 * n // 2:  # before any per-vertex list
+            raise ValueError(f"a cubic graph on {n} vertices has {3 * n // 2} edges, "
+                             f"got {len(self.edges)}")
         norm = []
         for edge in self.edges:
             u, v = integer_array(edge, "edge ends").tolist()
@@ -96,30 +99,26 @@ class CubicBipartiteGraph:
         self.edges = sorted(norm)
 
         degree = [0] * self.n
-        adj = [[] for _ in range(self.n)]
         for (u, v) in self.edges:
             degree[u] += 1
             degree[v] += 1
-            adj[u].append(v)
-            adj[v].append(u)
         bad = [v for v in range(self.n) if degree[v] != 3]
         if bad:
             raise ValueError(f"vertex {bad[0]} has degree {degree[bad[0]]}, not 3")
 
+        # the bipartite double cover: x and x + n stand for x on either
+        # side. A component of the graph is bipartite exactly when its
+        # cover splits in two, x and x + n apart, and the half holding its
+        # lowest vertex, which comes first, puts that vertex on side 0.
+        # Every vertex has an edge, so each half holds a vertex below n
         side = np.full(self.n, -1, dtype=np.int8)
-        for start in range(self.n):
-            if side[start] >= 0:
-                continue
-            side[start] = 0
-            queue = [start]
-            while queue:
-                x = queue.pop()
-                for w in adj[x]:
-                    if side[w] < 0:
-                        side[w] = 1 - side[x]
-                        queue.append(w)
-                    elif side[w] == side[x]:
-                        raise ValueError("graph contains an odd cycle")
+        cover = [(u + a, v + n - a) for u, v in self.edges for a in (0, n)]
+        for half in components(2 * n, cover):
+            if len({x % n for x in half}) < len(half):
+                raise ValueError("graph contains an odd cycle")
+            if side[min(half)] < 0:
+                for x in half:
+                    side[x % n] = x >= n
         self.side = side
         if int(np.sum(side == 0)) != self.n // 2:
             raise ValueError("bipartition sides are unbalanced")

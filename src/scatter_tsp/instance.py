@@ -11,11 +11,12 @@ instance: the exhaustive oracle solves any symmetric matrix. The solver's
 No answers rest on that inequality, so `Instance.triangle_violation` names
 the first triple that breaks it, and the solver refuses such an instance.
 
-Every distance must be finite: a non-finite matrix entry is rejected at
-construction, and lp points whose distances overflow float64
-(`Instance.overflows`) when the candidate distances are computed or a
-threshold is decided. Two points at computed distance 0 count as
-duplicates, whether equal or not (a power can underflow at large p).
+Every distance must be finite: a non-finite matrix entry or coordinate
+(an integer too large for float64 included) is rejected at construction,
+and lp points whose distances overflow float64 (`Instance.overflows`)
+before the candidate distances are computed or a threshold is decided.
+Two points at computed distance 0 count as duplicates, whether equal or
+not (a power can underflow at large p).
 
 A tour is a permutation of 0..n-1 read cyclically; its scatter is the
 minimum distance between consecutive points, closing edge included.
@@ -81,7 +82,7 @@ class Instance:
         if metric_kind == "explicit":
             if matrix is None:
                 raise ValueError("explicit metric requires a matrix")
-            m = np.asarray(matrix, dtype=float)
+            m = _floats(matrix, "matrix entries")
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"matrix must be square, got shape {m.shape}")
             if not np.isfinite(m).all():
@@ -116,7 +117,7 @@ class Instance:
             if not (p >= 1.0):  # rejects NaN too
                 raise ValueError(f"lp metric requires p >= 1, got {p}")
             self.p = p
-            pts = np.asarray(points, dtype=float)
+            pts = _floats(points, "coordinates")
             if pts.ndim != 2:
                 raise ValueError("points must be a list of equal-length vectors")
             if not np.isfinite(pts).all():
@@ -345,6 +346,13 @@ class Instance:
         return f"Instance({met}, n={self.n}, dim={self.dim})"
 
 
+def _floats(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:  # an integer too large for float64 is not finite either
+        raise ValueError(f"{what} must be finite") from None
+
+
 def _triangle_violation(m: np.ndarray) -> str | None:
     n = m.shape[0]
     tol = REL_TOL * np.maximum(1.0, m)
@@ -437,8 +445,8 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     """Sorted distinct positive pairwise distances, plus 0 when two points
     are at computed distance 0 (duplicates, or a power that underflows).
 
-    Raises ValueError when a distance is not finite (lp coordinates whose
-    differences overflow float64).
+    Raises ValueError, before the sweep, when a distance is not finite
+    (lp coordinates whose differences overflow float64: Instance.overflows).
 
     Values within relative tolerance DEDUP_REL_TOL of the last kept value
     are merged into it, so a chain of near ties keeps its smallest member
@@ -450,6 +458,8 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     of the distinct values of the whole matrix and nothing else. A sum is
     0 exactly when its root is, so zero pairs are counted before the root.
     """
+    if instance.overflows:
+        raise ValueError("a pairwise distance overflows to a non-finite value")
     uniq = []
     zero_pairs = 0
     mask = None
@@ -472,10 +482,6 @@ def candidate_distances(instance: Instance) -> np.ndarray:
         # a rounded pow need not be monotone
         _lp_root(vals, p)
         vals = np.unique(vals)
-    # np.unique sorts inf and NaN last; an overflowed distance would merge
-    # into its predecessor as a near tie and hide from every probe
-    if not np.isfinite(vals[-1]):
-        raise ValueError("a pairwise distance overflows to a non-finite value")
     vals = np.concatenate(([0.0] if zero_pairs else [], vals[vals > 0.0]))
     # a value farther than the tolerance from its predecessor is farther
     # still from the last kept value, so only runs of near ties need the

@@ -30,13 +30,15 @@ with no allowed arc leaving it gives a branch node no children).
    nodes abort.
 4. hub path cover (`_hub_path_cover`), run after the branching's root and
    before its first branch node: when some vertex is adjacent to all
-   others, feasibility is a path-cover question on the other visits.
-   A greedy cover comes first: sweeps of endpoint merges run once to a
-   fixed point, then Pósa rotation merges until one fails. No sweep runs
-   between them, as none could merge: a rotation merge leaves every
-   path's two ends ends of different paths before. The rotations are
-   searched breadth first and stop at the first queued end that can
-   merge with another path. When the cover has more paths than the hub's
+   others, feasibility is a path-cover question on the other visits,
+   one clone per visit. Clones of one owner are twins, so the clone
+   components come from `graphs.components` on the owner graph of the
+   other vertices (`_clone_components`). A greedy cover comes first:
+   sweeps of endpoint merges run once to a fixed point, then Pósa
+   rotation merges until one fails. No sweep runs between them, as none
+   could merge: a rotation merge leaves every path's two ends ends of
+   different paths before. The rotations are searched breadth first and
+   stop at the first queued end that can merge with another path. When the cover has more paths than the hub's
    visit count t, each component gets a certified floor, one max flow on
    its owner classes (`_flow_floor`, a fractional 2-matching bound), and
    floors summing past t answer No at once. Otherwise the components above
@@ -61,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .instance import ContractViolation, integer_array
-from .graphs import Multigraph, eulerian_tour, transport
+from .graphs import Multigraph, components, eulerian_tour, transport
 
 _WALK_STATE_CAP = 700_000    # product of (visits_v + 1) admitted to the walk DP
 _NODE_CAP = 20_000           # nodes of the subtour branching
@@ -485,37 +487,26 @@ def _flow_floor(comp, owner, allowed):
     return max(1, len(comp) - f // 2)
 
 
-def _vertex_components(vertices, adj):
-    """Connected components of the subgraph induced by `vertices`, each a
-    sorted list, in the order of their first vertex in `vertices`.
+def _clone_components(block, counts):
+    """Components of the clone graph, each a sorted list, in the order of
+    their least clone.
 
-    Each is grown one breadth-first layer at a time on the neighbour
-    bitmasks, so the cost is O(|vertices| * m / 64) word operations.
+    `block` is the owner graph on 0..len(counts)-1, and owner v has the
+    counts[v] clones numbered next after those of owners 0..v-1. Clones
+    of one owner are twins: adjacent to the same clones and not to each
+    other. So a component of two or more owners is one clone component,
+    its owners' clone ranges joined in owner order, and each clone of an
+    owner with no neighbour is a component on its own.
     """
-    bits = adj.bits
-    left = 0
-    for v in vertices:
-        left |= 1 << v
+    starts = np.cumsum([0, *counts]).tolist()
     comps = []
-    for v0 in vertices:
-        if not left >> v0 & 1:
-            continue
-        comp = layer = 1 << v0
-        while layer:
-            reach = 0
-            while layer:
-                low = layer & -layer
-                reach |= bits[low.bit_length() - 1]
-                layer ^= low
-            layer = reach & left & ~comp
-            comp |= layer
-        left &= ~comp
-        members = []
-        while comp:
-            low = comp & -comp
-            members.append(low.bit_length() - 1)
-            comp ^= low
-        comps.append(members)
+    pairs = zip(*(x.tolist() for x in np.nonzero(np.triu(block))))
+    for owners in components(len(counts), pairs):
+        ranges = [range(starts[v], starts[v + 1]) for v in sorted(owners)]
+        if len(ranges) > 1:
+            comps.append([c for r in ranges for c in r])
+        else:
+            comps.extend([c] for c in ranges[0])
     return comps
 
 
@@ -557,14 +548,13 @@ def _hub_path_cover(spec):
     if total_rest > _CLONE_CAP:
         return "no_hub"
 
-    owner = []
-    for v in range(k):
-        if v != h:
-            owner.extend([v] * spec.visits[v])
+    rest = [v for v in range(k) if v != h]
+    owner = [v for v in rest for _ in range(spec.visits[v])]
     m = len(owner)
     adj = _clone_adjacency(spec.allowed, owner)
 
-    comps = _vertex_components(list(range(m)), adj)
+    # the components of the owner graph give those of the clones
+    comps = _clone_components(spec.allowed[np.ix_(rest, rest)], [spec.visits[v] for v in rest])
     covers = [_greedy_paths(comp, adj) for comp in comps]
     total = sum(len(cv) for cv in covers)
     if total > t:

@@ -28,7 +28,6 @@ from scatter_tsp.many_visits import (
     _exact_cover,
     _greedy_paths,
     _restart_paths,
-    _vertex_components,
 )
 
 
@@ -522,7 +521,7 @@ def ref_hub_path_cover(spec):
     m = len(owner)
     adj = _clone_adjacency(spec.allowed, owner)
 
-    comps = _vertex_components(list(range(m)), adj)
+    comps = ref_vertex_components(range(m), adj.rows)
     if len(comps) > t:
         return None
     covers = [_greedy_paths(comp, adj) for comp in comps]

@@ -205,16 +205,32 @@ def test_wrong_json_types_exit_code(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_distances_exit_code(tmp_path, capsys):
     # 1e400 parses as inf; the l2 points are finite but their distances
-    # overflow
+    # overflow; a 401-digit integer is past float64 too, but json reads it
+    # as an int, which float() refuses with OverflowError
+    huge = "9" * 401
     files = {"matrix.json": '{"version": 1, "metric": {"type": "explicit"}, '
                             '"matrix": [[0, 1e400, 1], [1e400, 0, 1], [1, 1, 0]]}',
              "points.json": '{"version": 1, "metric": {"type": "lp", "p": 2}, '
-                            '"points": [[0, 0], [1e200, 0], [0, 1e200], [1, 1]]}'}
+                            '"points": [[0, 0], [1e200, 0], [0, 1e200], [1, 1]]}',
+             "huge_matrix.json": '{"version": 1, "metric": {"type": "explicit"}, "matrix": '
+                                 f'[[0, {huge}, 1], [{huge}, 0, 1], [1, 1, 0]]}}',
+             "huge_points.json": '{"version": 1, "metric": {"type": "lp", "p": 2}, '
+                                 f'"points": [[0, 0], [{huge}, 0], [0, 1]]}}'}
     for name, text in files.items():
         path = tmp_path / name
         path.write_text(text)
         code, _, err = run(["solve", str(path), "--epsilon", "0.25"], capsys)
         assert code == 2 and "finite" in err, name
+
+
+def test_embed_refuses_a_wrong_edge_count_before_allocating(tmp_path, capsys):
+    # 10^11 vertices would need per-vertex lists far beyond memory; one
+    # edge is not 3n/2 of them, which is refused first
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000000\n0 1\n")
+    code, _, err = run(["embed", "--graph", str(path), "--out", str(tmp_path / "x.json")],
+                       capsys)
+    assert code == 2 and "150000000000 edges, got 1" in err
 
 
 def test_non_metric_matrix_exit_code(tmp_path, capsys):

@@ -17,6 +17,7 @@ from scatter_tsp import (
     bipartite_max_matching,
     bondy_chvatal_closure,
     candidate_distances,
+    components,
     dirac_hamiltonian,
     eulerian_tour,
     generate,
@@ -27,7 +28,12 @@ from scatter_tsp import (
     threshold_graph,
     transport,
 )
-from helpers import random_dirac_adjacency, ref_transport, ring_far_instance
+from helpers import (
+    random_dirac_adjacency,
+    ref_transport,
+    ref_vertex_components,
+    ring_far_instance,
+)
 
 
 def test_threshold_graph_hand_case():
@@ -124,6 +130,27 @@ def _check_euler(mg):
     return walk
 
 
+@st.composite
+def vertex_pairs(draw):
+    """(k, pairs): repeated pairs, both orders and isolated vertices."""
+    k = draw(st.integers(1, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                          max_size=2 * k))
+    return k, [(u, v) for u, v in pairs if u != v]
+
+
+@settings(max_examples=150)
+@given(vertex_pairs())
+def test_components_match_reference(case):
+    k, pairs = case
+    allowed = np.zeros((k, k), dtype=bool)
+    for u, v in pairs:
+        allowed[u, v] = allowed[v, u] = True
+    want = [set(c) for c in ref_vertex_components(range(k), allowed)]
+    assert components(k, pairs) == want
+    assert components(k, iter(pairs)) == want  # pairs are read once
+
+
 def test_eulerian_tour_cases():
     tri = Multigraph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
     assert len(_check_euler(tri)) == 4
@@ -135,6 +162,8 @@ def test_eulerian_tour_cases():
     _check_euler(mixed)
 
     assert eulerian_tour(Multigraph(5)) == [0]  # no edges at all
+    # isolated vertices around the one component with edges
+    assert eulerian_tour(Multigraph(5, {(3, 1): 2})) == [1, 3, 1]
 
     with pytest.raises(ValueError):
         eulerian_tour(Multigraph(3, {(0, 1): 1}))  # odd degrees

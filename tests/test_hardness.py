@@ -60,6 +60,9 @@ def test_cubic_graph_constructor_guards():
                                            for v in range(3, 6)])
     with pytest.raises(ValueError):  # odd vertex count
         CubicBipartiteGraph(5, [(0, 1)])
+    # refused before the per-vertex lists, which would not fit in memory
+    with pytest.raises(ValueError, match="has 150000000000 edges, got 1"):
+        CubicBipartiteGraph(10 ** 11, [(0, 1)])
 
 
 def test_cubic_graph_refuses_non_integer_ids():

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 from scatter_tsp import ContractViolation, VisitSpec, many_visits
 from scatter_tsp.many_visits import (
     _WALK_STATE_CAP,
+    _arc_flow,
     _clone_adjacency,
+    _clone_components,
     _exact_cover,
     _first_rotation,
     _flow_floor,
@@ -25,7 +27,6 @@ from scatter_tsp.many_visits import (
     _restart_paths,
     _rotate_merge_once,
     _short_of_neighbour_visits,
-    _vertex_components,
     _walk_dp,
     many_visits_tour,
 )
@@ -48,21 +49,14 @@ def clone_graph(quotient, visits):
     return _clone_adjacency(quotient, owner)
 
 
-def assert_matches_reference(adj, subset_seed, restarts=True):
-    m = len(adj.rows)
-    comps = _vertex_components(list(range(m)), adj)
-    assert comps == ref_vertex_components(list(range(m)), adj.rows)
-    for comp in comps:
+def assert_matches_reference(adj, restarts=True):
+    for comp in ref_vertex_components(range(len(adj.rows)), adj.rows):
         greedy = _greedy_paths(comp, adj)
         ref = ref_greedy_paths(comp, adj.rows)
         assert greedy == ref
         if restarts and len(ref) > 1:  # the tier restarts only covers it could improve
             assert (_restart_paths(comp, adj, greedy)
                     == ref_restart_paths(comp, adj.rows, ref))
-    # a shuffled subset: components follow the order of `vertices`
-    rng = np.random.default_rng(subset_seed)
-    rest = [v for v in rng.permutation(m).tolist() if rng.random() < 0.8]
-    assert _vertex_components(rest, adj) == ref_vertex_components(rest, adj.rows)
 
 
 def sweep_after_each_rotation(order, adj):
@@ -99,9 +93,40 @@ def clone_graphs(draw):
 
 
 @settings(max_examples=40)
-@given(clone_graphs(), st.integers(0, 2 ** 32 - 1))
-def test_path_search_matches_reference(adj, subset_seed):
-    assert_matches_reference(adj, subset_seed)
+@given(clone_graphs())
+def test_path_search_matches_reference(adj):
+    assert_matches_reference(adj)
+
+
+@st.composite
+def owner_graphs(draw):
+    """(owner graph, clone counts) with isolated owners, adjacent to no
+    other owner, and twin hubs, adjacent to every other owner."""
+    k = draw(st.integers(1, 10))
+    quotient = draw_quotient(draw, k)
+    for v in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        quotient[v, :] = quotient[:, v] = False
+    for v in draw(st.lists(st.integers(0, k - 1), max_size=2)):
+        quotient[v, :] = quotient[:, v] = True
+        quotient[v, v] = False
+    return quotient, draw(st.lists(st.integers(1, 6), min_size=k, max_size=k))
+
+
+@settings(max_examples=150)
+@given(owner_graphs())
+def test_clone_components_follow_the_owner_graph(case):
+    quotient, visits = case
+    rows = clone_graph(quotient, visits).rows
+    assert _clone_components(quotient, visits) == ref_vertex_components(range(len(rows)), rows)
+
+
+def test_each_clone_of_an_isolated_owner_is_a_component():
+    # owners 0 and 3 meet owner 1 and owner 2 has no neighbour: owners 0, 1
+    # and 3 make one component of clones 0-2 and 6-7, and each clone of
+    # owner 2 is one of its own, in the order of the least clone
+    quotient = np.array([[0, 1, 0, 0], [1, 0, 0, 1], [0, 0, 0, 0], [0, 1, 0, 0]], dtype=bool)
+    comps = _clone_components(quotient, [2, 1, 3, 2])
+    assert comps == [[0, 1, 2, 6, 7], [3], [4], [5]]
 
 
 @pytest.mark.parametrize("seed", [2, 3])  # one Hamiltonian path, one 2-path cover
@@ -114,7 +139,7 @@ def test_large_clone_graphs_match_reference(seed):
     quotient |= quotient.T
     visits = rng.integers(20, 41, size=k).tolist()
     assert sum(visits) >= 300
-    assert_matches_reference(clone_graph(quotient, visits), seed, restarts=False)
+    assert_matches_reference(clone_graph(quotient, visits), restarts=False)
 
 
 def test_long_paths_match_reference():
@@ -148,7 +173,7 @@ def test_first_rotation_is_the_first_reference_variant_that_meets(adj, seed):
     # the mask, or None when none does
     rng = np.random.default_rng(seed)
     m = len(adj.rows)
-    for comp in _vertex_components(list(range(m)), adj):
+    for comp in ref_vertex_components(range(m), adj.rows):
         for path in _greedy_paths(comp, adj):
             for base in (path, path[::-1]):
                 variants = ref_rotation_variants(base, adj.rows)
@@ -276,7 +301,7 @@ def test_floors_past_t_answer_before_any_search(monkeypatch):
     visits = [8, 3, 1, 3, 4, 3, 4, 4, 4]
     owner = [v for v in range(1, 9) for _ in range(visits[v])]
     adj = _clone_adjacency(allowed, owner)
-    comp, = _vertex_components(list(range(26)), adj)
+    comp, = ref_vertex_components(range(26), adj.rows)
     assert len(_greedy_paths(comp, adj)) == _flow_floor(comp, owner, allowed) == 10
     searches = []
 
@@ -290,6 +315,43 @@ def test_floors_past_t_answer_before_any_search(monkeypatch):
         monkeypatch.setattr(many_visits, search.__name__, counted(search))
     assert _hub_path_cover(VisitSpec(allowed, visits)) is None
     assert searches == []
+
+
+def test_relaxation_without_flow_is_refuted_before_any_search(monkeypatch):
+    """A hub spec whose relaxation _arc_flow(k, edges, visits, visits) has
+    no flow gets None from the tier before any search.
+
+    Hall's condition fails for some set S of senders. If S = {h}, then
+    t > total_rest and the tier answers at its first check. Otherwise
+    h is not in S, and sum_S visits > t + sum_{N'(S)} visits, N'(S) being
+    the non-hub neighbours of S. The class flow of the m clones then has
+    f <= 2 sum_{N'(S)} c + 2 (m - sum_S c), so the floors sum to at least
+    m - f / 2 > t. A single-path component's floor of 1 is at least
+    m_C - f_C / 2 too, as its Hamiltonian path gives f_C >= 2 (m_C - 1).
+    """
+    def refused(*args):
+        raise AssertionError("searched a spec the floors refute")
+
+    for search in ("_exact_cover", "_restart_paths"):
+        monkeypatch.setattr(many_visits, search, refused)
+    # vertices 0 and 2 are both universal; 0 is the hub, t = 3. The ten
+    # visits of 1 need ten arcs into the three of 0 and three of 2
+    spec = hub_spec([(1, 2), (2, 3)], [3, 10, 3, 1])
+    assert _arc_flow(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], spec.visits, spec.visits) is None
+    assert _hub_path_cover(spec) is None
+    rng = np.random.default_rng(5)
+    refuted = 0
+    for _ in range(300):
+        k = int(rng.integers(6, 11))
+        others = np.triu(rng.random((k, k)) < rng.uniform(0.1, 0.5), 1)
+        edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(others)) if u > 0]
+        visits = [int(rng.integers(1, 10))] + rng.integers(1, 7, size=k - 1).tolist()
+        spec = hub_spec(edges, visits)
+        all_edges = [(0, v) for v in range(1, k)] + edges
+        if _arc_flow(k, all_edges, spec.visits, spec.visits) is None:
+            assert _hub_path_cover(spec) is None
+            refuted += 1
+    assert refuted >= 150  # 184 of the 300
 
 
 def test_exact_cover_out_of_walk_dp_range():
@@ -440,7 +502,7 @@ def sparse_graphs(draw):
 @given(st.one_of(clone_graphs(), sparse_graphs()))
 def test_restarts_stop_at_the_first_cover_that_fits(adj):
     m = len(adj.rows)
-    for comp in _vertex_components(list(range(m)), adj):
+    for comp in ref_vertex_components(range(m), adj.rows):
         greedy = _greedy_paths(comp, adj)
         if len(greedy) == 1:
             continue
@@ -517,7 +579,7 @@ def test_hub_decisions_near_the_greedy_count(monkeypatch):
         if not floors:
             hub_visits.append(spec.visits[h])
             adj = _clone_adjacency(allowed, owner)
-            for c in _vertex_components(list(range(len(owner))), adj):
+            for c in ref_vertex_components(range(len(owner)), adj.rows):
                 one = len(_greedy_paths(c, adj)) == 1
                 floors[tuple(c)] = 1 if one else _flow_floor(c, owner, allowed)
         searched(comp, greedy)
@@ -543,7 +605,7 @@ def test_hub_decisions_near_the_greedy_count(monkeypatch):
         quotient |= quotient.T
         visits = rng.integers(3, 11, size=k).tolist()
         adj = clone_graph(quotient, visits)
-        comps = _vertex_components(list(range(len(adj.rows))), adj)
+        comps = ref_vertex_components(range(len(adj.rows)), adj.rows)
         greedy = sum(len(_greedy_paths(comp, adj)) for comp in comps)
         t = max(1, greedy - int(rng.integers(0, 3)))
         edges = [(u + 1, v + 1) for u, v in zip(*np.nonzero(np.triu(quotient)))]
@@ -566,7 +628,7 @@ def test_no_sweep_merges_after_a_rotation_merge(adj, seed):
     # the covers, restarts included, are those of the loop that sweeps
     # after every rotation merge
     rng = np.random.default_rng(seed)
-    for comp in _vertex_components(list(range(len(adj.rows))), adj):
+    for comp in ref_vertex_components(range(len(adj.rows)), adj.rows):
         for order in (rng.permutation(comp).tolist(), comp):
             paths, _ = sweep_after_each_rotation(order, adj)
             assert paths == _greedy_paths(order, adj) == ref_greedy_paths(order, adj.rows)
