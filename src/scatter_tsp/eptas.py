@@ -23,6 +23,12 @@ and quotient edges admitted at ell - 2*delta, a Yes answer always carries
 a tour of scatter at least (1 - epsilon)*ell, while No certifies that no
 scatter-ell tour exists. Both steps use the triangle inequality, so an
 explicit matrix that breaks it is refused with ValueError.
+
+The Dirac cycle is repaired from one of two start cycles, index order and
+the interleave of the two halves of the instance's spatial order,
+whichever has fewer non-adjacent consecutive pairs (index order on a
+tie): each repair removes at least one, and on points at a few sites, each
+holding fewer than half of them, the interleave has none.
 """
 
 from dataclasses import dataclass, field
@@ -145,6 +151,31 @@ def _center_graph(instance: Instance, centers, tau: float) -> np.ndarray:
     return MetricThresholdView(instance, tau).edge_flags(centers[:, None], centers[None, :])
 
 
+def _dirac_start(instance: Instance, view: MetricThresholdView) -> np.ndarray:
+    """Start cycle of the Dirac repair: the interleave of the two halves of
+    the spatial order when it has fewer bad pairs than index order, else
+    index order.
+
+    Each repair removes at least one bad pair, so the repairs are at most
+    the smaller count. Consecutive points of the interleave lie at least
+    ceil(n/2) - 1 positions apart in the spatial order, and coincident
+    points are consecutive in it: when every site holds fewer than
+    ceil(n/2) points and distinct sites are at least ell apart, the
+    interleave has no bad pair."""
+    n = instance.n
+    order = instance.spatial_order
+    half = -(-n // 2)
+    spread = np.empty(n, dtype=np.intp)
+    spread[0::2] = order[:half]
+    spread[1::2] = order[half:]
+    ident = np.arange(n)
+
+    def bad_pairs(cycle):
+        return int(np.count_nonzero(~view.edge_flags(cycle, np.roll(cycle, -1))))
+
+    return spread if bad_pairs(spread) < bad_pairs(ident) else ident
+
+
 def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcome:
     """Yes with a (1-epsilon)*ell witness, or No certifying OPT < ell.
 
@@ -164,7 +195,7 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
         # every threshold degree is >= n/2: constructive Dirac cycle, on
         # edge flags computed on demand and the degrees the scan just counted
         view = MetricThresholdView(instance, ell)
-        tour = dirac_hamiltonian(view, degrees)
+        tour = dirac_hamiltonian(view, degrees, _dirac_start(instance, view))
         return _validated(instance, params, tour, "dirac", None)
 
     ctx = low_degree_context(instance, p, ell)

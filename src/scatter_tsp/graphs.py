@@ -13,7 +13,10 @@ directly and returns the flow on each given arc. The many-visits tiers
 and bipartite matching only pass arcs in and read flows back.
 
 One cycle repair, `repair_cycle`, serves Dirac and the solver's quotient
-lift. It, `bc_lift` and the ball exchange make one cycle move, the
+lift. Each repair removes at least one non-adjacent consecutive pair of
+its start cycle, so `dirac_hamiltonian` takes the start as an argument
+(index order by default) and the solver picks the one with fewer such
+pairs. It, `bc_lift` and the ball exchange make one cycle move, the
 crossing 2-opt (`_two_opt`, found for a pair that must go by `_repair`).
 Graphs are read only through `n`, `edge_flags(us, vs)`, whose index
 arrays broadcast (`ids[:, None]` against `np.arange(n)` reads whole rows),
@@ -276,13 +279,14 @@ def eulerian_tour(graph: Multigraph) -> list:
     return circuit
 
 
-def dirac_hamiltonian(graph, degrees=None) -> np.ndarray:
+def dirac_hamiltonian(graph, degrees=None, start=None) -> np.ndarray:
     """Hamiltonian cycle of a graph with minimum degree >= n/2.
 
     `graph` is a ThresholdGraph or a MetricThresholdView; `degrees`, when
     given, are its exact vertex degrees, which spares a sweep over all rows.
     The degree condition is checked here; the cycle is repair_cycle's,
-    from the identity cyclic order.
+    from the cyclic order `start`, index order when it is None. It makes
+    at most as many repairs as `start` has non-adjacent consecutive pairs.
     """
     n = graph.n
     if n < 3:
@@ -292,7 +296,7 @@ def dirac_hamiltonian(graph, degrees=None) -> np.ndarray:
     if 2 * int(deg[worst]) < n:
         raise ValueError(
             f"vertex {worst} has degree {int(deg[worst])} < n/2 = {n / 2}")
-    return repair_cycle(graph, np.arange(n))
+    return repair_cycle(graph, np.arange(n) if start is None else start)
 
 
 def repair_cycle(graph, cycle) -> np.ndarray:

@@ -113,7 +113,11 @@ class Instance:
         else:
             if p is None:
                 p = 2.0
-            p = float(p)
+            try:
+                p = float(p)
+            except OverflowError:  # an integer past float64; inf is the l_inf metric
+                raise ValueError("lp metric requires p to fit in float64 "
+                                 "(inf for l_inf), got an integer too large") from None
             if not (p >= 1.0):  # rejects NaN too
                 raise ValueError(f"lp metric requires p >= 1, got {p}")
             self.p = p

@@ -369,8 +369,9 @@ def ref_candidate_distances(instance):
     return np.array(kept)
 
 
-def ref_dirac_tour(instance, ell):
-    """Dirac cycle of the dense threshold graph at ell."""
+def ref_dirac_tour(instance, ell, start=None):
+    """Dirac cycle of the dense threshold graph at ell, repaired from the
+    cyclic order `start` (index order when it is None)."""
     adj = threshold_graph(instance, ell).adjacency
     n = adj.shape[0]
     deg = adj.sum(axis=1)
@@ -378,7 +379,7 @@ def ref_dirac_tour(instance, ell):
     if 2 * int(deg[worst]) < n:
         raise ValueError(
             f"vertex {worst} has degree {int(deg[worst])} < n/2 = {n / 2}")
-    order = np.arange(n)
+    order = np.arange(n) if start is None else np.array(start, dtype=np.intp)
     nxt = np.roll(order, -1)
     bad_mask = ~adj[order, nxt]
     bad = {_ref_key(int(order[i]), int(nxt[i])) for i in np.nonzero(bad_mask)[0]}

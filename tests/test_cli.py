@@ -223,6 +223,15 @@ def test_non_finite_distances_exit_code(tmp_path, capsys):
         assert code == 2 and "finite" in err, name
 
 
+def test_p_past_float64_exit_code(tmp_path, capsys):
+    path = tmp_path / "huge_p.json"
+    path.write_text('{"version": 1, "metric": {"type": "lp", "p": ' + "9" * 401
+                    + '}, "points": [[0, 0], [1, 0], [0, 1]]}')
+    code, out, err = run(["solve", str(path), "--epsilon", "0.25"], capsys)
+    assert code == 2 and out == ""
+    assert f"error: {path}: lp metric requires p to fit in float64" in err
+
+
 def test_embed_refuses_a_wrong_edge_count_before_allocating(tmp_path, capsys):
     # 10^11 vertices would need per-vertex lists far beyond memory; one
     # edge is not 3n/2 of them, which is refused first

@@ -28,7 +28,7 @@ from scatter_tsp import (
     threshold_graph,
     tour_edge_lengths,
 )
-from scatter_tsp.eptas import _center_graph
+from scatter_tsp.eptas import _center_graph, _dirac_start
 from scatter_tsp import instance as instance_module
 from scatter_tsp.instance import BLOCK_ROWS, DEDUP_REL_TOL, TILE_COLS
 from helpers import ref_candidate_distances, ref_dirac_tour
@@ -216,6 +216,10 @@ def test_scan_degrees_and_dirac_on_view_match_dense_graph(inst):
             want = ref_dirac_tour(inst, ell)
             assert np.array_equal(dirac_hamiltonian(view, degrees), want)
             assert np.array_equal(dirac_hamiltonian(view), want)
+            # the start decide_scatter picks, repaired alike
+            start = _dirac_start(inst, view)
+            assert np.array_equal(dirac_hamiltonian(view, degrees, start),
+                                  ref_dirac_tour(inst, ell, start))
         else:
             assert 2 * int(dense.min()) < n
             with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from scatter_tsp import (
     meets_threshold,
     scatter,
 )
-from scatter_tsp import eptas, many_visits
+from scatter_tsp import MetricThresholdView, eptas, graphs, many_visits
 from helpers import brute_scatter
 
 
@@ -135,6 +135,61 @@ def test_decide_line_instance():
     out = decide_scatter(inst, DecisionParams(1.0, 0.25))
     assert out.answer  # interleaving the two halves keeps gaps >= 1
     assert meets_threshold(out.witness_scatter, 0.75)
+
+
+def _bad_pairs(view, cycle):
+    return int((~view.edge_flags(cycle, np.roll(cycle, -1))).sum())
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_dirac_blob_needs_no_repair(monkeypatch, shuffle):
+    # criterion 8's Dirac blob: index order runs through each blob in turn
+    # (6,667 repairs in blob order), while the interleaved spatial order
+    # alternates between blobs at least 0.4 apart
+    pts = np.repeat([[0.0, 0.0], [0.4, 0.0], [0.2, 1.0], [0.2, -1.0]],
+                    [4800, 300, 2400, 2500], axis=0)
+    if shuffle:
+        pts = pts[np.random.default_rng(1).permutation(len(pts))]
+    repairs = []
+    repair = graphs._repair
+
+    def counted(*args):
+        repairs.append(args[3:])
+        return repair(*args)
+
+    monkeypatch.setattr(graphs, "_repair", counted)
+    inst = Instance.lp(pts)
+    eps = 0.05
+    out = decide_scatter(inst, DecisionParams(0.4, eps))
+    assert out.answer and out.branch == "dirac"
+    assert repairs == []
+    assert meets_threshold(scatter(inst, out.witness), (1.0 - eps) * 0.4)
+
+
+def test_dirac_start_has_no_more_bad_pairs_than_index_order():
+    # on uniform cells either start can have fewer bad pairs, and each is
+    # picked on some of these probes
+    picked = set()
+    for n, seed in [(300, 0), (300, 1), (1000, 2), (10_000, 22)]:
+        inst = generate("uniform", n, 3, seed)
+        ident = np.arange(n)
+        rows = inst.distance_rows(np.arange(20)).ravel()
+        for q in (0.01, 0.05, 0.1, 0.25, 0.5):
+            view = MetricThresholdView(inst, float(np.quantile(rows[rows > 0], q)))
+            start = eptas._dirac_start(inst, view)
+            assert sorted(start.tolist()) == ident.tolist()
+            assert _bad_pairs(view, start) <= _bad_pairs(view, ident)
+            picked.add(np.array_equal(start, ident))
+    assert picked == {True, False}
+
+
+def test_dirac_start_is_a_permutation():
+    cases = [generate("uniform", n, 2, seed=n) for n in (3, 4, 5)]
+    cases.append(Instance.explicit(generate("uniform", 7, 2, seed=7).full_matrix()))
+    for inst in cases:
+        for ell in candidate_distances(inst):
+            start = eptas._dirac_start(inst, MetricThresholdView(inst, float(ell)))
+            assert sorted(start.tolist()) == list(range(inst.n))
 
 
 def test_maximize_contract_on_small_instances():

@@ -69,6 +69,9 @@ def test_constructor_rejections():
         Instance.lp([[0.0], [1.0]])                       # fewer than 3 points
     with pytest.raises(ValueError):
         Instance.lp(TRI, p=0.5)
+    # a JSON integer of 401 digits arrives as a Python int past float64
+    with pytest.raises(ValueError, match="requires p to fit in float64"):
+        Instance.lp(TRI, p=10 ** 400)
     with pytest.raises(ValueError):
         Instance.lp([[0.0, np.inf], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
