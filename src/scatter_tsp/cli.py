@@ -31,7 +31,7 @@ class BenchRecord:
     ell_hat: float
     witness_scatter: float
     oracle_opt: float | None
-    branch: str
+    branch: str | None
     net_size: int | None
     runtime_ms: float
     seed: int
@@ -145,8 +145,9 @@ def _run_cell(cell):
     start = time.perf_counter()
     ell_hat, tour, probes = maximize_scatter_report(inst, eps)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    # no probe accepts the minimum distance, which comes back unprobed
     accepted = [p for p in probes if p["answer"] and p["ell"] == ell_hat]
-    branch = accepted[-1]["branch"] if accepted else "dirac"
+    branch = accepted[-1]["branch"] if accepted else None
     net_size = accepted[-1]["net_size"] if accepted else None
     opt = brute_force_mstsp(inst).opt if want_oracle else None
     return BenchRecord(

@@ -54,6 +54,8 @@ from .graphs import (  # noqa: F401  bc_lift, threshold_graph: perfbench/spans.p
 from .nets import greedy_delta_net
 from .many_visits import VisitSpec, many_visits_tour
 
+_QUOTIENT_CAP = 1000         # net centers admitted to the quotient solve
+
 
 @dataclass
 class DecisionParams:
@@ -202,6 +204,11 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
     net = greedy_delta_net(instance, ctx.near, params.net_delta)
     centers = net.center_ids
     k = net.size()
+    if k > _QUOTIENT_CAP:
+        # the center graph and the walk tiers hold O(k^2) values each
+        raise ContractViolation(
+            f"probe ell={ell!r}: net size k={k} exceeds the quotient budget "
+            f"_QUOTIENT_CAP={_QUOTIENT_CAP}")
     nq = ctx.far_count()
     kk = k + (1 if nq else 0)
 
@@ -255,39 +262,28 @@ def maximize_scatter(instance: Instance, epsilon: float):
 def maximize_scatter_report(instance: Instance, epsilon: float):
     """As maximize_scatter, plus one record per probe for diagnostics.
 
-    A non-metric matrix has a positive distance, so the top probe runs and
-    raises decide_scatter's ValueError."""
+    The top candidate is probed first, then the rest are bisected. The
+    least, the minimum pairwise distance, is never probed, since every
+    tour attains it, so a single candidate needs no probe. A non-metric
+    matrix has two distinct distances, so the first probe raises
+    decide_scatter's ValueError."""
     if not 0.0 < float(epsilon) < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    n = instance.n
     cand = candidate_distances(instance)
     probes = []
-
-    def probe(i):
-        out = decide_scatter(instance, DecisionParams(float(cand[i]), epsilon))
-        probes.append({"ell": float(cand[i]), "answer": out.answer,
-                       "branch": out.branch, "net_size": out.net_size})
-        return out
-
-    if len(cand) == 1 and cand[0] == 0.0:
-        return 0.0, np.arange(n, dtype=np.intp), probes
-
-    top = probe(len(cand) - 1)
-    if top.answer:
-        return float(cand[-1]), top.witness, probes
-    if len(cand) == 1:
-        raise ContractViolation(
-            "decision rejected the minimum pairwise distance, which every "
-            "tour attains")
-
-    # cand[0] is the minimum pairwise distance, which every tour attains
-    lo, best = 0, np.arange(n, dtype=np.intp)
-    hi = len(cand) - 1
+    # best attains cand[lo] (the identity attains cand[0]); cand[hi] was
+    # rejected, or lies past the end
+    lo, hi = 0, len(cand)
+    best = np.arange(instance.n, dtype=np.intp)
+    mid = len(cand) - 1
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        out = probe(mid)
+        ell = float(cand[mid])
+        out = decide_scatter(instance, DecisionParams(ell, epsilon))
+        probes.append({"ell": ell, "answer": out.answer,
+                       "branch": out.branch, "net_size": out.net_size})
         if out.answer:
             lo, best = mid, out.witness
         else:
             hi = mid
+        mid = (lo + hi) // 2
     return float(cand[lo]), best, probes

@@ -128,20 +128,13 @@ def brute_force_mstsp(instance: Instance) -> OracleResult:
     def probe(i):
         adj = meets_threshold(dist, cands[i])
         np.fill_diagonal(adj, False)
-        dp = _HamDP(adj)
-        return dp.reconstruct() if dp.hamiltonian() else None
+        return is_hamiltonian(adj)
 
-    lo = 0
     best = probe(0)
     if best is None:
         raise ContractViolation("threshold graph at the smallest candidate "
                                 "must be complete, but is not Hamiltonian")
-    hi = len(cands) - 1
-    top = probe(hi) if hi > lo else None
-    if hi == lo or top is not None:
-        if top is not None:
-            lo, best = hi, top
-        return OracleResult(opt=scatter(instance, best), tour=best)
+    lo, hi = 0, len(cands)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         t = probe(mid)

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, files, exit codes, bench CSV schema."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ def test_bench_smoke_schema_and_determinism(tmp_path, capsys):
         float(rec["runtime_ms"])
 
     assert _strip_runtime(_read_rows(out1)) == _strip_runtime(_read_rows(out2))
+
+
+def test_bench_cell_without_an_accepting_probe_has_no_branch():
+    # both probes answer No: ell_hat is the unprobed minimum distance,
+    # returned with the identity tour and no decision behind it
+    rec = cli._run_cell(("uniform", 3, 2, 1, 0.25, True))
+    assert rec.ell_hat == rec.oracle_opt
+    assert rec.branch is None and rec.net_size is None
+    row = dict(zip((f.name for f in dataclasses.fields(cli.BenchRecord)), rec.row()))
+    assert row["branch"] == "" and row["net_size"] == ""
 
 
 def test_bench_strict_escalates_violations(tmp_path, capsys, monkeypatch):

@@ -229,6 +229,18 @@ def test_all_points_identical():
     assert probes == []  # nothing worth probing
 
 
+def test_single_distance_needs_no_probe():
+    # every pair at one distance: each threshold graph is complete, so the
+    # identity attains the only candidate and nothing is probed
+    cases = [Instance.lp([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]),
+             Instance.explicit(np.ones((5, 5)) - np.eye(5))]
+    for inst in cases:
+        ell_hat, tour, probes = maximize_scatter_report(inst, 0.5)
+        assert tour.tolist() == list(range(inst.n))
+        assert probes == []
+        assert ell_hat == brute_force_mstsp(inst).opt
+
+
 def test_duplicates_with_spread_survivors():
     # two duplicate pairs force the zero candidate but not a zero optimum
     inst = Instance.lp([[0.0], [0.0], [5.0], [5.0]], p=1.0)
@@ -305,6 +317,24 @@ def test_out_of_envelope_instance_aborts_loudly():
     # the restart budget the open component spent, all of it
     assert str(info.value).endswith("; restarts 200/200 on sizes [48]")
     assert isinstance(info.value.__cause__, ContractViolation)
+
+
+def test_quotient_over_budget_aborts_before_the_center_graph(monkeypatch):
+    inst = generate("clustered", 60, 2, seed=3)
+    _, _, probes = maximize_scatter_report(inst, 0.5)
+    rec = max((r for r in probes if r["branch"] == "many_visits"),
+              key=lambda r: r["net_size"])
+    k = rec["net_size"]
+
+    def center_graph(*args):
+        raise AssertionError("center graph built over the budget")
+
+    monkeypatch.setattr(eptas, "_QUOTIENT_CAP", k - 1)
+    monkeypatch.setattr(eptas, "_center_graph", center_graph)
+    msg = (f"probe ell={rec['ell']!r}: net size k={k} exceeds the quotient "
+           f"budget _QUOTIENT_CAP={k - 1}")
+    with pytest.raises(ContractViolation, match=re.escape(msg)):
+        decide_scatter(inst, DecisionParams(rec["ell"], 0.5))
 
 
 def test_clustered_instance_in_envelope():

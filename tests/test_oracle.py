@@ -10,6 +10,7 @@ from scatter_tsp import (
     brute_force_mstsp,
     generate,
     is_hamiltonian,
+    meets_threshold,
     scatter,
 )
 from helpers import brute_scatter, naive_hamiltonian
@@ -25,6 +26,11 @@ def test_oracle_matches_permutation_search():
         got = brute_force_mstsp(inst)
         assert got.opt == pytest.approx(want, abs=1e-12)
         assert scatter(inst, got.tour) == pytest.approx(got.opt, abs=1e-12)
+        # whatever order the search probes in, the tour is the first
+        # Hamiltonian cycle of the threshold graph at the optimum
+        adj = meets_threshold(inst.full_matrix(), got.opt)
+        np.fill_diagonal(adj, False)
+        assert got.tour.tolist() == is_hamiltonian(adj).tolist()
 
 
 def test_oracle_unique_optimum_rectangle():
