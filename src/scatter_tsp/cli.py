@@ -66,7 +66,7 @@ def cmd_solve(args) -> int:
     inst = read_instance(args.input)
     if args.oracle:
         check_brute_cap(inst.n)   # before the solve, not after it
-    ell_hat, tour, probes = maximize_scatter_report(inst, args.epsilon)
+    ell_hat, tour, _ = maximize_scatter_report(inst, args.epsilon)
     sc = scatter(inst, tour)
     lines = [f"ell_hat {ell_hat}", f"scatter {sc}", f"tour {_tour_line(tour)}"]
     if args.oracle:

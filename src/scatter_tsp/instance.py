@@ -41,7 +41,6 @@ import math
 import numpy as np
 
 REL_TOL = 1e-9          # threshold comparisons absorb this much relative roundoff
-DEDUP_REL_TOL = 1e-12   # distances closer than this (relatively) are one candidate
 # rows per block of a distance sweep or a blocked row read
 BLOCK_ROWS = 64
 # columns per tile of a half-matrix sweep: a 64 x 4096 tile and its one
@@ -452,10 +451,8 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     Raises ValueError, before the sweep, when a distance is not finite
     (lp coordinates whose differences overflow float64: Instance.overflows).
 
-    Values within relative tolerance DEDUP_REL_TOL of the last kept value
-    are merged into it, so a chain of near ties keeps its smallest member
-    and every later one that drifts past the tolerance. The optimum scatter
-    is always one of these.
+    Every computed distance is kept, however near another: the optimum
+    scatter is always one of them.
 
     One sweep over the half matrix: each tile of lp power sums is sorted in
     place and only its distinct values are kept, so the p-th root is taken
@@ -486,18 +483,7 @@ def candidate_distances(instance: Instance) -> np.ndarray:
         # a rounded pow need not be monotone
         _lp_root(vals, p)
         vals = np.unique(vals)
-    vals = np.concatenate(([0.0] if zero_pairs else [], vals[vals > 0.0]))
-    # a value farther than the tolerance from its predecessor is farther
-    # still from the last kept value, so only runs of near ties need the
-    # sequential walk
-    keep = np.diff(vals, prepend=-np.inf) > DEDUP_REL_TOL * np.maximum(1.0, vals)
-    last = 0.0
-    for i in np.flatnonzero(~keep).tolist():
-        if keep[i - 1]:
-            last = vals[i - 1]
-        if vals[i] - last > DEDUP_REL_TOL * max(1.0, vals[i]):
-            keep[i] = True
-    return vals[keep]
+    return np.concatenate(([0.0] if zero_pairs else [], vals[vals > 0.0]))
 
 
 def _distinct(sorted_vals: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -539,7 +525,10 @@ def generate(kind: str, n: int, dim: int, seed: int, p: float = 2.0) -> Instance
         pts = np.zeros((n, dim))
         pts[:, 0] = np.arange(n)
     elif kind == "grid":
-        side = int(math.ceil(n ** (1.0 / dim)))
+        # the least side with side ** dim >= n; the float root is within one
+        side = int(n ** (1.0 / dim))
+        while side ** dim < n:
+            side += 1
         idx = np.arange(n)
         cols = []
         for _ in range(dim):

@@ -133,7 +133,7 @@ class Multiwalk:
         return counts
 
 
-def _arc_flow(k, edges, out_deg, in_deg):
+def _arc_flow(edges, out_deg, in_deg):
     """Edge multiplicities of a digraph with the given out- and in-degrees, or None.
 
     A transportation problem on the double cover: vertex v is a sender of
@@ -635,7 +635,7 @@ def _subtour_branching(spec, edges, root):
                 in_deg[w] -= 1
             if min(out_deg) < 0 or min(in_deg) < 0:
                 continue
-            flow = _arc_flow(k, edges, out_deg, in_deg)
+            flow = _arc_flow(edges, out_deg, in_deg)
             if flow is None:
                 continue
         mg = Multigraph(k, flow)
@@ -683,7 +683,7 @@ def many_visits_tour(spec: VisitSpec):
 
     # necessary relaxation: an Eulerian digraph with out- and in-degree
     # visits[v] but no connectivity requirement
-    g0 = _arc_flow(k, edges, visits, visits)
+    g0 = _arc_flow(edges, visits, visits)
     if g0 is None:
         return None
     mg0 = Multigraph(k, g0)

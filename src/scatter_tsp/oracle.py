@@ -2,10 +2,11 @@
 
 Hamiltonicity runs a subset dynamic program over (visited set, endpoint)
 states of a boolean adjacency array; the max-scatter oracle binary-searches
-the candidate distances, checking Hamiltonicity of each threshold graph.
-Exhaustive search needs no triangle inequality, so the oracle solves any
-explicit symmetric matrix. It builds its threshold graphs itself and
-imports nothing from `graphs`, the module it is used to check. Caps are
+the distinct off-diagonal entries of the instance's full matrix, checking
+Hamiltonicity of each threshold graph. Exhaustive search needs no triangle
+inequality, so the oracle solves any explicit symmetric matrix. It reads
+its thresholds and builds its threshold graphs itself, and imports neither
+`graphs` nor `candidate_distances`, the code it is used to check. Caps are
 enforced because both tables grow as 2^n.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ContractViolation, Instance, candidate_distances, meets_threshold, scatter
+from .instance import ContractViolation, Instance, meets_threshold, scatter
 
 _BRUTE_CAP = 16
 _HAM_CAP = 24
@@ -115,15 +116,18 @@ def check_brute_cap(n: int) -> None:
 
 
 def brute_force_mstsp(instance: Instance) -> OracleResult:
-    """Exact maximum scatter via binary search on the candidate distances.
+    """Exact maximum scatter via binary search on the pairwise distances.
 
     Tours with scatter >= ell are exactly Hamiltonian cycles of the
     threshold graph at ell, and raising ell only removes edges, so
-    feasibility is monotone and the largest feasible candidate is OPT.
+    feasibility is monotone and the largest feasible distance is OPT.
+    Raises ValueError when a computed distance is not finite.
     """
     check_brute_cap(instance.n)
     dist = instance.full_matrix()
-    cands = candidate_distances(instance)
+    cands = np.unique(dist[np.triu_indices(instance.n, 1)])
+    if not np.isfinite(cands[-1]):
+        raise ValueError("a pairwise distance overflows to a non-finite value")
 
     def probe(i):
         adj = meets_threshold(dist, cands[i])

@@ -20,7 +20,6 @@ import numpy as np
 
 from scatter_tsp import ContractViolation, CubicBipartiteGraph, Instance, threshold_graph
 from scatter_tsp.graphs import _max_flow
-from scatter_tsp.instance import DEDUP_REL_TOL
 from scatter_tsp.many_visits import (
     _CLONE_CAP,
     _WALK_STATE_CAP,
@@ -362,11 +361,7 @@ def ref_candidate_distances(instance):
     # each full row holds its own d(i, i) = 0 once
     if zeros > n:
         vals = np.concatenate(([0.0], vals))
-    kept = []
-    for v in vals:
-        if not kept or v - kept[-1] > DEDUP_REL_TOL * max(1.0, v):
-            kept.append(float(v))
-    return np.array(kept)
+    return vals
 
 
 def ref_dirac_tour(instance, ell, start=None):
@@ -619,7 +614,8 @@ class _RefDinic:
                 flow += pushed
 
 
-def ref_arc_flow(k, edges, out_deg, in_deg):
+def ref_arc_flow(edges, out_deg, in_deg):
+    k = len(out_deg)
     total = sum(out_deg)
     src, snk = 2 * k, 2 * k + 1
     net = _RefDinic(2 * k + 2)

@@ -230,8 +230,9 @@ def test_non_finite_distances_exit_code(tmp_path, capsys):
     for name, text in files.items():
         path = tmp_path / name
         path.write_text(text)
-        code, _, err = run(["solve", str(path), "--epsilon", "0.25"], capsys)
-        assert code == 2 and "finite" in err, name
+        for args in (["solve", str(path), "--epsilon", "0.25"], ["oracle", str(path)]):
+            code, _, err = run(args, capsys)
+            assert code == 2 and "finite" in err, (name, args[0])
 
 
 def test_p_past_float64_exit_code(tmp_path, capsys):

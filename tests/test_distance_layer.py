@@ -30,7 +30,7 @@ from scatter_tsp import (
 )
 from scatter_tsp.eptas import _center_graph, _dirac_start
 from scatter_tsp import instance as instance_module
-from scatter_tsp.instance import BLOCK_ROWS, DEDUP_REL_TOL, TILE_COLS
+from scatter_tsp.instance import BLOCK_ROWS, TILE_COLS
 from helpers import ref_candidate_distances, ref_dirac_tour
 
 METRICS = ["l1", "l2", "l3", "linf", "hamming", "explicit"]
@@ -56,7 +56,7 @@ def make_instance(metric, n, dim, seed, duplicates, near_ties, lattice):
     if duplicates:
         pts[rng.integers(0, n, n // 4)] = pts[rng.integers(0, n, n // 4)]
     if near_ties and metric != "hamming":
-        # distances within DEDUP_REL_TOL of each other, merged into one candidate
+        # distances within 1e-14 (relatively) of others, each one a candidate
         src = rng.integers(0, n, n // 4)
         pts[rng.integers(0, n, n // 4)] = pts[src] * (1.0 + 1e-14)
     return make_instance_from(metric, pts)
@@ -74,6 +74,12 @@ instances = st.builds(
 )
 
 
+def off_diagonal_distances(inst):
+    """The distinct off-diagonal entries of the full matrix."""
+    full = inst.full_matrix()
+    return np.unique(full[~np.eye(inst.n, dtype=bool)])
+
+
 def probe_ells(inst):
     """Candidate distances spread over the range, one just above a candidate,
     and one below the tolerance, where every point meets its own threshold."""
@@ -85,7 +91,10 @@ def probe_ells(inst):
 @settings(max_examples=80)
 @given(inst=instances)
 def test_half_row_candidate_sweep_matches_full_rows(inst):
-    assert np.array_equal(candidate_distances(inst), ref_candidate_distances(inst))
+    cand = candidate_distances(inst)
+    assert np.array_equal(cand, ref_candidate_distances(inst))
+    # the exact distinct distances: a near tie is a candidate of its own
+    assert np.array_equal(cand, off_diagonal_distances(inst))
 
 
 def test_candidate_sweep_crosses_block_edges():
@@ -93,7 +102,9 @@ def test_candidate_sweep_crosses_block_edges():
     for n in (63, 65, 128, 129, 191):
         for metric in METRICS:
             inst = make_instance(metric, n, 3, n, True, True, metric == "l1")
-            assert np.array_equal(candidate_distances(inst), ref_candidate_distances(inst))
+            cand = candidate_distances(inst)
+            assert np.array_equal(cand, ref_candidate_distances(inst))
+            assert np.array_equal(cand, off_diagonal_distances(inst))
 
 
 @pytest.mark.parametrize("width", [48, 128])
@@ -185,17 +196,17 @@ def test_distinct_points_at_computed_distance_zero(points, p, opt):
     assert scatter(inst, tour) >= (1.0 - eps) * ell_hat
     assert brute_force_mstsp(inst).opt == opt
 
-def test_chained_near_ties_merge_like_reference():
-    # distances 0.6 * tol apart: each one is a near tie of its predecessor,
-    # so which of them are kept depends on the last value kept before it
+def test_chained_near_ties_are_kept_whole():
+    # distances 6e-13 apart, each a near tie of its predecessor: every one
+    # of them is a candidate, since any of them may be the optimum
     n = 12
-    vals = 1.0 + np.arange(n * (n - 1) // 2) * 0.6 * DEDUP_REL_TOL
+    vals = 1.0 + np.arange(n * (n - 1) // 2) * 6e-13
     matrix = np.zeros((n, n))
     matrix[np.triu_indices(n, 1)] = vals
     inst = Instance.explicit(matrix + matrix.T)
     got = candidate_distances(inst)
+    assert np.array_equal(got, np.unique(vals))
     assert np.array_equal(got, ref_candidate_distances(inst))
-    assert 1 < len(got) < len(np.unique(vals))
 
 
 @settings(max_examples=60)

@@ -202,8 +202,7 @@ def test_maximize_contract_on_small_instances():
             sc = scatter(inst, tour)
             assert meets_threshold(sc, (1.0 - eps) * opt)
             assert meets_threshold(sc, (1.0 - eps) * ell_hat)
-            cand = candidate_distances(inst)
-            assert any(abs(ell_hat - c) <= 1e-12 * max(1.0, c) for c in cand)
+            assert ell_hat in candidate_distances(inst).tolist()
 
 
 def test_probe_log_shape():
@@ -230,9 +229,10 @@ def test_all_points_identical():
 
 
 def test_single_distance_needs_no_probe():
-    # every pair at one distance: each threshold graph is complete, so the
-    # identity attains the only candidate and nothing is probed
-    cases = [Instance.lp([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]),
+    # every pair at one computed distance: each threshold graph is complete,
+    # so the identity attains the only candidate and nothing is probed. (In
+    # the plane an equilateral triangle's computed sides differ by an ulp.)
+    cases = [Instance.lp(np.eye(3)),
              Instance.explicit(np.ones((5, 5)) - np.eye(5))]
     for inst in cases:
         ell_hat, tour, probes = maximize_scatter_report(inst, 0.5)
@@ -247,6 +247,26 @@ def test_duplicates_with_spread_survivors():
     ell_hat, tour = maximize_scatter(inst, 0.5)
     assert ell_hat == 5.0
     assert scatter(inst, tour) == 5.0  # alternate between the two sites
+
+
+def test_optimum_a_near_tie_above_another_distance_is_found():
+    # OPT is v, the scatter of the cycle 0-1-2-3, only 7.5e-13 above the
+    # distance 1.5; every other cycle uses the edge of length 1
+    v = 1.5 * (1.0 + 5e-13)
+    inst = Instance.explicit([[0.0, 2.0, 1.5, v],
+                              [2.0, 0.0, v, 1.0],
+                              [1.5, v, 0.0, 2.0],
+                              [v, 1.0, 2.0, 0.0]])
+    assert inst.triangle_violation is None
+    assert candidate_distances(inst).tolist() == [1.0, 1.5, v, 2.0]
+    opt = brute_force_mstsp(inst).opt
+    assert opt == v
+    # at these epsilons no tour has scatter (1 - epsilon) * 2, so the probe
+    # at 2 must answer No
+    for eps in (0.05, 0.1):
+        ell_hat, tour = maximize_scatter(inst, eps)
+        assert ell_hat == opt
+        assert scatter(inst, tour) >= (1.0 - eps) * ell_hat
 
 
 # OPT 8, but the decisions, read as if the triangle inequality held, gave

@@ -318,7 +318,7 @@ def test_floors_past_t_answer_before_any_search(monkeypatch):
 
 
 def test_relaxation_without_flow_is_refuted_before_any_search(monkeypatch):
-    """A hub spec whose relaxation _arc_flow(k, edges, visits, visits) has
+    """A hub spec whose relaxation _arc_flow(edges, visits, visits) has
     no flow gets None from the tier before any search.
 
     Hall's condition fails for some set S of senders. If S = {h}, then
@@ -337,7 +337,7 @@ def test_relaxation_without_flow_is_refuted_before_any_search(monkeypatch):
     # vertices 0 and 2 are both universal; 0 is the hub, t = 3. The ten
     # visits of 1 need ten arcs into the three of 0 and three of 2
     spec = hub_spec([(1, 2), (2, 3)], [3, 10, 3, 1])
-    assert _arc_flow(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], spec.visits, spec.visits) is None
+    assert _arc_flow([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], spec.visits, spec.visits) is None
     assert _hub_path_cover(spec) is None
     rng = np.random.default_rng(5)
     refuted = 0
@@ -348,7 +348,7 @@ def test_relaxation_without_flow_is_refuted_before_any_search(monkeypatch):
         visits = [int(rng.integers(1, 10))] + rng.integers(1, 7, size=k - 1).tolist()
         spec = hub_spec(edges, visits)
         all_edges = [(0, v) for v in range(1, k)] + edges
-        if _arc_flow(k, all_edges, spec.visits, spec.visits) is None:
+        if _arc_flow(all_edges, spec.visits, spec.visits) is None:
             assert _hub_path_cover(spec) is None
             refuted += 1
     assert refuted >= 150  # 184 of the 300

@@ -177,12 +177,28 @@ def test_candidate_distances_duplicates_add_zero():
     assert candidate_distances(inst).tolist() == [0.0, 2.0]
 
 
-def test_candidate_distances_merges_near_ties():
+def test_candidate_distances_keeps_near_ties():
     eps = 1e-14
     inst = Instance.lp([[0.0], [1.0], [2.0 + eps], [3.0 + eps]], p=1.0)
     got = candidate_distances(inst)
-    # 1.0 appears three times with 1e-14 jitter; one representative survives
-    assert np.sum((got > 0.9) & (got < 1.1)) == 1
+    # 1.0 appears three times with 1e-14 jitter, as two computed values;
+    # both are candidates
+    assert np.sum((got > 0.9) & (got < 1.1)) == 2
+    full = inst.full_matrix()
+    assert np.array_equal(got, np.unique(full[np.triu_indices(4, 1)]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_grid_of_a_perfect_power_fills_its_cube(dim):
+    # the float root of 5 ** 5 rounds past 5: the side is found in integers
+    for side in range(2, 13):
+        if side ** dim > 40_000:
+            break
+        pts = generate("grid", side ** dim, dim, seed=0).points
+        assert pts.max(axis=0).tolist() == [side - 1] * dim
+        assert len(np.unique(pts, axis=0)) == side ** dim
+        # one point past the cube takes the next side
+        assert generate("grid", side ** dim + 1, dim, seed=0).points.max() == side
 
 
 def test_generate_kinds_and_determinism():

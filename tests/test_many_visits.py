@@ -93,7 +93,7 @@ def test_disconnected_support_is_infeasible():
             assert many_visits_tour(spec) is None
             assert _walk_dp(adj, visits) in (None, "out_of_range")
             edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj)))]
-            root = _arc_flow(k, edges, visits, visits)
+            root = _arc_flow(edges, visits, visits)
             if root is not None:
                 roots += 1
                 assert many_visits._subtour_branching(spec, edges, root) is None
@@ -302,7 +302,7 @@ def test_branching_matches_walk_dp_and_enumeration():
 
 @st.composite
 def flow_problems(draw):
-    """(k, edges, out_deg, in_deg) as _arc_flow's two callers pose them: the
+    """(edges, out_deg, in_deg) as _arc_flow's two callers pose them: the
     relaxation's out = in = visits, or a branch node's residual degrees,
     visits minus the out- and in-degrees of a multiset of forced arcs."""
     k = draw(st.integers(1, 12))
@@ -314,13 +314,13 @@ def flow_problems(draw):
     visits = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10 ** 9)),
                            min_size=k, max_size=k))
     if not edges or draw(st.booleans()):
-        return k, edges, visits, visits
+        return edges, visits, visits
     arcs = edges + [(v, u) for u, v in edges]
     forced = draw(st.lists(st.sampled_from(arcs), min_size=1, max_size=3 * k))
     out_f = Counter(u for u, _ in forced)
     in_f = Counter(w for _, w in forced)
     visits = [max(visits[v], out_f[v], in_f[v]) for v in range(k)]
-    return (k, edges, [visits[v] - out_f[v] for v in range(k)],
+    return (edges, [visits[v] - out_f[v] for v in range(k)],
             [visits[v] - in_f[v] for v in range(k)])
 
 

@@ -1,12 +1,15 @@
 """Exact small-instance solvers used to certify everything else."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scatter_tsp import (
     Instance,
+    oracle,
     brute_force_mstsp,
     generate,
     is_hamiltonian,
@@ -52,6 +55,24 @@ def test_oracle_tie_break_is_lexicographic():
 def test_oracle_size_cap():
     with pytest.raises(ValueError):
         brute_force_mstsp(generate("uniform", 17, 2, seed=0))
+
+
+def test_oracle_reads_its_own_thresholds():
+    # it checks the threshold graphs and the candidate sweep, so it uses
+    # neither
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(alias.name for alias in node.names)
+    assert imported.isdisjoint({"graphs", "candidate_distances"})
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_oracle_refuses_overflowing_distances():
+    inst = Instance.lp([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        brute_force_mstsp(inst)
 
 
 def _cycle_adj(n, extra=()):
