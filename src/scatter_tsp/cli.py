@@ -45,6 +45,8 @@ class BenchRecord:
         if self.witness_scatter < (1.0 - self.epsilon) * self.ell_hat - tol:
             bad.append("witness scatter below the guarantee")
         if self.oracle_opt is not None:
+            if self.ell_hat < self.oracle_opt - tol:
+                bad.append("ell_hat below the exact optimum")
             if self.witness_scatter > self.oracle_opt + tol:
                 bad.append("witness scatter above the exact optimum")
             if self.witness_scatter < (1.0 - self.epsilon) * self.oracle_opt - tol:

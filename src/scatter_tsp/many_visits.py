@@ -13,9 +13,11 @@ with no allowed arc leaving it gives a branch node no children).
    only answers No. The visits of v cut the walk into visits[v] gaps whose
    end entries are visits to neighbours of v, so too few of those refute
    the spec at once, whatever the size of its visit counts.
-2. walk DP (`_walk_dp`): a reachability sweep over (remaining visits,
-   current vertex) states, exact whenever prod(visits_v + 1) is at most
-   _WALK_STATE_CAP. This covers plain Hamiltonicity of small quotients.
+2. walk DP (`_walk_dp`): a reachability sweep over (spent visits,
+   current vertex) states, the states of each vertex one bitset in a
+   Python int, one OR per allowed arc and layer. Exact whenever
+   prod(visits_v + 1) is at most _WALK_STATE_CAP. This covers plain
+   Hamiltonicity of small quotients.
 3. subtour branching on the even-flow relaxation (`_subtour_branching`,
    after Carpaneto & Toth). Its root is the relaxation, `_arc_flow` with
    out = in = visits: an Eulerian digraph with the prescribed degrees but
@@ -168,17 +170,34 @@ def _short_of_neighbour_visits(allowed, visits):
     return bool(np.any(np.asarray(allowed) @ vis < need))
 
 
+def _repeat_bits(block, period, count):
+    """`count` copies of the `period`-bit int `block`, side by side, built
+    by doubling in O(log count) big-int operations."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= block << shift
+            shift += period
+        count >>= 1
+        if count:
+            block |= block << period
+            period *= 2
+    return out
+
+
 def _walk_dp(allowed, visits):
     """Exact closed-walk search when prod(visits_v + 1) is small.
 
-    States are (remaining visit vector, current vertex) with the vector
-    packed into a mixed-radix code; reach[v, code] marks the reachable
-    states, one row per vertex. Each step spends one visit, so the sweep
-    runs forward one layer of equal remaining total at a time, over the
-    codes reached in the layer only: one matrix product gives every vertex
-    each code can step to, masked by the visits that code has left, and
-    the states found are written with one scatter on flat int32 indices
-    into the table. Covers the small-visit regime (including plain
+    States are (spent visit vector, current vertex), the vector packed into
+    a mixed-radix code, and the states of each vertex are one bitset held
+    in a Python int: bit c of layer[v] is set when state (v, c) is reached
+    in the current layer, and seen[v] is the OR of layer[v] over all
+    layers. Each step spends one visit, so the sweep runs forward one layer
+    of equal digit sum at a time: the states at w are the codes reached at
+    a neighbour of w, one OR per allowed arc, masked by room[w], the codes
+    with a visit of w left, and shifted up by bases[w]. The walk starts at
+    vertex 0 with one visit spent, so the early layers hold low codes and
+    their ints stay narrow. Covers the small-visit regime (including plain
     Hamiltonicity), where a No answer would take the subtour branching
     through every node of its search.
     """
@@ -191,55 +210,50 @@ def _walk_dp(allowed, visits):
         if prod > _WALK_STATE_CAP:
             return "out_of_range"
     start_total = sum(visits) - 1
-    start_code = sum(c * b for c, b in zip(visits, bases)) - bases[0]
+    full = prod - 1    # every visit spent
 
-    reach = np.zeros((k, prod), dtype=bool)
-    reach[0, start_code] = True
-    flat_reach = reach.reshape(-1)
-
-    # step[w, u] = 1 when the walk may go from u to w; a product entry
-    # counts at most k <= 19 predecessors, exact in float32. prod >= 2^k,
-    # so the cap keeps k <= 19 and every flat index k * prod inside int32
-    step = np.asarray(allowed, dtype=np.float32).T
-    base = np.array(bases, dtype=np.int32)[:, None]
-    radix = np.array(visits, dtype=np.int32)[:, None] + 1
-    # frontier[i] + shift[w] is the flat index of state (w, frontier[i] - bases[w])
-    shift = np.arange(k, dtype=np.int32)[:, None] * prod - base
-    frontier = np.array([start_code], dtype=np.int32)
-    marker = np.zeros(prod, dtype=bool)
+    adj = np.asarray(allowed, dtype=bool).tolist()
+    nbrs = [[u for u in range(k) if adj[u][w]] for w in range(k)]
+    # room[w]: within each period of digit w, the codes whose digit is
+    # below visits[w]
+    room = []
+    for w in range(k):
+        period = bases[w] * (visits[w] + 1)
+        room.append(_repeat_bits((1 << (period - bases[w])) - 1, period, prod // period))
+    layer = [0] * k
+    layer[0] = 1 << bases[0]
+    seen = list(layer)
     for _ in range(start_total):
-        # moves[w, i]: code frontier[i] is reached at a vertex that may
-        # step to w, and has a visit of w left
-        moves = step @ reach[:, frontier].astype(np.float32) > 0
-        moves &= frontier // base % radix != 0
-        found = (frontier + shift)[moves]
-        flat_reach[found] = True
-        found %= prod
-        marker[found] = True
-        del moves, found  # not held through the next layer's product
-        frontier = np.flatnonzero(marker).astype(np.int32)
-        if len(frontier) == 0:
-            break
-        marker[frontier] = False
+        nxt = []
+        for w in range(k):
+            came = 0
+            for u in nbrs[w]:
+                came |= layer[u]
+            nxt.append((came & room[w]) << bases[w])
+        layer = nxt
+        if not any(layer):
+            return None
+        for v in range(k):
+            seen[v] |= layer[v]
 
-    finish = [w for w in range(k) if allowed[w][0] and reach[w, 0]]
+    finish = [w for w in range(k) if adj[w][0] and seen[w] >> full]
     if not finish:
         return None
     cur = finish[0]
     walk_rev = [0, cur]
-    code = 0
+    code = full
     for _ in range(start_total):
-        pcode = code + int(bases[cur])
+        pcode = code - bases[cur]
         prev = None
         for cand in range(k):
-            if allowed[cand][cur] and reach[cand, pcode]:
+            if adj[cand][cur] and (seen[cand] >> pcode) & 1:
                 prev = cand
                 break
         if prev is None:
             raise ContractViolation("walk reconstruction lost its trail")
         walk_rev.append(prev)
         code, cur = pcode, prev
-    if cur != 0 or code != start_code:
+    if cur != 0 or code != bases[0]:
         raise ContractViolation("walk reconstruction ended off the start state")
     return walk_rev[::-1]
 

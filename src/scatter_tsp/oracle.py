@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ContractViolation, Instance, meets_threshold, scatter
+from .instance import ContractViolation, Instance, scatter
 
 _BRUTE_CAP = 16
 _HAM_CAP = 24
@@ -121,6 +121,8 @@ def brute_force_mstsp(instance: Instance) -> OracleResult:
     Tours with scatter >= ell are exactly Hamiltonian cycles of the
     threshold graph at ell, and raising ell only removes edges, so
     feasibility is monotone and the largest feasible distance is OPT.
+    The threshold graphs compare exactly, with no tolerance, so the graph
+    at one distance holds no edge of a distance just below it.
     Raises ValueError when a computed distance is not finite.
     """
     check_brute_cap(instance.n)
@@ -130,7 +132,7 @@ def brute_force_mstsp(instance: Instance) -> OracleResult:
         raise ValueError("a pairwise distance overflows to a non-finite value")
 
     def probe(i):
-        adj = meets_threshold(dist, cands[i])
+        adj = dist >= cands[i]
         np.fill_diagonal(adj, False)
         return is_hamiltonian(adj)
 

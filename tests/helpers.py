@@ -410,8 +410,8 @@ def _ref_key(u, v):
 
 # Reference walk DP: every code of the state space sorted into layers of
 # equal remaining total up front, then one gather and one scatter per
-# directed arc and layer. The library's frontier sweep must fill the same
-# reach table and so return the same walk.
+# directed arc and layer. The library's bitset sweep must reach the same
+# states and so return the same walk.
 
 def ref_walk_dp(allowed, visits):
     k = len(visits)

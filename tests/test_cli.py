@@ -150,6 +150,16 @@ def test_bench_cell_without_an_accepting_probe_has_no_branch():
     assert row["branch"] == "" and row["net_size"] == ""
 
 
+def test_bench_record_flags_ell_hat_below_the_optimum():
+    # the witness meets every bound; only the upper-bound half fails
+    rec = cli.BenchRecord(
+        instance_id="x", n=5, dim=2, metric="l2", epsilon=0.25, ell_hat=0.9,
+        witness_scatter=0.9, oracle_opt=1.0, branch="dirac", net_size=None,
+        runtime_ms=1.0, seed=0)
+    assert rec.violations() == ["ell_hat below the exact optimum"]
+    assert dataclasses.replace(rec, ell_hat=1.0).violations() == []
+
+
 def test_bench_strict_escalates_violations(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.BenchRecord, "violations",
                         lambda self: ["forced for the test"])

@@ -52,6 +52,21 @@ def test_oracle_tie_break_is_lexicographic():
     assert got.tour.tolist() == [0, 1, 2, 3]
 
 
+def test_oracle_threshold_graphs_compare_exactly():
+    # one pair sits 1e-10 below every other: inside a relative tolerance of
+    # 1e-9, but a tour can avoid it, so OPT is the larger distance
+    near = 1.0 + 1e-10
+    m = np.full((4, 4), near)
+    np.fill_diagonal(m, 0.0)
+    m[1, 2] = m[2, 1] = 1.0
+    inst = Instance.explicit(m)
+    want, want_tour = brute_scatter(inst)
+    assert want == near
+    got = brute_force_mstsp(inst)
+    assert got.opt == want
+    assert got.tour.tolist() == want_tour == [0, 1, 3, 2]
+
+
 def test_oracle_size_cap():
     with pytest.raises(ValueError):
         brute_force_mstsp(generate("uniform", 17, 2, seed=0))
