@@ -80,18 +80,6 @@ class DecisionParams:
 
 
 @dataclass
-class LowDegreeContext:
-    """A majority point p and the induced split of the instance."""
-
-    p: int
-    near: np.ndarray     # point ids within 3*ell of p, ascending
-    far: np.ndarray      # the rest, ascending; interchangeable hub points
-
-    def far_count(self) -> int:
-        return len(self.far)
-
-
-@dataclass
 class DecisionOutcome:
     answer: bool
     witness: np.ndarray | None
@@ -124,12 +112,12 @@ def find_low_degree_point(instance: Instance, ell: float, degrees=None) -> int |
     return None
 
 
-def low_degree_context(instance: Instance, p: int, ell: float) -> LowDegreeContext:
-    d_p = instance.distance_rows([p])[0]
-    far_mask = meets_threshold(d_p, 3.0 * ell)
-    return LowDegreeContext(p=int(p),
-                            near=np.flatnonzero(~far_mask),
-                            far=np.flatnonzero(far_mask))
+def low_degree_context(instance: Instance, p: int, ell: float) -> tuple:
+    """The split at a majority point p, as (near, far): the point ids
+    within 3*ell of p, and the rest, the interchangeable hub points. Both
+    ascending."""
+    far = meets_threshold(instance.distance_rows([p])[0], 3.0 * ell)
+    return np.flatnonzero(~far), np.flatnonzero(far)
 
 
 def _validated(instance, params, tour, branch, net_size):
@@ -200,8 +188,8 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
         tour = dirac_hamiltonian(view, degrees, _dirac_start(instance, view))
         return _validated(instance, params, tour, "dirac", None)
 
-    ctx = low_degree_context(instance, p, ell)
-    net = greedy_delta_net(instance, ctx.near, params.net_delta)
+    near, far = low_degree_context(instance, p, ell)
+    net = greedy_delta_net(instance, near, params.net_delta)
     centers = net.center_ids
     k = net.size()
     if k > _QUOTIENT_CAP:
@@ -209,7 +197,7 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
         raise ContractViolation(
             f"probe ell={ell!r}: net size k={k} exceeds the quotient budget "
             f"_QUOTIENT_CAP={_QUOTIENT_CAP}")
-    nq = ctx.far_count()
+    nq = len(far)
     kk = k + (1 if nq else 0)
 
     allowed = np.zeros((kk, kk), dtype=bool)
@@ -236,7 +224,7 @@ def decide_scatter(instance: Instance, params: DecisionParams) -> DecisionOutcom
     # unused preimage point in ascending id order
     pools = [iter(net.preimages[int(c)].tolist()) for c in centers]
     if nq:
-        pools.append(iter(ctx.far.tolist()))
+        pools.append(iter(far.tolist()))
     tour = np.fromiter((next(pools[v]) for v in walk_res.walk[:-1]),
                        dtype=np.intp, count=n)
 

@@ -10,7 +10,8 @@ cubic graphs' 2-coloring. Every flow has one shape, senders with
 supplies, receivers with demands and capacitated arcs between them: `transport` lays out its
 network, source and sink arcs included, fills Dinic's first phase
 directly and returns the flow on each given arc. The many-visits tiers
-and bipartite matching only pass arcs in and read flows back.
+and the cubic graphs' edge coloring only pass arcs in and read flows
+back.
 
 One cycle repair, `repair_cycle`, serves Dirac and the solver's quotient
 lift. Each repair removes at least one non-adjacent consecutive pair of
@@ -29,8 +30,6 @@ bounds settle the threshold counts as all edges or none without a
 distance, and the others are read in tiles, their flags written into one
 reused buffer.
 """
-
-from itertools import compress
 
 import numpy as np
 
@@ -596,25 +595,6 @@ def _max_flow(to, cap, out, s: int, t: int) -> int:
                 it[u] += 1
             else:
                 break
-
-
-def bipartite_max_matching(left: int, right: int, edges) -> list:
-    """Maximum matching of a bipartite graph, as a unit-capacity transport.
-
-    `edges` is a list of integer (l, r) pairs with 0 <= l < left and
-    0 <= r < right; returns the matching as sorted (l, r) pairs.
-    """
-    pairs = {}
-    for (l, r) in edges:
-        if l != int(l) or r != int(r):
-            raise ValueError(f"edge ends must be integers, got ({l}, {r})")
-        l, r = int(l), int(r)
-        if not (0 <= l < left and 0 <= r < right):
-            raise ValueError(f"edge ({l}, {r}) out of range")
-        pairs[(l, r)] = None
-    _, flows = transport([1] * left, [1] * right, [l for l, _ in pairs],
-                         [r for _, r in pairs], [1] * len(pairs))
-    return sorted(compress(pairs, flows))
 
 
 def normalize_tour(instance: Instance, tour, ell: float, p: int) -> np.ndarray:

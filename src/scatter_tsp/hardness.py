@@ -8,7 +8,9 @@ vertex pair to exactly 2^(m+1) for adjacent pairs and 3*2^(m-1) for
 non-adjacent ones. A tour whose scatter exceeds the smaller value can
 therefore only use graph edges, so it certifies a Hamiltonian cycle,
 and any approximation sharper than the 3/4 gap would decide
-Hamiltonicity of cubic bipartite graphs.
+Hamiltonicity of cubic bipartite graphs. The 3-edge-coloring is three
+perfect matchings, each read from a unit-capacity `transport` between
+the two sides.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instance import ContractViolation, Instance, integer_array
-from .graphs import bipartite_max_matching, components
+from .graphs import components, transport
 from .oracle import brute_force_mstsp, is_hamiltonian
 
 _REED_MULLER_MAX_M = 20   # memory guard: words occupy 4^m bytes
@@ -39,10 +41,6 @@ class CodeBook:
         size = 1 << self.m
         if self.words.shape != (size, size):
             raise ValueError("word table must be 2^m words of length 2^m")
-
-    @property
-    def distance(self) -> int:
-        return 1 << (self.m - 1)
 
 
 def reed_muller(m: int) -> CodeBook:
@@ -152,34 +150,31 @@ def read_cubic_graph(path) -> CubicBipartiteGraph:
 def edge_color_cubic_bipartite(graph: CubicBipartiteGraph) -> list:
     """Partition the edges into three perfect matchings.
 
-    Repeatedly extracts a maximum bipartite matching; in an r-regular
-    bipartite graph it is perfect, and removing it leaves the graph
-    (r-1)-regular, so three rounds use up every edge.
+    Each round is a unit-capacity transport from the side-0 vertices
+    (senders) to the side-1 vertices (receivers) over the edges left, in
+    edge order; the edges that carry flow form a maximum matching. In an
+    r-regular bipartite graph it is perfect (Konig), and removing it
+    leaves the graph (r-1)-regular, so three rounds use up every edge.
     """
-    left_ids = np.flatnonzero(graph.side == 0)
-    right_ids = np.flatnonzero(graph.side == 1)
-    lpos = {int(v): i for i, v in enumerate(left_ids)}
-    rpos = {int(v): i for i, v in enumerate(right_ids)}
-    remaining = list(graph.edges)
+    half = graph.n // 2
+    # a vertex's index among the senders or among the receivers
+    rank = np.empty(graph.n, dtype=np.intp)
+    for s in (0, 1):
+        rank[graph.side == s] = np.arange(half)
+    # each edge runs from its side-0 end to its side-1 end
+    u, v = np.array(graph.edges).T
+    flip = graph.side[u] == 1
+    tails, heads = rank[np.where(flip, v, u)], rank[np.where(flip, u, v)]
+    rest = np.arange(len(graph.edges))
     colors = []
     for _ in range(3):
-        lookup = {}
-        pairs = []
-        for (u, v) in remaining:
-            lu = u if graph.side[u] == 0 else v
-            rv = v if graph.side[u] == 0 else u
-            key = (lpos[lu], rpos[rv])
-            lookup[key] = (u, v)
-            pairs.append(key)
-        match = bipartite_max_matching(len(left_ids), len(right_ids), pairs)
-        if len(match) != graph.n // 2:
+        value, flows = transport([1] * half, [1] * half, tails[rest], heads[rest],
+                                 [1] * len(rest))
+        if value != half:
             raise ContractViolation("matching round left some vertex uncovered")
-        chosen = [lookup[key] for key in match]
-        colors.append(sorted(chosen))
-        taken = set(chosen)
-        remaining = [e for e in remaining if e not in taken]
-    if remaining:
-        raise ContractViolation("edge coloring left edges over")
+        taken = np.array(flows, dtype=bool)
+        colors.append([graph.edges[e] for e in rest[taken].tolist()])
+        rest = rest[~taken]
     return colors
 
 

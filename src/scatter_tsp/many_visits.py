@@ -124,16 +124,6 @@ class Multiwalk:
     def walk_edge_count(self) -> int:
         return self.multiplicities.edge_total()
 
-    def visit_counts(self) -> dict:
-        """Occurrences per vertex in the cyclic walk (closing repeat dropped)."""
-        w = self.walk
-        if len(w) == 1:
-            return {w[0]: 1}  # edgeless walk has no closing repeat
-        counts = {}
-        for v in w[:-1]:
-            counts[v] = counts.get(v, 0) + 1
-        return counts
-
 
 def _arc_flow(edges, out_deg, in_deg):
     """Edge multiplicities of a digraph with the given out- and in-degrees, or None.
@@ -460,7 +450,7 @@ def _restart_trials(m):
     return 200 if m <= 64 else 40 if m <= 160 else 12 if m <= 320 else 4
 
 
-def _restart_paths(comp, adj, initial, target=1):
+def _restart_paths(comp, adj, initial, target):
     """Greedy covers over seeded shuffles of the vertex order, until one fits.
 
     The shuffles come in a fixed order (seed 0), and the search returns the

@@ -21,7 +21,6 @@ from .instance import BLOCK_ROWS, Instance, integer_array
 
 @dataclass
 class Net:
-    delta: float
     subset: np.ndarray          # the point ids the net was built over, ascending
     center_ids: np.ndarray      # chosen centers, ascending point ids
     assigned: np.ndarray        # assigned[i] = center id of subset[i]
@@ -81,8 +80,8 @@ def greedy_delta_net(instance: Instance, subset, delta: float) -> Net:
     grouped = subset[order]
     cuts = [0, *np.searchsorted(assigned[order], centers, side="right").tolist()]
     preimages = {c: grouped[cuts[i]:cuts[i + 1]] for i, c in enumerate(centers.tolist())}
-    return Net(delta=float(delta), subset=subset, center_ids=centers,
-               assigned=assigned, preimages=preimages)
+    return Net(subset=subset, center_ids=centers, assigned=assigned,
+               preimages=preimages)
 
 
 def grid_round(points, delta: float) -> np.ndarray:

@@ -8,8 +8,9 @@ trustworthy on purpose. The exceptions are the reference versions at the
 end: earlier implementations of the library's own routines (the eager hub
 path search, the hub tier that refined every component in full, the
 one-center-at-a-time greedy net, the full-row candidate sweep, the dense
-Dirac path, the per-arc walk DP, the recursive max flow and the transport
-that ran every Dinic phase by search), kept to pin their outputs.
+Dirac path, the per-arc walk DP, the recursive max flow, the transport
+that ran every Dinic phase by search and the edge coloring through a
+bipartite matching), kept to pin their outputs.
 """
 
 import itertools
@@ -165,6 +166,28 @@ def two_k33():
     edges = [(i, 3 + j) for i in range(3) for j in range(3)]
     edges += [(6 + i, 9 + j) for i in range(3) for j in range(3)]
     return CubicBipartiteGraph(12, edges)
+
+
+def random_cubic_bipartite(rng, halves):
+    """A random cubic bipartite graph with one part on 2h vertices per h in
+    `halves`, its vertices relabelled at random. A part is three
+    edge-disjoint perfect matchings between its two sides, each drawn
+    until it shares no edge with those before (one always exists: what is
+    left is a regular bipartite graph); it may itself be disconnected."""
+    edges, base = set(), 0
+    for h in halves:
+        part = set()
+        for _ in range(3):
+            while True:
+                match = {(base + i, base + h + j)
+                         for i, j in enumerate(rng.permutation(h).tolist())}
+                if not match & part:
+                    break
+            part |= match
+        edges |= part
+        base += 2 * h
+    label = rng.permutation(base).tolist()
+    return CubicBipartiteGraph(base, [(label[u], label[v]) for u, v in sorted(edges)])
 
 
 def ring_far_instance(c, k, extra, seed):
@@ -531,7 +554,7 @@ def ref_hub_path_cover(spec):
                 refined.append(exact)
                 floors.append(len(exact))
             else:
-                refined.append(_restart_paths(comp, adj, greedy))
+                refined.append(_restart_paths(comp, adj, greedy, 1))
                 floors.append(ref_clone_floor(comp, adj.rows))
         covers = refined
         if sum(len(cv) for cv in covers) > t:
@@ -654,3 +677,40 @@ def ref_transport(supply, demand, tails, heads, caps):
     out = [order[b0:b1] for b0, b1 in zip([0] + bounds[:-1], bounds)]
     to = np.column_stack((heads, tails)).reshape(-1).tolist()
     return _max_flow(to, cap, out, src, snk), cap[1:2 * m:2]
+
+
+def ref_edge_color(graph):
+    """The edge coloring through a maximum matching on side positions:
+    each round renumbers the edges left as distinct (left position, right
+    position) pairs, matches them as a unit-capacity transport (here
+    `ref_transport`), sorts the matched pairs and maps each back to its
+    edge through a lookup table."""
+    left_ids = np.flatnonzero(graph.side == 0)
+    right_ids = np.flatnonzero(graph.side == 1)
+    lpos = {int(v): i for i, v in enumerate(left_ids)}
+    rpos = {int(v): i for i, v in enumerate(right_ids)}
+    remaining = list(graph.edges)
+    colors = []
+    for _ in range(3):
+        lookup = {}
+        pairs = []
+        for (u, v) in remaining:
+            lu = u if graph.side[u] == 0 else v
+            rv = v if graph.side[u] == 0 else u
+            key = (lpos[lu], rpos[rv])
+            lookup[key] = (u, v)
+            pairs.append(key)
+        pairs = dict.fromkeys(pairs)
+        _, flows = ref_transport([1] * len(left_ids), [1] * len(right_ids),
+                                 [l for l, _ in pairs], [r for _, r in pairs],
+                                 [1] * len(pairs))
+        match = sorted(itertools.compress(pairs, flows))
+        if len(match) != graph.n // 2:
+            raise ContractViolation("matching round left some vertex uncovered")
+        chosen = [lookup[key] for key in match]
+        colors.append(sorted(chosen))
+        taken = set(chosen)
+        remaining = [e for e in remaining if e not in taken]
+    if remaining:
+        raise ContractViolation("edge coloring left edges over")
+    return colors

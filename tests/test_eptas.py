@@ -45,11 +45,9 @@ def test_find_low_degree_point():
 
 def test_low_degree_context_split():
     pts = [[0.0], [0.1], [0.2], [2.9], [3.5], [10.0]]
-    ctx = low_degree_context(Instance.lp(pts, p=1.0), 0, 1.0)
-    assert ctx.p == 0
-    assert ctx.near.tolist() == [0, 1, 2, 3]   # strictly inside 3 * ell
-    assert ctx.far.tolist() == [4, 5]
-    assert ctx.far_count() == 2
+    near, far = low_degree_context(Instance.lp(pts, p=1.0), 0, 1.0)
+    assert near.tolist() == [0, 1, 2, 3]   # strictly inside 3 * ell
+    assert far.tolist() == [4, 5]
 
 
 def test_decide_matches_oracle_dichotomy():

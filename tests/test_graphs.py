@@ -1,4 +1,4 @@
-"""Threshold graphs, Euler walks, Hamiltonicity machinery, matchings."""
+"""Threshold graphs, Euler walks, Hamiltonicity machinery, max flow."""
 
 import math
 from collections import Counter
@@ -14,7 +14,6 @@ from scatter_tsp import (
     Multigraph,
     ThresholdGraph,
     bc_lift,
-    bipartite_max_matching,
     bondy_chvatal_closure,
     candidate_distances,
     components,
@@ -417,34 +416,39 @@ def test_transport_fills_the_first_phase_as_dinic_searches_it(problem):
     assert transport(*problem) == ref_transport(*problem)
 
 
+def unit_matching(left, right, pairs):
+    """The (l, r) pairs whose arcs carry flow in a unit-capacity transport
+    from `left` senders to `right` receivers: a maximum matching."""
+    value, flows = transport([1] * left, [1] * right, [l for l, _ in pairs],
+                             [r for _, r in pairs], [1] * len(pairs))
+    assert set(flows) <= {0, 1} and value == sum(flows)
+    return [e for e, f in zip(pairs, flows) if f]
+
+
 def test_bipartite_matching_hand_cases():
     # complete 3 x 3: a perfect matching of size 3
-    full = [(l, r) for l in range(3) for r in range(3)]
-    m = bipartite_max_matching(3, 3, full)
+    m = unit_matching(3, 3, [(l, r) for l in range(3) for r in range(3)])
     assert len(m) == 3
-    assert m == sorted(m)
     assert len({l for l, _ in m}) == 3 and len({r for _, r in m}) == 3
 
     # path shape: left {0,1} both only like right 0
-    m = bipartite_max_matching(2, 2, [(0, 0), (1, 0)])
-    assert len(m) == 1
-    # a repeated pair is one edge
-    assert bipartite_max_matching(2, 2, [(0, 0), (0, 0), (1, 0)]) == [(0, 0)]
+    assert len(unit_matching(2, 2, [(0, 0), (1, 0)])) == 1
+    # a repeated arc carries one unit between them, on the first copy
+    assert transport([1, 1], [1, 1], [0, 0, 1], [0, 0, 0], [1, 1, 1]) == (1, [1, 0, 0])
 
-    assert bipartite_max_matching(2, 2, []) == []
+    assert unit_matching(2, 2, []) == []
 
     # Hall violation: 3 lefts share 2 rights
-    m = bipartite_max_matching(3, 2, [(l, r) for l in range(3) for r in range(2)])
-    assert len(m) == 2
+    assert len(unit_matching(3, 2, [(l, r) for l in range(3) for r in range(2)])) == 2
 
-    with pytest.raises(ValueError):
-        bipartite_max_matching(2, 2, [(0, 2)])
-    with pytest.raises(ValueError):
-        bipartite_max_matching(2, 2, [(-1, 0)])
+    with pytest.raises(ValueError, match="out of range"):
+        unit_matching(2, 2, [(0, 2)])
+    with pytest.raises(ValueError, match="out of range"):
+        unit_matching(2, 2, [(-1, 0)])
     # a fractional end is refused, not truncated to vertex 0
     with pytest.raises(ValueError, match="integers"):
-        bipartite_max_matching(2, 2, [(0.5, 1), (1, 0)])
-    assert bipartite_max_matching(2, 2, [(1.0, 0), (0, 1)]) == [(0, 1), (1, 0)]
+        unit_matching(2, 2, [(0.5, 1), (1, 0)])
+    assert unit_matching(2, 2, [(1.0, 0), (0, 1)]) == [(1.0, 0), (0, 1)]
 
 
 def _brute_max_matching(l, mask, used=frozenset()):
@@ -465,10 +469,8 @@ def test_bipartite_matching_random_vs_greedy_bound():
         r = int(rng.integers(1, 9))
         mask = rng.random((l, r)) < 0.4
         edges = [(i, j) for i in range(l) for j in range(r) if mask[i, j]]
-        m = bipartite_max_matching(l, r, edges)
+        m = unit_matching(l, r, edges)
         assert len({a for a, _ in m}) == len(m) == len({b for _, b in m})
-        for (a, b) in m:
-            assert mask[a, b]
         # maximum matching is at least any greedy one
         taken_l, taken_r, greedy = set(), set(), 0
         for (a, b) in edges:
@@ -485,7 +487,7 @@ def test_bipartite_matching_long_augmenting_path():
     # that follows first choices must undo a chain of N pairs to place l_N
     n = 1200
     edges = [e for i in range(n) for e in ((i, i + 1), (i, i))] + [(n, n)]
-    assert bipartite_max_matching(n + 1, n + 1, edges) == [(i, i) for i in range(n + 1)]
+    assert unit_matching(n + 1, n + 1, edges) == [(i, i) for i in range(n + 1)]
 
 
 def test_normalize_tour_cleans_far_edges():

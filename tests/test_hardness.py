@@ -17,7 +17,15 @@ from scatter_tsp import (
     scatter,
     write_cubic_graph,
 )
-from helpers import cube_graph, k33, ring10, two_k33
+from scatter_tsp import hardness
+from helpers import (
+    cube_graph,
+    k33,
+    random_cubic_bipartite,
+    ref_edge_color,
+    ring10,
+    two_k33,
+)
 
 ALL_GRAPHS = [k33, cube_graph, ring10, two_k33]
 
@@ -27,7 +35,6 @@ def test_code_book_frozen_words():
     rows = ["".join(map(str, w)) for w in book.words.tolist()]
     assert rows == ["0000", "0101", "0011", "0110"]
     assert book.m == 2
-    assert book.distance == 2
 
 
 def test_code_book_equidistance_no_complements():
@@ -93,6 +100,33 @@ def test_edge_coloring_is_a_partition_into_perfect_matchings():
         for c in colors:
             assert len(c) == g.n // 2
             assert sorted(v for e in c for v in e) == list(range(g.n))
+
+
+def relabelled(graph, label):
+    return CubicBipartiteGraph(graph.n, [(int(label[u]), int(label[v])) for u, v in graph.edges])
+
+
+def test_edge_coloring_matches_the_matching_version():
+    # n = 6-58, one random part or two, vertices relabelled; the hand
+    # graphs too, among them two copies of K3,3
+    rng = np.random.default_rng(29)
+    graphs = [build() for build in ALL_GRAPHS]
+    for i in range(400):
+        halves = rng.integers(3, 15, size=2) if i % 4 == 0 else rng.integers(3, 30, size=1)
+        graphs.append(random_cubic_bipartite(rng, halves.tolist()))
+    for graph in graphs:
+        assert edge_color_cubic_bipartite(graph) == ref_edge_color(graph)
+
+
+@pytest.mark.parametrize("build", ALL_GRAPHS)
+def test_embed_labels_match_the_matching_version(build, monkeypatch):
+    rng = np.random.default_rng(7)
+    graph = build()
+    graphs = [graph] + [relabelled(graph, rng.permutation(graph.n)) for _ in range(3)]
+    got = [embed(g)[0].labels for g in graphs]
+    monkeypatch.setattr(hardness, "edge_color_cubic_bipartite", ref_edge_color)
+    for g, labels in zip(graphs, got):
+        assert np.array_equal(embed(g)[0].labels, labels)
 
 
 def test_k33_embedding_distances():

@@ -55,7 +55,7 @@ def assert_matches_reference(adj, restarts=True):
         ref = ref_greedy_paths(comp, adj.rows)
         assert greedy == ref
         if restarts and len(ref) > 1:  # the tier restarts only covers it could improve
-            assert (_restart_paths(comp, adj, greedy)
+            assert (_restart_paths(comp, adj, greedy, 1)
                     == ref_restart_paths(comp, adj.rows, ref))
 
 
@@ -633,5 +633,5 @@ def test_no_sweep_merges_after_a_rotation_merge(adj, seed):
             paths, _ = sweep_after_each_rotation(order, adj)
             assert paths == _greedy_paths(order, adj) == ref_greedy_paths(order, adj.rows)
         if len(paths) > 1:
-            assert (_restart_paths(comp, adj, paths)
+            assert (_restart_paths(comp, adj, paths, 1)
                     == ref_restart_paths(comp, adj.rows, paths))

@@ -1,10 +1,12 @@
 """The library core stays numpy-only: it imports numpy, the standard
 library and its own modules, nothing else. A module imports no underscore
-name from a sibling: what another module needs is public."""
+name from a sibling: what another module needs is public. The package's
+`__all__` lists what its root binds."""
 
 import ast
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import scatter_tsp
 
@@ -69,3 +71,12 @@ def test_modules_import_no_private_name_of_a_sibling():
     bad = [(path.name, line, name) for path in modules
            for line, name in private_sibling_imports(path.read_text())]
     assert bad == []
+
+
+def test_all_names_exactly_the_public_names_at_the_root():
+    # a deleted function cannot stay listed, nor stay imported but unlisted;
+    # the submodules are bound at the root too, and are not exported
+    public = {name for name, value in vars(scatter_tsp).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert len(set(scatter_tsp.__all__)) == len(scatter_tsp.__all__)
+    assert set(scatter_tsp.__all__) == public
