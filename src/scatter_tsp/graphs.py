@@ -1,12 +1,13 @@
 """Threshold graphs and the Hamiltonicity toolbox.
 
 Contains the constructive Dirac cycle builder, Bondy-Chvatal closure with
-edge lifting, Eulerian tours of multigraphs, the one connectivity routine,
+edge lifting, the Euler tour of edge counts, the one connectivity routine,
 the one max flow, and the ball exchange that normalizes a high-scatter
-tour around a low-degree point. `components(k, pairs)` builds its
-neighbour lists once per call and serves the multigraph support checks,
-`eulerian_tour`, the many-visits hub tier (on its owner graph) and the
-cubic graphs' 2-coloring. Every flow has one shape, senders with
+tour around a low-degree point. `eulerian_tour(k, counts)` takes a dict
+of vertex-pair counts and is where outside counts are checked.
+`components(k, pairs)` builds its neighbour lists once per call and
+serves `eulerian_tour`, the many-visits support checks, the hub tier (on
+its owner graph) and the cubic graphs' 2-coloring. Every flow has one shape, senders with
 supplies, receivers with demands and capacitated arcs between them: `transport` lays out its
 network, source and sink arcs included, fills Dinic's first phase
 directly and returns the flow on each given arc. The many-visits tiers
@@ -153,53 +154,6 @@ def threshold_graph(instance: Instance, ell: float) -> ThresholdGraph:
     return ThresholdGraph(adj)
 
 
-class Multigraph:
-    """Multigraph on k vertices: unordered pairs with nonnegative multiplicities."""
-
-    def __init__(self, k: int, multiplicity=None):
-        if k < 1:
-            raise ValueError("need k >= 1")
-        self.k = k
-        self.mult = {}
-        if multiplicity:
-            for (u, v), m in multiplicity.items():
-                self.add(u, v, m)
-
-    def add(self, u: int, v: int, m: int = 1) -> None:
-        if u != int(u) or v != int(v):
-            raise ValueError(f"vertices must be integers, got ({u}, {v})")
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < self.k and 0 <= v < self.k):
-            raise ValueError(f"vertex pair ({u}, {v}) out of range")
-        if m < 0 or m != int(m):
-            raise ValueError(f"multiplicity must be a nonnegative integer, got {m}")
-        key = (u, v) if u < v else (v, u)
-        new = self.mult.get(key, 0) + int(m)
-        if new > 0:   # m >= 0, so only a new pair added 0 times stays out
-            self.mult[key] = new
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.k, dtype=object)
-        for (u, v), m in self.mult.items():
-            deg[u] += m
-            deg[v] += m
-        return deg
-
-    def edge_total(self) -> int:
-        return sum(self.mult.values())
-
-    def support_is_connected_spanning(self) -> bool:
-        """True when the positive edges connect all k vertices."""
-        return len(components(self.k, self.mult)) == 1
-
-    def support_components(self) -> list:
-        """Vertex sets of the components of the positive edges, isolated
-        vertices included, in the order of their least vertex."""
-        return components(self.k, self.mult)
-
-
 def components(k: int, pairs) -> list:
     """Vertex sets of the components of the graph on 0..k-1 whose edges are
     the vertex pairs `pairs`, isolated vertices included, in the order of
@@ -228,52 +182,69 @@ def components(k: int, pairs) -> list:
     return comps
 
 
-def eulerian_tour(graph: Multigraph) -> list:
-    """Closed walk traversing every edge exactly multiplicity-many times.
+def eulerian_tour(k: int, counts) -> list:
+    """Closed walk on 0..k-1 traversing each vertex pair count-many times.
 
-    Returns a vertex list that starts and ends at the same vertex; its
-    number of edges equals the total multiplicity. Hierholzer construction.
+    `counts` maps pairs (u, v) to nonnegative integer counts; (v, u) adds
+    to (u, v) and a count of 0 adds no edge. Returns a vertex list that
+    starts and ends at the same vertex, [0] when there is no edge; its
+    number of edges equals the total count. Hierholzer construction over
+    the sorted pairs. Raises ValueError for k < 1, an end that is not an
+    integer in 0..k-1 or equals the other end, a count that is not a
+    nonnegative integer, an odd degree, or edges in two components.
     """
-    deg = graph.degrees()
-    odd = [v for v in range(graph.k) if deg[v] % 2 == 1]
+    if k < 1:
+        raise ValueError("need k >= 1")
+    mult = {}
+    for (u, v), m in counts.items():
+        if u != int(u) or v != int(v):
+            raise ValueError(f"vertices must be integers, got ({u}, {v})")
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < k and 0 <= v < k):
+            raise ValueError(f"vertex pair ({u}, {v}) out of range")
+        if m < 0 or m != int(m):
+            raise ValueError(f"count must be a nonnegative integer, got {m}")
+        if m:
+            key = _key(u, v)
+            mult[key] = mult.get(key, 0) + int(m)
+    deg = [0] * k
+    for (u, v), m in mult.items():
+        deg[u] += m
+        deg[v] += m
+    odd = [v for v in range(k) if deg[v] % 2 == 1]
     if odd:
         raise ValueError(f"vertex {odd[0]} has odd degree {deg[odd[0]]}")
-    positive = [v for v in range(graph.k) if deg[v] > 0]
+    positive = [v for v in range(k) if deg[v] > 0]
     if not positive:
         return [0]
     # the positive-degree vertices are those of the components with an edge
-    if sum(len(c) > 1 for c in components(graph.k, graph.mult)) > 1:
+    if sum(len(c) > 1 for c in components(k, mult)) > 1:
         raise ValueError("positive-degree subgraph is disconnected")
 
-    remaining = dict(graph.mult)
+    remaining = dict(mult)
     adj = {v: [] for v in positive}
-    for u, v in sorted(graph.mult):  # sorted pairs leave every list sorted
+    for u, v in sorted(mult):  # sorted pairs leave every list sorted
         adj[u].append(v)
         adj[v].append(u)
     ptr = {v: 0 for v in positive}
-    start = positive[0]
-    stack = [start]
+    stack = [positive[0]]
     circuit = []
     while stack:
         v = stack[-1]
         lst = adj[v]
         i = ptr[v]
-        while i < len(lst):
-            u = lst[i]
-            key = (v, u) if v < u else (u, v)
-            if remaining.get(key, 0) > 0:
-                break
+        while i < len(lst) and not remaining[_key(v, lst[i])]:
             i += 1
         ptr[v] = i
         if i == len(lst):
             circuit.append(stack.pop())
         else:
-            u = lst[i]
-            key = (v, u) if v < u else (u, v)
-            remaining[key] -= 1
-            stack.append(u)
+            remaining[_key(v, lst[i])] -= 1
+            stack.append(lst[i])
     circuit.reverse()
-    if len(circuit) != graph.edge_total() + 1:
+    if len(circuit) != sum(mult.values()) + 1:
         raise ContractViolation("Euler walk failed to use every edge")
     return circuit
 

@@ -21,7 +21,10 @@ from .instance import ContractViolation, Instance, integer_array
 from .graphs import components, transport
 from .oracle import brute_force_mstsp, is_hamiltonian
 
-_REED_MULLER_MAX_M = 20   # memory guard: words occupy 4^m bytes
+# memory guard: the 2^m words of 2^m bytes take 4^m bytes, 256 MiB at
+# m = 14, which embeds cubic graphs of up to 2^15 vertices
+_REED_MULLER_BYTES = 1 << 28
+_REED_MULLER_MAX_M = (_REED_MULLER_BYTES.bit_length() - 1) // 2
 _GAP_CHECK_MAX_N = 12     # embedded instances must stay oracle-sized
 
 

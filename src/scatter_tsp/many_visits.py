@@ -51,9 +51,10 @@ with no allowed arc leaving it gives a branch node no children).
 The relaxation, the branch nodes and the hub floor each pass their arcs
 to `graphs.transport` and read the flows back.
 
-Visit counts may be as large as 10^9; all arithmetic on multiplicities and
-flows uses Python integers, and the Euler walk of the result is only
-materialized on demand.
+Visit counts may be as large as 10^9, and all arithmetic on counts and
+flows uses Python integers. A result is one `Multiwalk`, built from a
+walk or from edge counts, whichever its tier found; the other form is
+made only when read, the walk by `graphs.eulerian_tour`.
 """
 
 from collections import Counter
@@ -65,7 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .instance import ContractViolation, integer_array
-from .graphs import Multigraph, components, eulerian_tour, transport
+from .graphs import components, eulerian_tour, transport
 
 _WALK_STATE_CAP = 700_000    # product of (visits_v + 1) admitted to the walk DP
 _NODE_CAP = 20_000           # nodes of the subtour branching
@@ -102,27 +103,33 @@ class VisitSpec:
 
 
 class Multiwalk:
-    """Result of a feasible spec: edge multiplicities plus a lazy Euler walk."""
+    """Closed walk on k vertices, built from exactly one of its two forms.
 
-    def __init__(self, multiplicities: Multigraph):
-        self.multiplicities = multiplicities
-        self._walk = None
+    `walk` is the vertex list, its start repeated at the end. `counts`
+    maps each vertex pair (u, v), u < v, to the number of times the walk
+    steps between u and v. The form not given is built on first read:
+    the counts from the walk's steps, the walk by `eulerian_tour`, which
+    also checks the counts. Counts may be far too large to expand.
+    """
 
-    @classmethod
-    def from_walk(cls, k: int, walk: list):
-        """Pack a closed walk on k vertices (start repeated at the end)."""
-        mw = cls(Multigraph(k, Counter(zip(walk, walk[1:]))))
-        mw._walk = walk
-        return mw
+    def __init__(self, k: int, counts=None, walk=None):
+        if (counts is None) == (walk is None):
+            raise ValueError("give exactly one of counts and walk")
+        self.k = k
+        self._counts = counts
+        self._walk = walk
+
+    @property
+    def counts(self) -> dict:
+        if self._counts is None:
+            self._counts = Counter(tuple(sorted(e)) for e in zip(self._walk, self._walk[1:]))
+        return self._counts
 
     @property
     def walk(self) -> list:
         if self._walk is None:
-            self._walk = eulerian_tour(self.multiplicities)
+            self._walk = eulerian_tour(self.k, self._counts)
         return self._walk
-
-    def walk_edge_count(self) -> int:
-        return self.multiplicities.edge_total()
 
 
 def _arc_flow(edges, out_deg, in_deg):
@@ -642,12 +649,12 @@ def _subtour_branching(spec, edges, root):
             flow = _arc_flow(edges, out_deg, in_deg)
             if flow is None:
                 continue
-        mg = Multigraph(k, flow)
-        for arc in forced:
-            mg.add(*arc)
-        comps = mg.support_components()
+        counts = Counter(flow)
+        for u, w in forced:
+            counts[min(u, w), max(u, w)] += 1
+        comps = components(k, counts)
         if len(comps) == 1:
-            return Multiwalk(mg)
+            return Multiwalk(k, counts)
         cuts = []
         for comp in comps:
             inside = np.zeros(k, dtype=bool)
@@ -664,24 +671,23 @@ def _subtour_branching(spec, edges, root):
 
 
 def many_visits_tour(spec: VisitSpec):
-    """Edge multiplicities and walk for the spec, or None when infeasible.
+    """A Multiwalk with the spec's visit counts, or None when infeasible.
 
-    The returned multigraph has degree 2*visits[v] at every vertex and a
-    connected spanning support, which is exactly what an Euler walk with
-    the prescribed visit counts requires.
+    The walk DP and the hub tier return its walk. The relaxation and the
+    branch nodes return its edge counts, which give degree 2*visits[v] at
+    every vertex and connect all k vertices: exactly what an Euler walk
+    with the prescribed visit counts requires.
     """
     k = spec.k
     visits = spec.visits
     if k == 1:
-        if visits[0] == 1:
-            return Multiwalk(Multigraph(1))
-        return None
+        return Multiwalk(1, walk=[0]) if visits[0] == 1 else None
 
     if _short_of_neighbour_visits(spec.allowed, visits):
         return None
     walked = _walk_dp(spec.allowed, visits)
     if walked != "out_of_range":
-        return None if walked is None else Multiwalk.from_walk(k, walked)
+        return None if walked is None else Multiwalk(k, walk=walked)
 
     edges = list(zip(*(x.tolist() for x in np.nonzero(np.triu(spec.allowed)))))
 
@@ -690,14 +696,13 @@ def many_visits_tour(spec: VisitSpec):
     g0 = _arc_flow(edges, visits, visits)
     if g0 is None:
         return None
-    mg0 = Multigraph(k, g0)
-    if mg0.support_is_connected_spanning():
-        return Multiwalk(mg0)  # relaxation solution happens to work
+    if len(components(k, g0)) == 1:
+        return Multiwalk(k, g0)  # relaxation solution happens to work
 
     hub = _hub_path_cover(spec)
     if hub is None:
         return None
     if hub != "no_hub":
-        return Multiwalk.from_walk(k, hub)
+        return Multiwalk(k, walk=hub)
 
     return _subtour_branching(spec, edges, g0)

@@ -87,18 +87,20 @@ def least_closed_walk(allowed, visits):
 
 
 def validate_multiwalk(spec, mw):
-    """Assert the walk is closed, edge-legal, and hits the exact counts."""
+    """Assert the walk is closed, edge-legal, hits the exact counts, and
+    agrees with the walk's edge counts."""
     w = mw.walk
+    assert mw.counts == Counter(tuple(sorted(e)) for e in zip(w, w[1:]))
     if len(w) == 1:
         assert spec.k == 1 and list(spec.visits) == [1]
-        assert mw.walk_edge_count() == 0
+        assert sum(mw.counts.values()) == 0
         return
     assert w[0] == w[-1]
     for a, b in zip(w, w[1:]):
         assert spec.allowed[a, b], f"walk uses forbidden edge ({a}, {b})"
     counts = Counter(w[:-1])
     assert [counts.get(i, 0) for i in range(spec.k)] == list(spec.visits)
-    assert len(w) - 1 == sum(spec.visits) == mw.walk_edge_count()
+    assert len(w) - 1 == sum(spec.visits) == sum(mw.counts.values())
 
 
 def brute_scatter(instance):

@@ -1,0 +1,84 @@
+"""Solver outputs pinned cell by cell, so a change meant to keep every
+answer shows that it did.
+
+`tests/data/golden.json` holds, for each cell, `repr(ell_hat)`, the SHA-1
+of the tour as int64, the SHA-1 of the `repr` of the probe records, and
+for a cell that aborts only the abort message. The cells:
+- the clustered grid, `generate("clustered", n, 2, seed)` for
+  n in {60, 80, 120, 200}, seeds 0-9 and epsilon in {0.1, 0.25, 0.5}
+  (25 of the 120 abort, in the hub path-cover tier);
+- `generate("uniform", 20, 2, seed)` for seeds 0-4 and epsilon in
+  {0.25, 0.5}, the cheap cells whose specs reach the subtour branching.
+
+A change that alters outputs on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and names the cells that changed.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from scatter_tsp import ContractViolation, generate, maximize_scatter_report
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
+
+GRID = [("clustered", n, seed, eps)
+        for n in (60, 80, 120, 200) for seed in range(10) for eps in (0.1, 0.25, 0.5)]
+UNIFORM = [("uniform", 20, seed, eps) for seed in range(5) for eps in (0.25, 0.5)]
+
+
+def cell_name(kind, n, seed, eps) -> str:
+    return f"{kind}-n{n}-s{seed}-e{eps}"
+
+
+def sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()
+
+
+def outputs(kind, n, seed, eps) -> dict:
+    """What the golden file records for one cell."""
+    try:
+        ell_hat, tour, probes = maximize_scatter_report(generate(kind, n, 2, seed), eps)
+    except ContractViolation as exc:
+        return {"abort": str(exc)}
+    return {"ell_hat": repr(ell_hat),
+            "tour": sha1(np.asarray(tour, dtype=np.int64).tobytes()),
+            "probes": sha1(repr(probes).encode())}
+
+
+def mismatches(cells) -> list:
+    golden = json.loads(GOLDEN.read_text())
+    bad = []
+    for cell in cells:
+        name = cell_name(*cell)
+        got = outputs(*cell)
+        if got != golden[name]:
+            bad.append((name, golden[name], got))
+    return bad
+
+
+def test_golden_covers_exactly_its_cells():
+    names = [cell_name(*cell) for cell in GRID + UNIFORM]
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(names)
+
+
+@pytest.mark.parametrize("cells", [GRID, UNIFORM], ids=["clustered-grid", "uniform-n20"])
+def test_outputs_match_golden(cells):
+    assert mismatches(cells) == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    table = {cell_name(*cell): outputs(*cell) for cell in GRID + UNIFORM}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} cells to {GOLDEN}")

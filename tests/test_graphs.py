@@ -11,7 +11,6 @@ from scatter_tsp import (
     ContractViolation,
     Instance,
     MetricThresholdView,
-    Multigraph,
     ThresholdGraph,
     bc_lift,
     bondy_chvatal_closure,
@@ -75,57 +74,45 @@ def test_threshold_graph_rejects_bad_adjacency():
         ThresholdGraph(np.zeros((2, 3), dtype=bool))
 
 
-def test_multigraph_basics():
-    mg = Multigraph(3)
-    mg.add(0, 1, 2)
-    mg.add(2, 1)
-    assert mg.mult[(0, 1)] == 2
-    assert mg.mult[(1, 2)] == 1
-    assert mg.degrees().tolist() == [2, 3, 1]
-    assert mg.edge_total() == 3
-    assert mg.support_is_connected_spanning()
-    mg.add(0, 1, 0)  # zero increment changes nothing
-    assert mg.mult[(0, 1)] == 2
-    assert not Multigraph(3, {(0, 1): 1}).support_is_connected_spanning()
-    assert mg.support_components() == [{0, 1, 2}]
-    assert Multigraph(5, {(3, 1): 1, (4, 0): 2}).support_components() == [{0, 4}, {1, 3}, {2}]
-    with pytest.raises(ValueError):
-        mg.add(1, 1)
-    with pytest.raises(ValueError):
-        mg.add(0, 3)
-    with pytest.raises(ValueError):
-        mg.add(0, 1, -1)
-    with pytest.raises(ValueError):
-        Multigraph(0)
+def test_eulerian_tour_merges_reversed_pairs_and_zero_counts():
+    # (1, 0) adds to (0, 1), (2, 1) is (1, 2), and a count of 0 adds no edge
+    merged = eulerian_tour(3, {(0, 1): 1, (1, 0): 1, (2, 1): 2, (0, 2): 0})
+    assert merged == eulerian_tour(3, {(0, 1): 2, (1, 2): 2}) == [0, 1, 2, 1, 0]
+    assert eulerian_tour(3, {(0, 1): 0}) == [0]
+    assert eulerian_tour(1, {}) == [0]
+    assert components(5, {(3, 1): 1, (4, 0): 2}) == [{0, 4}, {1, 3}, {2}]
 
 
-def test_multigraph_refuses_non_integer_multiplicity():
-    mg = Multigraph(2)
-    mg.add(0, 1, 2.0)
-    assert mg.mult[(0, 1)] == 2
-    with pytest.raises(ValueError, match="multiplicity must be a nonnegative integer"):
-        mg.add(0, 1, 1.5)
-    assert mg.mult[(0, 1)] == 2
+def test_eulerian_tour_refuses_bad_counts():
+    # integral floats and numpy integers count as integers
+    walk = _check_euler(3, {(0, 1): 2.0, (1, 2): np.int64(2), (0, 2): 2})
+    assert all(type(v) is int for v in walk)
+    for count in (-1, 1.5):
+        with pytest.raises(ValueError, match="count must be a nonnegative integer"):
+            eulerian_tour(2, {(0, 1): count})
 
 
-def test_multigraph_refuses_non_integer_vertices():
-    mg = Multigraph(3)
+def test_eulerian_tour_refuses_bad_ends():
+    walk = _check_euler(3, {(np.int64(0), 1): 1, (1, 2.0): 1, (0, 2): 1})
+    assert all(type(v) is int for v in walk)
     with pytest.raises(ValueError, match="vertices must be integers"):
-        mg.add(0.5, 1)
-    assert mg.mult == {}
-    mg.add(np.int64(0), 1)
-    mg.add(1, 2.0)
-    assert mg.support_is_connected_spanning()
-    assert mg.degrees().tolist() == [1, 2, 1]
+        eulerian_tour(3, {(0.5, 1): 2})
+    with pytest.raises(ValueError, match="self-loop"):
+        eulerian_tour(3, {(1, 1): 2})
+    for pair in ((0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            eulerian_tour(3, {pair: 2})
+    with pytest.raises(ValueError, match="need k >= 1"):
+        eulerian_tour(0, {})
 
 
-def _check_euler(mg):
-    walk = eulerian_tour(mg)
+def _check_euler(k, counts):
+    walk = eulerian_tour(k, counts)
     assert walk[0] == walk[-1]
     used = Counter()
     for a, b in zip(walk, walk[1:]):
         used[(a, b) if a < b else (b, a)] += 1
-    assert used == Counter(mg.mult)
+    assert used == Counter(counts)
     return walk
 
 
@@ -151,23 +138,23 @@ def test_components_match_reference(case):
 
 
 def test_eulerian_tour_cases():
-    tri = Multigraph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1})
-    assert len(_check_euler(tri)) == 4
+    tri = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
+    assert len(_check_euler(3, tri)) == 4
 
-    doubled_path = Multigraph(3, {(0, 1): 2, (1, 2): 2})
-    _check_euler(doubled_path)
+    doubled_path = {(0, 1): 2, (1, 2): 2}
+    _check_euler(3, doubled_path)
 
-    mixed = Multigraph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1, (0, 3): 1})
-    _check_euler(mixed)
+    mixed = {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1, (0, 3): 1}
+    _check_euler(4, mixed)
 
-    assert eulerian_tour(Multigraph(5)) == [0]  # no edges at all
+    assert eulerian_tour(5, {}) == [0]  # no edges at all
     # isolated vertices around the one component with edges
-    assert eulerian_tour(Multigraph(5, {(3, 1): 2})) == [1, 3, 1]
+    assert eulerian_tour(5, {(3, 1): 2}) == [1, 3, 1]
 
     with pytest.raises(ValueError):
-        eulerian_tour(Multigraph(3, {(0, 1): 1}))  # odd degrees
+        eulerian_tour(3, {(0, 1): 1})  # odd degrees
     with pytest.raises(ValueError):
-        eulerian_tour(Multigraph(4, {(0, 1): 2, (2, 3): 2}))  # two components
+        eulerian_tour(4, {(0, 1): 2, (2, 3): 2})  # two components
 
 
 def _check_cycle(adj, order):

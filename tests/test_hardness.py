@@ -50,7 +50,11 @@ def test_code_book_equidistance_no_complements():
 
 
 def test_code_book_rejections():
-    for bad in (0, 21, -3, 2.5, True):
+    # the cap is the largest m whose 4^m bytes of words fit the budget; the
+    # words are never built at the cap here
+    cap = hardness._REED_MULLER_MAX_M
+    assert 4 ** cap <= hardness._REED_MULLER_BYTES < 4 ** (cap + 1)
+    for bad in (0, cap + 1, 21, -3, 2.5, True):
         with pytest.raises(ValueError):
             reed_muller(bad)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scatter_tsp import ContractViolation, VisitSpec, many_visits
+from scatter_tsp import ContractViolation, Multiwalk, VisitSpec, many_visits
 from scatter_tsp.many_visits import (
     _WALK_STATE_CAP,
     _arc_flow,
@@ -363,14 +363,6 @@ def test_exact_cover_out_of_walk_dp_range():
     assert _exact_cover(list(range(len(owner))), owner, allowed, 2, [[0], [1]]) is None
 
 
-class _Walk:
-    def __init__(self, walk):
-        self.walk = walk
-
-    def walk_edge_count(self):
-        return len(self.walk) - 1
-
-
 def hub_spec(edges, visits):
     """Vertex 0 is the hub: adjacent to every other vertex."""
     k = len(visits)
@@ -384,7 +376,7 @@ def hub_spec(edges, visits):
 def test_pure_star_walk():
     spec = hub_spec([(1, 2)], [5, 2, 1, 2])  # t = 5 = total_rest
     walk = _hub_path_cover(spec)
-    validate_multiwalk(spec, _Walk(walk))
+    validate_multiwalk(spec, Multiwalk(spec.k, walk=walk))
     assert walk[::2] == [0] * 6  # the hub separates every other visit
 
 
@@ -441,7 +433,7 @@ def test_small_hub_specs_match_walk_enumeration():
         walk = _hub_path_cover(spec)
         if closed_walk_feasible(spec.allowed, spec.visits):
             assert walk is not None
-            validate_multiwalk(spec, _Walk(walk))
+            validate_multiwalk(spec, Multiwalk(spec.k, walk=walk))
             feasible += 1
         else:
             assert walk is None
@@ -548,7 +540,7 @@ def assert_decision_matches_reference(spec):
     if got_class == "walk":
         # the walk may differ from the reference's: the tier keeps the
         # first cover that fits t, not the best one
-        validate_multiwalk(spec, _Walk(got))
+        validate_multiwalk(spec, Multiwalk(spec.k, walk=got))
     if got_class in ("walk", "None") and np.prod([v + 1 for v in spec.visits]) <= 20_000:
         assert closed_walk_feasible(spec.allowed, spec.visits) == (got_class == "walk")
     return got_class

@@ -59,7 +59,7 @@ def private_sibling_imports(source: str) -> list:
 
 
 def test_the_check_flags_private_sibling_imports():
-    source = ("from .graphs import Multigraph, _max_flow\n"
+    source = ("from .graphs import components, _max_flow\n"
               "from scatter_tsp.oracle import _BRUTE_CAP\n"
               "from . import hardness\n"
               "from collections import _OrderedDictKeysView\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from scatter_tsp import ContractViolation, VisitSpec, many_visits_tour
+from scatter_tsp import ContractViolation, Multiwalk, VisitSpec, components, many_visits_tour
 from scatter_tsp import many_visits
 from scatter_tsp.many_visits import (
     _WALK_STATE_CAP,
@@ -24,6 +24,14 @@ def spec_of(edges, visits):
     for (u, v) in edges:
         adj[u, v] = adj[v, u] = True
     return VisitSpec(adj, visits)
+
+
+def degrees(k, counts):
+    deg = [0] * k
+    for (u, v), m in counts.items():
+        deg[u] += m
+        deg[v] += m
+    return deg
 
 
 def test_visit_spec_validation():
@@ -134,10 +142,9 @@ def test_huge_counts_stay_lazy():
     elapsed = time.perf_counter() - t0
     assert mw is not None
     assert elapsed < 1.0
-    assert mw.walk_edge_count() == 6 * 10 ** 6
-    deg = mw.multiplicities.degrees()
-    assert all(int(d) == 2 * 10 ** 6 for d in deg)
-    assert mw.multiplicities.support_is_connected_spanning()
+    assert sum(mw.counts.values()) == 6 * 10 ** 6
+    assert degrees(6, mw.counts) == [2 * 10 ** 6] * 6
+    assert len(components(6, mw.counts)) == 1
     assert mw._walk is None  # the walk was never expanded
 
 
@@ -153,9 +160,26 @@ def test_large_feasible_path_graph():
     spec = spec_of(path, visits)
     mw = many_visits_tour(spec)
     assert mw is not None
-    assert mw.walk_edge_count() == sum(visits)
-    deg = mw.multiplicities.degrees()
-    assert [int(d) for d in deg] == [2 * v for v in visits]
+    assert sum(mw.counts.values()) == sum(visits)
+    assert degrees(5, mw.counts) == [2 * v for v in visits]
+
+
+def test_walk_dp_answer_builds_its_counts_only_when_read():
+    spec = spec_of([(0, 1), (1, 2), (0, 2)], [2, 1, 1])
+    assert _walk_dp(spec.allowed, spec.visits) != "out_of_range"
+    mw = many_visits_tour(spec)
+    assert mw._counts is None and mw._walk is not None
+    assert mw.counts == Counter(tuple(sorted(e)) for e in zip(mw.walk, mw.walk[1:]))
+    assert mw._counts is not None
+
+
+def test_multiwalk_takes_exactly_one_form():
+    with pytest.raises(ValueError, match="exactly one"):
+        Multiwalk(3)
+    with pytest.raises(ValueError, match="exactly one"):
+        Multiwalk(2, {(0, 1): 2}, [0, 1, 0])
+    assert Multiwalk(2, {(0, 1): 2}).walk == [0, 1, 0]
+    assert Multiwalk(2, walk=[0, 1, 0]).counts == {(0, 1): 2}
 
 
 def test_visit_counts_match_walk():
