@@ -2,7 +2,9 @@
 
 Contains the constructive Dirac cycle builder, Bondy-Chvatal closure with
 edge lifting, the Euler tour of edge counts, the one connectivity routine,
-the one max flow, and the ball exchange that normalizes a high-scatter
+the one max flow, the Held-Karp 1-tree refutation of Hamiltonicity
+(`one_tree_refutes`, exact in int64, which the many-visits tiers run on
+their clone graphs), and the ball exchange that normalizes a high-scatter
 tour around a low-degree point. `eulerian_tour(k, counts)` takes a dict
 of vertex-pair counts and is where outside counts are checked.
 `components(k, pairs)` builds its neighbour lists once per call and
@@ -566,6 +568,69 @@ def _max_flow(to, cap, out, s: int, t: int) -> int:
                 it[u] += 1
             else:
                 break
+
+
+_PI_SCALE = 1 << 20   # multipliers lie on the grid 2^-20 * Z
+
+
+def one_tree_refutes(graph, budget: int):
+    """Whether Held-Karp 1-trees prove that `graph` has no Hamiltonian
+    cycle, as (refuted, 1-trees computed), at most `budget` of them.
+
+    Edges cost 0 and non-adjacent pairs 1, so a Hamiltonian cycle costs 0.
+    For multipliers pi, a minimum 1-tree under the costs c_uv + pi_u + pi_v
+    (a spanning tree on 1..n-1 plus the two cheapest pairs at vertex 0)
+    weighs at most any tour, where every degree is 2. Its weight less
+    2 * sum(pi) is thus a lower bound on every tour's cost (Held & Karp,
+    Oper. Res. 18, 1970). pi lies on the grid 2^-20 * Z, so the bound is
+    an int64 in units of 2^-20, and only a positive one refutes: no float
+    is compared against 0. Each miss takes the step
+    pi += max(1/2 - w, 0.01) * g / |g|^2 towards the bound 1/2, with w the
+    bound and g = deg - 2 the 1-tree's degrees less 2. A 1-tree with g = 0
+    is a tour of cost at most 0, a Hamiltonian cycle, and ends the search.
+    Fewer than 3 vertices refute nothing.
+    """
+    n = graph.n
+    if n < 3:
+        return False, 0
+    ids = np.arange(n)
+    cost = np.where(graph.edge_flags(ids[:, None], ids), 0, _PI_SCALE)
+    far = np.int64(1) << 62   # the key of a vertex already in the tree
+    pi = np.zeros(n, dtype=np.int64)
+    for step in range(1, budget + 1):
+        # vertex 0's two cheapest pairs, then Prim on 1..n-1 from vertex 1:
+        # key[v] is v's cheapest pair into the tree, and open_pi[v] is
+        # pi[v], or far once v is in it; the tree's pairs are (us, vs)
+        at0 = cost[0] + pi
+        at0[0] = far
+        us = [0, 0]
+        vs = np.argpartition(at0, 1)[:2].tolist()
+        open_pi = pi.copy()
+        open_pi[:2] = far
+        key = cost[1] + open_pi
+        key += pi[1]
+        parent = np.ones(n, dtype=np.intp)
+        for _ in range(n - 2):
+            v = int(key.argmin())
+            us.append(v)
+            vs.append(parent[v])
+            open_pi[v] = far
+            key[v] = far
+            pair = cost[v] + open_pi
+            pair += pi[v]
+            parent[pair < key] = v
+            np.minimum(key, pair, out=key)
+        weight = int((cost[us, vs] + pi[us] + pi[vs]).sum())
+        deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+        bound = weight - 2 * int(pi.sum())
+        if bound > 0:
+            return True, step
+        g = deg - 2
+        norm = int(g @ g)
+        if not norm:
+            return False, step
+        pi += np.rint(g * (max(0.5 - bound / _PI_SCALE, 0.01) * _PI_SCALE / norm)).astype(np.int64)
+    return False, budget
 
 
 def normalize_tour(instance: Instance, tour, ell: float, p: int) -> np.ndarray:

@@ -2,37 +2,37 @@
 
 The solver is exact: it answers feasibility correctly for every spec, or
 aborts loudly when its search budget is genuinely exhausted; it never
-returns a wrong answer. `many_visits_tour` runs four tiers in order, each
-of which either decides the spec or hands it on. A disconnected allowed
-graph needs no pass of its own: each tier after the first answers it with
-None (the walk DP never reaches the far component, the relaxation has no
-solution or a disconnected support, no vertex is a hub, and a component
-with no allowed arc leaving it gives a branch node no children).
+returns a wrong answer. `many_visits_tour` runs its tiers in the order
+below, each of which either decides the spec or hands it on. A
+disconnected allowed graph needs no pass of its own: each tier after the
+first answers it with None or hands it on (the greedy cycle finds no
+single path, the walk DP never reaches the far component, the relaxation
+has no solution or a disconnected support, no vertex is a hub, the 1-tree
+refutes it or runs out of steps, and a component with no allowed arc
+leaving it gives a branch node no children).
+
+"Clones": a vertex visited c times becomes c twin clones, not adjacent to
+each other, so a walk is a Hamiltonian cycle on the clones.
 
 1. neighbour visits (`_short_of_neighbour_visits`): an O(k^2) count that
    only answers No. The visits of v cut the walk into visits[v] gaps whose
    end entries are visits to neighbours of v, so too few of those refute
    the spec at once, whatever the size of its visit counts.
-2. walk DP (`_walk_dp`): a reachability sweep over (spent visits,
-   current vertex) states, the states of each vertex one bitset in a
-   Python int, one OR per allowed arc and layer. Exact whenever
-   prod(visits_v + 1) is at most _WALK_STATE_CAP. This covers plain
-   Hamiltonicity of small quotients.
-3. subtour branching on the even-flow relaxation (`_subtour_branching`,
-   after Carpaneto & Toth). Its root is the relaxation, `_arc_flow` with
-   out = in = visits: an Eulerian digraph with the prescribed degrees but
-   without the connectivity requirement. No solution means no walk; a
-   solution whose support is connected and spanning is a walk. A branch
-   node forces a multiset F of arcs and solves the relaxation on the
-   residual degrees visits - out_F and visits - in_F. When F plus the
-   flow is still disconnected, it branches on each allowed arc leaving
-   the support component C with the fewest of them. This is exact: a
-   connected Eulerian X containing F has an arc leaving C, and F lies
-   inside the support, so that arc is in X - F. More than _NODE_CAP
-   nodes abort.
-4. hub path cover (`_hub_path_cover`), run after the branching's root and
-   before its first branch node: when some vertex is adjacent to all
-   others, feasibility is a path-cover question on the other visits,
+2. greedy clone cycle, then the walk DP, when prod(visits_v + 1) is at
+   most _WALK_STATE_CAP. The greedy cycle (`_greedy_cycle`) only answers
+   Yes: the hub tier's greedy path cover over all clones, then Pósa
+   rotations of the one path, its head fixed, until it closes. Only its
+   miss pays for the walk DP (`_walk_dp`), a reachability sweep over
+   (spent visits, current vertex) states, the states of each vertex one
+   bitset in a Python int, one OR per allowed arc and layer, which is
+   exact. This covers plain Hamiltonicity of small quotients.
+3. the even-flow relaxation, `_arc_flow` with out = in = visits: an
+   Eulerian digraph with the prescribed degrees but without the
+   connectivity requirement. No solution means no walk; a solution whose
+   support is connected and spanning is a walk. Otherwise it is the root
+   of the subtour branching (tier 6).
+4. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
+   all others, feasibility is a path-cover question on the other visits,
    one clone per visit. Clones of one owner are twins, so the clone
    components come from `graphs.components` on the owner graph of the
    other vertices (`_clone_components`). A greedy cover comes first:
@@ -40,13 +40,28 @@ with no allowed arc leaving it gives a branch node no children).
    rotation merges until one fails. No sweep runs between them, as none
    could merge: a rotation merge leaves every path's two ends ends of
    different paths before. The rotations are searched breadth first and
-   stop at the first queued end that can merge with another path. When the cover has more paths than the hub's
-   visit count t, each component gets a certified floor, one max flow on
-   its owner classes (`_flow_floor`, a fractional 2-matching bound), and
-   floors summing past t answer No at once. Otherwise the components above
-   their floors are refined in order (the walk DP on the component's
-   owners where its states fit, seeded restarts on the rest) until the
-   cover fits or the floors pass t; else the tier aborts.
+   stop at the first queued end that can merge with another path. When
+   the cover has more paths than the hub's visit count t, each component
+   gets a certified floor, one max flow on its owner classes
+   (`_flow_floor`, a fractional 2-matching bound), and floors summing past
+   t answer No at once. Otherwise the components above their floors are
+   refined in order (the walk DP on the component's owners where its
+   states fit, seeded restarts on the rest) until the cover fits or the
+   floors pass t; else the tier aborts.
+5. greedy clone cycle, then the integer 1-tree, when sum(visits) is at
+   most _CLONE_CAP: the greedy cycle of tier 2 answers Yes, and
+   `graphs.one_tree_refutes` on the clone graph answers No when a
+   Held-Karp bound, exact in integers, is positive within _TREE_STEPS
+   1-trees. A spec that fits the walk DP is decided in tier 2, so each
+   spec meets the greedy cycle at most once.
+6. subtour branching on the relaxation (`_subtour_branching`, after
+   Carpaneto & Toth). A branch node forces a multiset F of arcs and solves
+   the relaxation on the residual degrees visits - out_F and
+   visits - in_F. When F plus the flow is still disconnected, it branches
+   on each allowed arc leaving the support component C with the fewest of
+   them. This is exact: a connected Eulerian X containing F has an arc
+   leaving C, and F lies inside the support, so that arc is in X - F.
+   More than _NODE_CAP nodes abort, naming the 1-tree steps spent.
 
 The relaxation, the branch nodes and the hub floor each pass their arcs
 to `graphs.transport` and read the flows back.
@@ -66,10 +81,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .instance import ContractViolation, integer_array
-from .graphs import components, eulerian_tour, transport
+from .graphs import ThresholdGraph, components, eulerian_tour, one_tree_refutes, transport
 
 _WALK_STATE_CAP = 700_000    # product of (visits_v + 1) admitted to the walk DP
 _NODE_CAP = 20_000           # nodes of the subtour branching
+_TREE_STEPS = 2_000          # 1-trees computed before the subtour branching
 
 
 @dataclass
@@ -416,6 +432,26 @@ def _greedy_paths(vertices, adj):
     return paths
 
 
+def _greedy_cycle(spec):
+    """A closed walk of the spec from one greedy clone cycle, or None.
+
+    `_greedy_paths` covers all clones, one per visit, on `_clone_adjacency`.
+    When that gives one path, `_first_rotation` rotates it, its head fixed,
+    until its end is adjacent to its head: a Hamiltonian cycle of the
+    clones, which is a walk with the spec's visit counts, as twin clones
+    are not adjacent. None says nothing about the spec.
+    """
+    owner = [v for v in range(spec.k) for _ in range(spec.visits[v])]
+    rows, bits = adj = _clone_adjacency(spec.allowed, owner)
+    paths = _greedy_paths(range(len(owner)), adj)
+    if len(paths) > 1:
+        return None
+    cycle = _first_rotation(paths[0], rows, bits, 1 << paths[0][0])
+    if cycle is None:
+        return None
+    return [owner[c] for c in cycle + cycle[:1]]
+
+
 def _exact_cover(comp, owner, allowed, h, greedy):
     """A minimum path cover of one component, by the walk DP on its owners.
 
@@ -613,7 +649,7 @@ def _hub_path_cover(spec):
     return walk
 
 
-def _subtour_branching(spec, edges, root):
+def _subtour_branching(spec, edges, root, tree_steps=0):
     """Subtour branching on the relaxation (Carpaneto & Toth 1980), or None.
 
     A node is a multiset F of forced arcs, kept as a sorted tuple, and runs
@@ -626,7 +662,7 @@ def _subtour_branching(spec, edges, root):
     connected X containing F has an arc leaving C, and F lies inside the
     support, so that arc is in X - F and some child still lies inside X.
     Children reached twice are searched once. More than _NODE_CAP nodes
-    abort.
+    abort; the message names `tree_steps`, the 1-trees spent before it.
     """
     k, visits = spec.k, spec.visits
     stack = [((), root)]
@@ -638,7 +674,8 @@ def _subtour_branching(spec, edges, root):
         if nodes > _NODE_CAP:
             raise ContractViolation(
                 f"subtour branching undecided: k={k}, {len(edges)} allowed edges; "
-                f"branch nodes > _NODE_CAP={_NODE_CAP}")
+                f"branch nodes > _NODE_CAP={_NODE_CAP}, after {tree_steps} 1-tree steps "
+                f"(_TREE_STEPS={_TREE_STEPS})")
         if flow is None:
             out_deg, in_deg = list(visits), list(visits)
             for u, w in forced:
@@ -673,10 +710,10 @@ def _subtour_branching(spec, edges, root):
 def many_visits_tour(spec: VisitSpec):
     """A Multiwalk with the spec's visit counts, or None when infeasible.
 
-    The walk DP and the hub tier return its walk. The relaxation and the
-    branch nodes return its edge counts, which give degree 2*visits[v] at
-    every vertex and connect all k vertices: exactly what an Euler walk
-    with the prescribed visit counts requires.
+    The greedy cycle, the walk DP and the hub tier return its walk. The
+    relaxation and the branch nodes return its edge counts, which give
+    degree 2*visits[v] at every vertex and connect all k vertices: exactly
+    what an Euler walk with the prescribed visit counts requires.
     """
     k = spec.k
     visits = spec.visits
@@ -685,7 +722,9 @@ def many_visits_tour(spec: VisitSpec):
 
     if _short_of_neighbour_visits(spec.allowed, visits):
         return None
-    walked = _walk_dp(spec.allowed, visits)
+    walked = "out_of_range"
+    if math.prod(v + 1 for v in visits) <= _WALK_STATE_CAP:
+        walked = _greedy_cycle(spec) or _walk_dp(spec.allowed, visits)
     if walked != "out_of_range":
         return None if walked is None else Multiwalk(k, walk=walked)
 
@@ -705,4 +744,14 @@ def many_visits_tour(spec: VisitSpec):
     if hub != "no_hub":
         return Multiwalk(k, walk=hub)
 
-    return _subtour_branching(spec, edges, g0)
+    steps = 0
+    if sum(visits) <= _CLONE_CAP:
+        walked = _greedy_cycle(spec)
+        if walked is not None:
+            return Multiwalk(k, walk=walked)
+        owner = np.repeat(np.arange(k), visits)
+        refuted, steps = one_tree_refutes(ThresholdGraph(spec.allowed[np.ix_(owner, owner)]),
+                                          _TREE_STEPS)
+        if refuted:
+            return None
+    return _subtour_branching(spec, edges, g0, steps)

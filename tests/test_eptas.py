@@ -370,8 +370,11 @@ def test_clustered_instance_in_envelope():
 @pytest.mark.parametrize("n, epsilon", [(20, 0.25), (30, 0.5), (60, 0.5)])
 def test_spread_out_cells_answer_through_the_subtour_branching(monkeypatch, n, epsilon):
     # uniform points give quotients with no hub whose relaxations have
-    # disconnected supports, so the subtour branching decides some probes
+    # disconnected supports. The greedy clone cycle and the 1-tree decide
+    # such specs first; with both off, the subtour branching decides some
+    # probes, to the same ell_hat and probe records
     inst = generate("uniform", n, 2, seed=4)
+    want_ell, _, want_probes = maximize_scatter_report(inst, epsilon)
     branched = []
     branching = many_visits._subtour_branching
 
@@ -379,8 +382,11 @@ def test_spread_out_cells_answer_through_the_subtour_branching(monkeypatch, n, e
         branched.append(args)
         return branching(*args)
 
+    monkeypatch.setattr(many_visits, "_greedy_cycle", lambda spec: None)
+    monkeypatch.setattr(many_visits, "one_tree_refutes", lambda graph, budget: (False, 0))
     monkeypatch.setattr(many_visits, "_subtour_branching", counted)
     ell_hat, tour, probes = maximize_scatter_report(inst, epsilon)
+    assert (ell_hat, probes) == (want_ell, want_probes)
     assert sorted(tour.tolist()) == list(range(n))
     assert meets_threshold(scatter(inst, tour), (1 - epsilon) * ell_hat)
     assert any(r["branch"] == "many_visits" and r["answer"] and r["ell"] == ell_hat

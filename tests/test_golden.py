@@ -14,7 +14,8 @@ A change that alters outputs on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and names the cells that changed.
+and names the cells that changed: `--write` prints the name of each cell
+whose entry differs from the file it replaces, and the keys that differ.
 """
 
 import hashlib
@@ -79,6 +80,12 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {sys.argv[0]} --write")
     GOLDEN.parent.mkdir(exist_ok=True)
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     table = {cell_name(*cell): outputs(*cell) for cell in GRID + UNIFORM}
+    for name, entry in table.items():
+        was = old.get(name, {})
+        if entry != was:
+            keys = sorted(key for key in entry.keys() | was.keys() if entry.get(key) != was.get(key))
+            print(f"changed {name}: {', '.join(keys)}")
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} cells to {GOLDEN}")

@@ -21,12 +21,14 @@ from scatter_tsp import (
     generate,
     meets_threshold,
     normalize_tour,
+    one_tree_refutes,
     repair_cycle,
     scatter,
     threshold_graph,
     transport,
 )
 from helpers import (
+    naive_hamiltonian,
     random_dirac_adjacency,
     ref_transport,
     ref_vertex_components,
@@ -530,3 +532,48 @@ def test_normalize_tour_no_op_when_clean():
     out = normalize_tour(inst, tour, ell, 0)
     again = normalize_tour(inst, out, ell, 0)
     assert np.array_equal(out, again)
+
+
+def graph_of(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return ThresholdGraph(adj)
+
+
+def test_one_tree_refutation_hand_cases():
+    # the first 1-tree of a cycle is the cycle itself: a tour, no step left
+    assert one_tree_refutes(graph_of(6, [(i, (i + 1) % 6) for i in range(6)]), 50) == (False, 1)
+    # two triangles: every 1-tree pays for a pair across them
+    assert one_tree_refutes(graph_of(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+                            50) == (True, 1)
+    # K_{2,3}: bipartite with unequal sides
+    refuted, steps = one_tree_refutes(graph_of(5, [(i, j) for i in (0, 1) for j in (2, 3, 4)]),
+                                      50)
+    assert refuted and steps <= 50
+    # the Petersen graph has no Hamiltonian cycle, but 2/3 on every edge
+    # meets every degree and cut constraint, so no multipliers refute it
+    # and the search spends its whole budget
+    petersen = ([(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                + [(i, 5 + i) for i in range(5)])
+    assert one_tree_refutes(graph_of(10, petersen), 40) == (False, 40)
+    assert one_tree_refutes(graph_of(2, [(0, 1)]), 40) == (False, 0)
+
+
+def test_one_tree_refutes_only_non_hamiltonian_graphs():
+    rng = np.random.default_rng(3)
+    refuted = hamiltonian = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        adj = np.triu(rng.random((n, n)) < rng.random(), 1)
+        adj |= adj.T
+        got, steps = one_tree_refutes(ThresholdGraph(adj), 300)
+        assert 1 <= steps <= 300
+        ham = naive_hamiltonian(adj)
+        assert not (got and ham)
+        refuted += got
+        hamiltonian += ham
+    # both kinds are in the sample; on it the 1-tree refutes every
+    # non-Hamiltonian graph (111 of 200)
+    assert hamiltonian >= 50
+    assert refuted == 200 - hamiltonian

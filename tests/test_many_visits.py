@@ -1,17 +1,27 @@
 """Closed walks with prescribed visit counts over an allowed-edge graph."""
 
 from collections import Counter
+import math
 import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from scatter_tsp import ContractViolation, Multiwalk, VisitSpec, components, many_visits_tour
+from scatter_tsp import (
+    ContractViolation,
+    Multiwalk,
+    ThresholdGraph,
+    VisitSpec,
+    components,
+    many_visits_tour,
+    one_tree_refutes,
+)
 from scatter_tsp import many_visits
 from scatter_tsp.many_visits import (
     _WALK_STATE_CAP,
     _arc_flow,
+    _greedy_cycle,
     _short_of_neighbour_visits,
     _walk_dp,
 )
@@ -256,21 +266,39 @@ def test_branching_refuses_leaf_spec(monkeypatch):
     assert many_visits_tour(spec) is None
 
 
-def test_branch_spec_reaches_the_branching():
+def test_branch_spec_reaches_the_branching(monkeypatch):
     spec = spec_of(*BRANCH_SPEC)
     assert not _short_of_neighbour_visits(spec.allowed, spec.visits)
     assert _walk_dp(spec.allowed, spec.visits) == "out_of_range"
     assert many_visits._hub_path_cover(spec) == "no_hub"
+    # the greedy cycle answers it first
+    validate_multiwalk(spec, many_visits_tour(spec))
+    validate_multiwalk(spec, Multiwalk(spec.k, walk=_greedy_cycle(spec)))
+    # without it, the 1-tree cannot refute it and the branching answers
+    reached = []
+    branching = many_visits._subtour_branching
+
+    def counted(*args):
+        reached.append(args)
+        return branching(*args)
+
+    monkeypatch.setattr(many_visits, "_greedy_cycle", lambda spec: None)
+    monkeypatch.setattr(many_visits, "_subtour_branching", counted)
     mw = many_visits_tour(spec)
-    assert mw is not None
+    assert len(reached) == 1
     validate_multiwalk(spec, mw)
 
 
 def test_branching_abort_names_node_budget(monkeypatch):
+    # the greedy cycle answers BRANCH_SPEC, and the 1-tree cannot refute a
+    # feasible spec, so without the cycle it spends its whole budget
+    monkeypatch.setattr(many_visits, "_greedy_cycle", lambda spec: None)
+    monkeypatch.setattr(many_visits, "_TREE_STEPS", 3)
     monkeypatch.setattr(many_visits, "_NODE_CAP", 1)
     with pytest.raises(ContractViolation,
                        match=r"subtour branching undecided: k=7, 11 allowed edges; "
-                             r"branch nodes > _NODE_CAP=1$"):
+                             r"branch nodes > _NODE_CAP=1, after 3 1-tree steps "
+                             r"\(_TREE_STEPS=3\)$"):
         many_visits_tour(spec_of(*BRANCH_SPEC))
 
 
@@ -292,9 +320,9 @@ def branching_specs(draw):
 
 
 def test_branching_matches_walk_dp_and_enumeration():
-    # the neighbour-visit count, the walk DP and the hub tier are switched
-    # off, so every spec whose relaxation has a disconnected support is
-    # decided by the subtour branching
+    # the neighbour-visit count, the greedy cycle, the walk DP, the hub tier
+    # and the 1-tree are switched off, so every spec whose relaxation has a
+    # disconnected support is decided by the subtour branching
     reached = []
     branching = many_visits._subtour_branching
 
@@ -312,8 +340,10 @@ def test_branching_matches_walk_dp_and_enumeration():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(many_visits, "_short_of_neighbour_visits",
                        lambda allowed, visits: False)
+            mp.setattr(many_visits, "_greedy_cycle", lambda spec: None)
             mp.setattr(many_visits, "_walk_dp", lambda allowed, visits: "out_of_range")
             mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
+            mp.setattr(many_visits, "one_tree_refutes", lambda graph, budget: (False, 0))
             mp.setattr(many_visits, "_subtour_branching", counted)
             got = many_visits_tour(spec)
         assert (got is not None) == want
@@ -322,6 +352,70 @@ def test_branching_matches_walk_dp_and_enumeration():
 
     check()
     assert len(reached) >= 40  # 60 of the 400 derandomized examples
+
+
+def test_greedy_cycle_answers_only_what_the_walk_dp_answers():
+    hits = []
+
+    @settings(max_examples=300, derandomize=True)
+    @given(branching_specs())
+    def check(spec):
+        assert np.prod([v + 1 for v in spec.visits]) <= _WALK_STATE_CAP
+        walk = _greedy_cycle(spec)
+        if walk is not None:
+            validate_multiwalk(spec, Multiwalk(spec.k, walk=walk))
+            assert _walk_dp(spec.allowed, spec.visits) is not None
+            hits.append(max(spec.visits) > 1)
+            if sum(spec.visits) <= 14:
+                assert closed_walk_feasible(spec.allowed, spec.visits)
+
+    check()
+    # Yes answers with twins among them, not only Hamiltonian cycles (127
+    # of 152 hits in a run of this file alone)
+    assert sum(hits) >= 40
+
+
+def test_one_tree_refutes_only_infeasible_specs():
+    # a numpy sample, not hypothesis: the refutation count below must not
+    # move with what else the test run has imported
+    rng = np.random.default_rng(5)
+    refuted = infeasible = 0
+    for _ in range(600):
+        k = int(rng.integers(3, 8))
+        adj = np.triu(rng.random((k, k)) < rng.choice([0.3, 0.5, 0.7]), 1)
+        adj |= adj.T
+        visits = [int(v) for v in rng.integers(1, 5, size=k)]
+        if _short_of_neighbour_visits(adj, visits):
+            continue  # refuted at once; the 1-tree never sees it
+        owner = np.repeat(np.arange(k), visits)
+        got, steps = one_tree_refutes(ThresholdGraph(adj[np.ix_(owner, owner)]), 100)
+        assert steps <= 100
+        feasible = _walk_dp(adj, visits) is not None
+        assert (ref_walk_dp(adj, visits) is not None) == feasible
+        if sum(visits) <= 14:
+            assert closed_walk_feasible(adj, visits) == feasible
+        assert not (got and feasible)
+        refuted += got
+        infeasible += not feasible
+    # the sample holds infeasible specs that the neighbour-visit count
+    # passes, and the 1-tree refutes them (all 39 of them at this seed)
+    assert infeasible >= 30
+    assert refuted >= infeasible - 5
+
+
+@pytest.mark.parametrize("allowed, visits", [
+    (~np.eye(19, dtype=bool), [1] * 19),        # K19: 2^19 walk-DP states
+    (~np.eye(3, dtype=bool), [300, 300, 6]),   # K3: 301 * 301 * 7 states
+], ids=["K19", "K3-300-300-6"])
+def test_dp_sized_extremes_need_no_walk_dp(monkeypatch, allowed, visits):
+    spec = VisitSpec(allowed, visits)
+    assert math.prod(v + 1 for v in visits) <= _WALK_STATE_CAP
+
+    def fail(allowed, visits):
+        raise AssertionError("the walk DP ran")
+
+    monkeypatch.setattr(many_visits, "_walk_dp", fail)
+    validate_multiwalk(spec, many_visits_tour(spec))
 
 
 @st.composite
