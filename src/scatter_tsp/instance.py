@@ -32,6 +32,14 @@ of two boxes bound every distance between them, and a box pair that its
 bounds settle is left out. One kernel, _lp_kernel, computes every lp
 distance, in a tile, a row block or a list of pairs, and the box bounds
 from the box corners, bit for bit alike.
+
+An instance of n <= BLOCK_ROWS lp or hamming points whose distances do
+not overflow holds its n x n distance matrix (at most 32 KB), computed
+once by the kernel on first read and read-only; an explicit instance
+holds its own. Every read of a held matrix, by rows, tiles or pairs,
+indexes it, and the candidate distances are its distinct values, so a
+solve's probes compute no distance twice. Larger point sets hold no
+n x n array: each read computes its distances.
 """
 
 import functools
@@ -200,17 +208,35 @@ class Instance:
         Every pair's power sum is at most the one of the coordinate
         spreads of the whole point set, computed by the same kernel; that
         bound below half the largest float settles it, even for a pow
-        rounded off by a few ulps. Otherwise every tile is read.
+        rounded off by a few ulps. Otherwise every tile is read. The
+        overflows it looks for raise no warning.
         """
         if self.metric_kind != "lp":
             return False
         cols = self._columns
-        spreads = np.subtract(cols.max(axis=1), cols.min(axis=1))
-        bound = _lp_kernel(((s, 0.0) for s in spreads[:, None]), self.p, np.empty(1),
-                           root=False)
-        if bound[0] <= np.finfo(float).max / 2:
-            return False
-        return any(np.isinf(tile.max()) for _, _, tile in self.half_tiles(root=False))
+        with np.errstate(over="ignore"):
+            spreads = np.subtract(cols.max(axis=1), cols.min(axis=1))
+            bound = _lp_kernel(((s, 0.0) for s in spreads[:, None]), self.p, np.empty(1),
+                               root=False)
+            if bound[0] <= np.finfo(float).max / 2:
+                return False
+            return any(np.isinf(tile.max()) for _, _, tile in self.half_tiles(root=False))
+
+    @functools.cached_property
+    def _held(self) -> np.ndarray | None:
+        """The read-only n x n distance matrix, or None when distances are
+        computed on each read: an explicit instance's own matrix, or for
+        lp and hamming points with n <= BLOCK_ROWS whose distances do not
+        overflow, every entry computed once by the kernel, on first read.
+        """
+        if self.matrix is not None:
+            return self.matrix
+        if self.n > BLOCK_ROWS or self.overflows:
+            return None
+        every = slice(None)
+        m = self._kernel_fill(every, every, np.empty((self.n, self.n)))
+        m.setflags(write=False)
+        return m
 
     def half_tiles(self, root: bool = True, blocks=None, select=None):
         """The half matrix one tile at a time: in index order, or given
@@ -298,10 +324,18 @@ class Instance:
 
     def _fill(self, a, b, out, tmp=None, root=True) -> np.ndarray:
         """Distances from points `a` to points `b`, each an index array or
-        a slice, written into the len(a) x len(b) array `out`."""
-        if self.metric_kind == "explicit":
-            np.copyto(out, self.matrix[a, b])
-            return out
+        a slice, written into the len(a) x len(b) array `out`: read from
+        the held matrix when there is one, unless lp power sums are asked
+        for (root=False)."""
+        held = self._held if root or self.p is None else None
+        if held is None:
+            return self._kernel_fill(a, b, out, tmp, root)
+        # rows first: two index arrays are read as their outer product
+        np.copyto(out, held[a][:, b])
+        return out
+
+    def _kernel_fill(self, a, b, out, tmp=None, root=True) -> np.ndarray:
+        """_fill computed by the lp kernel or the hamming product."""
         cols = self._columns
         # gathered coordinates in C order: the kernel reads strided ones slower
         xa, xb = (cols[:, i] if isinstance(i, slice) else cols.take(i, axis=1) for i in (a, b))
@@ -320,8 +354,9 @@ class Instance:
         distance_rows computes them."""
         us = np.asarray(us, dtype=np.intp)
         vs = np.asarray(vs, dtype=np.intp)
-        if self.metric_kind == "explicit":
-            return self.matrix[us, vs]
+        held = self._held
+        if held is not None:
+            return held[us, vs]
         cols = self._columns
         # hamming is l1 on 0/1 vectors, exact in float64 like its rows
         p = 1.0 if self.metric_kind == "hamming" else self.p
@@ -458,9 +493,17 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     place and only its distinct values are kept, so the p-th root is taken
     of the distinct values of the whole matrix and nothing else. A sum is
     0 exactly when its root is, so zero pairs are counted before the root.
+    A held matrix of n <= BLOCK_ROWS points gives its distinct values
+    directly: the roots of the distinct sums are the distinct roots.
     """
     if instance.overflows:
         raise ValueError("a pairwise distance overflows to a non-finite value")
+    n = instance.n
+    held = instance._held
+    if held is not None and n <= BLOCK_ROWS:
+        # the matrix is the sweep's one tile, its roots already taken
+        vals = np.unique(held[np.triu_indices(n, 1)])
+        return np.concatenate(([0.0] if vals[0] == 0.0 else [], vals[vals > 0.0]))
     uniq = []
     zero_pairs = 0
     mask = None

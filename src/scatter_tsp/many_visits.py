@@ -584,7 +584,7 @@ def _hub_path_cover(spec):
     still above t after that is an abort.
     """
     k = spec.k
-    universal = [v for v in range(k) if int(spec.allowed[v].sum()) == k - 1]
+    universal = np.flatnonzero(spec.allowed.sum(axis=1) == k - 1).tolist()
     if not universal:
         return "no_hub"
     h = min(universal, key=lambda v: (-spec.visits[v], v))
