@@ -145,7 +145,7 @@ class MetricThresholdView:
 
 def threshold_graph(instance: Instance, ell: float) -> ThresholdGraph:
     """Graph with an edge wherever the pair distance is >= ell (with tolerance)."""
-    if ell < 0:
+    if not ell >= 0:   # NaN fails this too
         raise ValueError(f"threshold must be nonnegative, got {ell}")
     view = MetricThresholdView(instance, ell)
     n = view.n
@@ -478,6 +478,8 @@ def transport(supply, demand, tails, heads, caps):
     tails, heads = (integer_array(x, "arc ends") for x in (tails, heads))
     if m and not (0 <= tails.min() <= tails.max() < s and 0 <= heads.min() <= heads.max() < r):
         raise ValueError("arc ends out of range")
+    if min((*supply, *demand, *caps), default=0) < 0:
+        raise ValueError("supplies, demands and capacities must be nonnegative")
     src, snk = s + r, s + r + 1
     # arc e, then a source arc per sender and a sink arc per receiver;
     # receiver j is node s + j

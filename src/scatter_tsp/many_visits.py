@@ -44,10 +44,9 @@ each other, so a walk is a Hamiltonian cycle on the clones.
    the cover has more paths than the hub's visit count t, each component
    gets a certified floor, one max flow on its owner classes
    (`_flow_floor`, a fractional 2-matching bound), and floors summing past
-   t answer No at once. Otherwise the components above their floors are
-   refined in order (the walk DP on the component's owners where its
-   states fit, seeded restarts on the rest) until the cover fits or the
-   floors pass t; else the tier aborts.
+   t answer No at once. Otherwise seeded restarts refine the components
+   above their floors, in order, until the cover fits; else the tier
+   aborts.
 5. greedy clone cycle, then the integer 1-tree, when sum(visits) is at
    most _CLONE_CAP: the greedy cycle of tier 2 answers Yes, and
    `graphs.one_tree_refutes` on the clone graph answers No when a
@@ -199,7 +198,10 @@ def _repeat_bits(block, period, count):
 
 
 def _walk_dp(allowed, visits):
-    """Exact closed-walk search when prod(visits_v + 1) is small.
+    """Exact closed-walk search, for prod(visits_v + 1) at most _WALK_STATE_CAP.
+
+    Its bitsets hold prod(visits_v + 1) bits each, so `many_visits_tour`
+    calls it only within that cap.
 
     States are (spent visit vector, current vertex), the vector packed into
     a mixed-radix code, and the states of each vertex are one bitset held
@@ -220,8 +222,6 @@ def _walk_dp(allowed, visits):
     for v in range(k):
         bases[v] = prod
         prod *= visits[v] + 1
-        if prod > _WALK_STATE_CAP:
-            return "out_of_range"
     start_total = sum(visits) - 1
     full = prod - 1    # every visit spent
 
@@ -452,41 +452,6 @@ def _greedy_cycle(spec):
     return [owner[c] for c in cycle + cycle[:1]]
 
 
-def _exact_cover(comp, owner, allowed, h, greedy):
-    """A minimum path cover of one component, by the walk DP on its owners.
-
-    The hub h is adjacent to every other vertex and has no self-loop, so a
-    cover of comp with exactly p paths is a closed walk on h plus the
-    owners of comp that visits h p times and each owner once per clone it
-    has in comp: cutting the walk at its hub visits gives the paths, each
-    owner's clones given out in order. Splitting a path keeps a cover, so
-    the first p below len(greedy) with a walk is the minimum, and when no
-    such p has one, `greedy` is a minimum cover and comes back as is.
-    None, before any DP runs, when the walk DP's states for the largest p,
-    len(greedy) - 1, are beyond _WALK_STATE_CAP.
-    """
-    clones = {}
-    for c in comp:
-        clones.setdefault(owner[c], []).append(c)
-    counts = [len(cs) for cs in clones.values()]
-    if len(greedy) * math.prod(c + 1 for c in counts) > _WALK_STATE_CAP:
-        return None
-    verts = [h, *clones]
-    sub = np.asarray(allowed)[np.ix_(verts, verts)]
-    for p in range(1, len(greedy)):
-        walk = _walk_dp(sub, [p] + counts)
-        if walk is not None:
-            pools = [iter(cs) for cs in clones.values()]
-            paths = [[]]
-            for x in walk[1:-1]:
-                if x:
-                    paths[-1].append(next(pools[x - 1]))
-                else:
-                    paths.append([])
-            return paths
-    return greedy
-
-
 def _restart_trials(m):
     """Shuffled restarts granted to a component of m clones: fewer on larger
     components, to keep the tier polynomial in practice."""
@@ -575,13 +540,11 @@ def _hub_path_cover(spec):
     When that total exceeds t, `floors` holds each component's certified
     lower bound (1 for a single path, else `_flow_floor`, the degree-2 flow
     on its owner classes); floors summing past t answer No at once. The
-    components above their floors are then refined in order: the walk DP
-    on the owners solves one exactly when its states fit _WALK_STATE_CAP,
-    its minimum cover becoming its floor, and seeded restarts search the
-    others until the component meets t minus the other components' counts.
-    Refining never raises a count, so the search ends at the first
-    component that meets its target, or when the floors pass t; a cover
-    still above t after that is an abort.
+    components above their floors are then refined in order: seeded
+    restarts search each until it meets t minus the other components'
+    counts. Refining never raises a count, so the search ends at the first
+    component that meets its target; a cover still above t after that is
+    an abort.
     """
     k = spec.k
     universal = np.flatnonzero(spec.allowed.sum(axis=1) == k - 1).tolist()
@@ -608,21 +571,16 @@ def _hub_path_cover(spec):
         # a single path is its own floor
         floors = [1 if len(cv) == 1 else _flow_floor(comp, owner, spec.allowed)
                   for comp, cv in zip(comps, covers)]
+        if sum(floors) > t:
+            return None  # t below the sum of certified lower bounds
         for i, comp in enumerate(comps):
-            if total <= t or sum(floors) > t:
+            if total <= t:
                 break
             greedy = covers[i]
             if len(greedy) == floors[i]:
                 continue  # no cover is shorter than its floor
-            best = _exact_cover(comp, owner, spec.allowed, h, greedy)
-            if best is None:
-                best = _restart_paths(comp, adj, greedy, t - (total - len(greedy)))
-            else:
-                floors[i] = len(best)
-            covers[i] = best
-            total += len(best) - len(greedy)
-        if sum(floors) > t:
-            return None  # t below the sum of certified lower bounds
+            covers[i] = _restart_paths(comp, adj, greedy, t - (total - len(greedy)))
+            total += len(covers[i]) - len(greedy)
         if total > t:
             open_sizes = [len(comp) for comp, cv, floor in zip(comps, covers, floors)
                           if len(cv) > floor]
@@ -722,10 +680,8 @@ def many_visits_tour(spec: VisitSpec):
 
     if _short_of_neighbour_visits(spec.allowed, visits):
         return None
-    walked = "out_of_range"
     if math.prod(v + 1 for v in visits) <= _WALK_STATE_CAP:
         walked = _greedy_cycle(spec) or _walk_dp(spec.allowed, visits)
-    if walked != "out_of_range":
         return None if walked is None else Multiwalk(k, walk=walked)
 
     edges = list(zip(*(x.tolist() for x in np.nonzero(np.triu(spec.allowed)))))

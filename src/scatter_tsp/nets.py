@@ -86,7 +86,7 @@ def greedy_delta_net(instance: Instance, subset, delta: float) -> Net:
 
 def grid_round(points, delta: float) -> np.ndarray:
     """Round each coordinate to the nearest multiple of delta, ties toward +inf."""
-    if not delta > 0:   # NaN fails this too
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:   # NaN fails this too
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     pts = np.asarray(points, dtype=float)
     return np.floor(pts / delta + 0.5) * delta

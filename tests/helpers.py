@@ -23,9 +23,7 @@ from scatter_tsp import ContractViolation, CubicBipartiteGraph, Instance, thresh
 from scatter_tsp.graphs import _max_flow
 from scatter_tsp.many_visits import (
     _CLONE_CAP,
-    _WALK_STATE_CAP,
     _clone_adjacency,
-    _exact_cover,
     _greedy_paths,
     _restart_paths,
 )
@@ -445,8 +443,6 @@ def ref_walk_dp(allowed, visits):
     for v in range(k):
         bases[v] = prod
         prod *= visits[v] + 1
-        if prod > _WALK_STATE_CAP:
-            return "out_of_range"
     counts = np.array(visits, dtype=np.int64)
     bases = np.array(bases, dtype=np.int64)
 
@@ -496,11 +492,10 @@ def ref_walk_dp(allowed, visits):
     return walk_rev[::-1]
 
 
-# Reference hub tier: every component refined in full (the walk DP on its
-# owners, or all restarts) and every lower bound computed before the cover
-# is compared with t. It shares the library's path search, which
-# test_hub_path_cover.py pins to the eager reference above, and its exact
-# cover, which brute force and walk enumeration pin there; so it pins the
+# Reference hub tier: every component of more than one greedy path refined
+# in full (all restarts) and every lower bound computed before the cover is
+# compared with t. It shares the library's path search, which
+# test_hub_path_cover.py pins to the eager reference above, so it pins the
 # order in which the library's tier stops early. Its floor is its own:
 # ref_clone_floor on the clone graph, against the library's flow on owner
 # classes. The tier must give the same answer class: a walk, None,
@@ -550,11 +545,9 @@ def ref_hub_path_cover(spec):
         refined = []
         floors = []
         for comp, greedy in zip(comps, covers):
-            exact = (_exact_cover(comp, owner, spec.allowed, h, greedy)
-                     if len(greedy) > 1 else greedy)
-            if exact is not None:
-                refined.append(exact)
-                floors.append(len(exact))
+            if len(greedy) == 1:
+                refined.append(greedy)
+                floors.append(1)
             else:
                 refined.append(_restart_paths(comp, adj, greedy, 1))
                 floors.append(ref_clone_floor(comp, adj.rows))

@@ -8,7 +8,10 @@ for a cell that aborts only the abort message. The cells:
   n in {60, 80, 120, 200}, seeds 0-9 and epsilon in {0.1, 0.25, 0.5}
   (25 of the 120 abort, in the hub path-cover tier);
 - `generate("uniform", 20, 2, seed)` for seeds 0-4 and epsilon in
-  {0.25, 0.5}, the cheap cells whose specs reach the subtour branching.
+  {0.25, 0.5}, the cheap cells whose specs reach the subtour branching;
+- `generate("clustered", n, dim, seed)` for n in {100, 300}, dim in
+  {3, 4}, seeds 0-2 and epsilon in {0.25, 0.5} (5 of the 24 abort, in the
+  hub path-cover tier), named with their dimension.
 
 A change that alters outputs on purpose regenerates the file with
 
@@ -30,23 +33,28 @@ from scatter_tsp import ContractViolation, generate, maximize_scatter_report
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden.json"
 
-GRID = [("clustered", n, seed, eps)
+GRID = [("clustered", n, 2, seed, eps)
         for n in (60, 80, 120, 200) for seed in range(10) for eps in (0.1, 0.25, 0.5)]
-UNIFORM = [("uniform", 20, seed, eps) for seed in range(5) for eps in (0.25, 0.5)]
+UNIFORM = [("uniform", 20, 2, seed, eps) for seed in range(5) for eps in (0.25, 0.5)]
+HIGH_DIM = [("clustered", n, dim, seed, eps)
+            for n in (100, 300) for dim in (3, 4) for seed in range(3) for eps in (0.25, 0.5)]
+CELLS = GRID + UNIFORM + HIGH_DIM
 
 
-def cell_name(kind, n, seed, eps) -> str:
-    return f"{kind}-n{n}-s{seed}-e{eps}"
+def cell_name(kind, n, dim, seed, eps) -> str:
+    # the plane's cells were named before other dimensions joined
+    dims = "" if dim == 2 else f"-d{dim}"
+    return f"{kind}{dims}-n{n}-s{seed}-e{eps}"
 
 
 def sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
-def outputs(kind, n, seed, eps) -> dict:
+def outputs(kind, n, dim, seed, eps) -> dict:
     """What the golden file records for one cell."""
     try:
-        ell_hat, tour, probes = maximize_scatter_report(generate(kind, n, 2, seed), eps)
+        ell_hat, tour, probes = maximize_scatter_report(generate(kind, n, dim, seed), eps)
     except ContractViolation as exc:
         return {"abort": str(exc)}
     return {"ell_hat": repr(ell_hat),
@@ -66,12 +74,13 @@ def mismatches(cells) -> list:
 
 
 def test_golden_covers_exactly_its_cells():
-    names = [cell_name(*cell) for cell in GRID + UNIFORM]
+    names = [cell_name(*cell) for cell in CELLS]
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(names)
 
 
-@pytest.mark.parametrize("cells", [GRID, UNIFORM], ids=["clustered-grid", "uniform-n20"])
+@pytest.mark.parametrize("cells", [GRID, UNIFORM, HIGH_DIM],
+                         ids=["clustered-grid", "uniform-n20", "clustered-3d-4d"])
 def test_outputs_match_golden(cells):
     assert mismatches(cells) == []
 
@@ -81,7 +90,7 @@ if __name__ == "__main__":
         sys.exit(f"usage: {sys.argv[0]} --write")
     GOLDEN.parent.mkdir(exist_ok=True)
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    table = {cell_name(*cell): outputs(*cell) for cell in GRID + UNIFORM}
+    table = {cell_name(*cell): outputs(*cell) for cell in CELLS}
     for name, entry in table.items():
         was = old.get(name, {})
         if entry != was:

@@ -46,6 +46,14 @@ def test_threshold_graph_hand_case():
     assert g.edge_flags([0, 0], [2, 1]).tolist() == [True, False]
 
 
+def test_threshold_graph_refuses_a_nan_threshold():
+    # no distance is >= NaN, so a NaN threshold would give a graph with no
+    # edge at all
+    inst = Instance.lp([[0.0], [1.0], [3.0]], p=1.0)
+    with pytest.raises(ValueError, match="threshold must be nonnegative, got nan"):
+        threshold_graph(inst, math.nan)
+
+
 def test_threshold_graph_tolerance_at_boundary():
     # edge length exactly ell, and just below within relative tolerance
     inst = Instance.lp([[0.0], [1.0], [1.0 - 1e-12]], p=1.0)
@@ -363,6 +371,10 @@ def test_transport_hand_networks():
     assert transport([2], [2], [], [], []) == (0, [])
     with pytest.raises(ValueError, match="out of range"):
         transport([1], [1], [0], [1], [1])   # receiver 1 does not exist
+    # a negative amount would come back as a negative "maximum flow"
+    for supply, demand, caps in ([-1], [1], [1]), ([1], [-1], [1]), ([1], [1], [-1]):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            transport(supply, demand, [0], [0], caps)
 
 
 @st.composite

@@ -6,6 +6,7 @@ the clones themselves."""
 import copy
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -18,7 +19,6 @@ from scatter_tsp.many_visits import (
     _arc_flow,
     _clone_adjacency,
     _clone_components,
-    _exact_cover,
     _first_rotation,
     _flow_floor,
     _greedy_paths,
@@ -27,7 +27,6 @@ from scatter_tsp.many_visits import (
     _restart_paths,
     _rotate_merge_once,
     _short_of_neighbour_visits,
-    _walk_dp,
     many_visits_tour,
 )
 from helpers import (
@@ -246,25 +245,6 @@ def brute_path_cover(cverts, rows):
 
 @settings(max_examples=80)
 @given(small_clone_covers())
-# owners 0 - 1 adjacent, three clones of 0 and one of 1: greedy's two paths
-# (0 1 0 plus 0) are a minimum cover, so they come back as they are
-@example((with_hub(np.array([[False, True], [True, False]])), [0, 0, 0, 1], [0, 1, 2, 3]))
-def test_exact_path_cover_matches_brute_force(case):
-    allowed, owner, cverts = case
-    adj = _clone_adjacency(allowed, owner)
-    greedy = _greedy_paths(cverts, adj)
-    paths = _exact_cover(cverts, owner, allowed, len(allowed) - 1, greedy)
-    best = brute_path_cover(cverts, adj.rows)
-    assert len(paths) == best
-    if best == len(greedy):
-        assert paths is greedy  # no smaller cover: greedy is kept as it is
-    assert sorted(c for p in paths for c in p) == sorted(cverts)
-    for p in paths:
-        assert all(adj.rows[a][b] for a, b in zip(p, p[1:]))
-
-
-@settings(max_examples=80)
-@given(small_clone_covers())
 def test_class_floor_is_the_clone_floor(case):
     # the flow on owner classes equals the flow on the clones themselves,
     # and the floor it gives never exceeds the minimum cover
@@ -292,7 +272,7 @@ def test_flow_floor_refutes_a_hamiltonian_path():
 def test_floors_past_t_answer_before_any_search(monkeypatch):
     # t = 8 asks for 8 paths over one component of 26 clones, which greedy
     # covers with 10 and whose flow floor is 10: the floor refutes t before
-    # the walk DP or a restart would spend its budget on it
+    # a restart would spend its budget on it
     allowed = np.array([[0, 1, 1, 1, 1, 1, 1, 1, 1], [1, 0, 1, 0, 0, 0, 0, 0, 0],
                         [1, 1, 0, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0, 0, 1],
                         [1, 0, 1, 0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 1, 0, 1, 0, 0],
@@ -305,14 +285,11 @@ def test_floors_past_t_answer_before_any_search(monkeypatch):
     assert len(_greedy_paths(comp, adj)) == _flow_floor(comp, owner, allowed) == 10
     searches = []
 
-    def counted(search):
-        def run(*args):
-            searches.append(search.__name__)
-            return search(*args)
-        return run
+    def counted(*args):
+        searches.append(args)
+        return _restart_paths(*args)
 
-    for search in (_exact_cover, _restart_paths):
-        monkeypatch.setattr(many_visits, search.__name__, counted(search))
+    monkeypatch.setattr(many_visits, "_restart_paths", counted)
     assert _hub_path_cover(VisitSpec(allowed, visits)) is None
     assert searches == []
 
@@ -332,8 +309,7 @@ def test_relaxation_without_flow_is_refuted_before_any_search(monkeypatch):
     def refused(*args):
         raise AssertionError("searched a spec the floors refute")
 
-    for search in ("_exact_cover", "_restart_paths"):
-        monkeypatch.setattr(many_visits, search, refused)
+    monkeypatch.setattr(many_visits, "_restart_paths", refused)
     # vertices 0 and 2 are both universal; 0 is the hub, t = 3. The ten
     # visits of 1 need ten arcs into the three of 0 and three of 2
     spec = hub_spec([(1, 2), (2, 3)], [3, 10, 3, 1])
@@ -352,15 +328,6 @@ def test_relaxation_without_flow_is_refuted_before_any_search(monkeypatch):
             assert _hub_path_cover(spec) is None
             refuted += 1
     assert refuted >= 150  # 184 of the 300
-
-
-def test_exact_cover_out_of_walk_dp_range():
-    # even one hub visit needs 2 * 701 * 601 states, beyond the walk DP's
-    # cap; only the count of the cover handed in matters before that check
-    allowed = with_hub(np.array([[False, True], [True, False]]))
-    owner = [0] * 700 + [1] * 600
-    assert 2 * 701 * 601 > _WALK_STATE_CAP
-    assert _exact_cover(list(range(len(owner))), owner, allowed, 2, [[0], [1]]) is None
 
 
 def hub_spec(edges, visits):
@@ -391,27 +358,25 @@ def test_more_components_than_hub_visits_is_infeasible():
     assert not closed_walk_feasible(spec.allowed, spec.visits)
 
 
-def test_component_only_the_walk_dp_decides(monkeypatch):
+def test_component_only_the_walk_dp_decides():
     # prod(visits + 1) is beyond the whole-spec walk DP and the spec passes
     # the neighbour-visit count, so the solver reaches the hub tier. The
     # three clones of 2 have no neighbour but the hub and take three of the
     # t = 4 hub visits; greedy and every restart cover the other 27 clones
-    # with 2 paths, and the flow floor certifies only 1. The walk DP on their
-    # owners (2 * 48,600 states) shows that 1 path cannot cover them.
+    # with 2 paths, and the flow floor certifies only 1. Only a walk DP on
+    # their owners (2 * 48,600 states) would show that 1 path cannot cover
+    # them. The tier runs none, so it aborts on this infeasible spec rather
+    # than answer it.
     edges = [(1, 4), (3, 5), (3, 7), (3, 8), (4, 8), (5, 6), (6, 7), (6, 8)]
     spec = hub_spec(edges, [4, 5, 3, 4, 5, 4, 5, 2, 2])
     assert not _short_of_neighbour_visits(spec.allowed, spec.visits)
-    assert _walk_dp(spec.allowed, spec.visits) == "out_of_range"
-    decided = []
-
-    def counted(*args):
-        paths = _exact_cover(*args)
-        decided.append(paths is not None)
-        return paths
-
-    monkeypatch.setattr(many_visits, "_exact_cover", counted)
-    assert many_visits_tour(spec) is None
-    assert decided == [True]
+    assert math.prod(v + 1 for v in spec.visits) > _WALK_STATE_CAP
+    with pytest.raises(ContractViolation) as info:
+        many_visits_tour(spec)
+    assert str(info.value) == (
+        "hub path-cover tier undecided: k=9, hub visits t=4, m=30 clones; greedy cover "
+        "5 paths > t >= certified floor 4; unresolved component sizes [27]; "
+        "restarts 200/200 on sizes [27]")
     assert not closed_walk_feasible(spec.allowed, spec.visits)
 
 
@@ -422,23 +387,34 @@ def test_no_universal_vertex():
 
 
 def test_small_hub_specs_match_walk_enumeration():
+    # the tier may abort, but only on an infeasible spec; the solver, whose
+    # walk DP covers these small specs, decides every one
     rng = np.random.default_rng(7)
-    feasible = infeasible = 0
+    feasible = infeasible = aborted = 0
     for _ in range(150):
         k = int(rng.integers(2, 6))
         others = np.triu(rng.random((k, k)) < 0.5, 1)
         edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(others)) if u > 0]
         visits = [int(v) for v in rng.integers(1, 4, size=k)]
         spec = hub_spec(edges, visits)
-        walk = _hub_path_cover(spec)
-        if closed_walk_feasible(spec.allowed, spec.visits):
+        want = closed_walk_feasible(spec.allowed, spec.visits)
+        try:
+            walk = _hub_path_cover(spec)
+        except ContractViolation:
+            assert not want
+            aborted += 1
+            walk = None
+        got = many_visits_tour(spec)
+        if want:
             assert walk is not None
             validate_multiwalk(spec, Multiwalk(spec.k, walk=walk))
+            validate_multiwalk(spec, got)
             feasible += 1
         else:
-            assert walk is None
+            assert walk is None and got is None
             infeasible += 1
     assert feasible >= 20 and infeasible >= 20
+    assert aborted <= 1  # 1 of the 150 at this seed
 
 
 def test_specs_over_the_clone_cap_fall_through(monkeypatch):
@@ -557,36 +533,28 @@ def test_hub_decisions_near_the_greedy_count(monkeypatch):
     # decide; a seeded sweep, so that every answer class and a restart
     # search that stops at its target are sure to occur. No search may run
     # on a component whose cover meets its certified floor (1 for a single
-    # path, else the flow floor, or the minimum cover the walk DP found),
-    # nor once the floors of all components sum past t.
+    # path, else the flow floor), nor when the floors of all components sum
+    # past t.
     stops = []
     floors = {}  # component -> certified floor, for the spec in hand
     hub_visits = []  # t, for the spec in hand
 
-    def searched(comp, cover):
-        assert len(cover) > floors[tuple(comp)]
-        assert sum(floors.values()) <= hub_visits[-1]
-
-    def exact(comp, owner, allowed, h, greedy):
+    def counted(comp, adj, initial, target=1):
         if not floors:
+            # the tier's clones: one per visit of each vertex but its hub h
+            h = min(np.flatnonzero(spec.allowed.sum(axis=1) == spec.k - 1).tolist(),
+                    key=lambda v: (-spec.visits[v], v))
             hub_visits.append(spec.visits[h])
-            adj = _clone_adjacency(allowed, owner)
+            owner = [v for v in range(spec.k) if v != h for _ in range(spec.visits[v])]
             for c in ref_vertex_components(range(len(owner)), adj.rows):
                 one = len(_greedy_paths(c, adj)) == 1
-                floors[tuple(c)] = 1 if one else _flow_floor(c, owner, allowed)
-        searched(comp, greedy)
-        paths = _exact_cover(comp, owner, allowed, h, greedy)
-        if paths is not None:
-            floors[tuple(comp)] = len(paths)
-        return paths
-
-    def counted(comp, adj, initial, target=1):
-        searched(comp, initial)
+                floors[tuple(c)] = 1 if one else _flow_floor(c, owner, spec.allowed)
+        assert len(initial) > floors[tuple(comp)]
+        assert sum(floors.values()) <= hub_visits[-1]
         paths = _restart_paths(comp, adj, initial, target)
         stops.append(len(paths) <= max(target, 1))
         return paths
 
-    monkeypatch.setattr(many_visits, "_exact_cover", exact)
     monkeypatch.setattr(many_visits, "_restart_paths", counted)
     rng = np.random.default_rng(0)
     classes = set()

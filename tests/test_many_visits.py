@@ -109,7 +109,8 @@ def test_disconnected_support_is_infeasible():
         for visits in (small, large, degree) if min(degree) else (small, large):
             spec = VisitSpec(adj, visits)
             assert many_visits_tour(spec) is None
-            assert _walk_dp(adj, visits) in (None, "out_of_range")
+            if math.prod(v + 1 for v in visits) <= _WALK_STATE_CAP:
+                assert _walk_dp(adj, visits) is None
             edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj)))]
             root = _arc_flow(edges, visits, visits)
             if root is not None:
@@ -119,7 +120,7 @@ def test_disconnected_support_is_infeasible():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(many_visits, "_short_of_neighbour_visits",
                            lambda allowed, visits: False)
-                mp.setattr(many_visits, "_walk_dp", lambda allowed, visits: "out_of_range")
+                mp.setattr(many_visits, "_WALK_STATE_CAP", 0)
                 assert many_visits_tour(spec) is None
                 mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
                 assert many_visits_tour(spec) is None
@@ -176,7 +177,7 @@ def test_large_feasible_path_graph():
 
 def test_walk_dp_answer_builds_its_counts_only_when_read():
     spec = spec_of([(0, 1), (1, 2), (0, 2)], [2, 1, 1])
-    assert _walk_dp(spec.allowed, spec.visits) != "out_of_range"
+    assert math.prod(v + 1 for v in spec.visits) <= _WALK_STATE_CAP
     mw = many_visits_tour(spec)
     assert mw._counts is None and mw._walk is not None
     assert mw.counts == Counter(tuple(sorted(e)) for e in zip(mw.walk, mw.walk[1:]))
@@ -269,7 +270,7 @@ def test_branching_refuses_leaf_spec(monkeypatch):
 def test_branch_spec_reaches_the_branching(monkeypatch):
     spec = spec_of(*BRANCH_SPEC)
     assert not _short_of_neighbour_visits(spec.allowed, spec.visits)
-    assert _walk_dp(spec.allowed, spec.visits) == "out_of_range"
+    assert math.prod(v + 1 for v in spec.visits) > _WALK_STATE_CAP
     assert many_visits._hub_path_cover(spec) == "no_hub"
     # the greedy cycle answers it first
     validate_multiwalk(spec, many_visits_tour(spec))
@@ -341,7 +342,7 @@ def test_branching_matches_walk_dp_and_enumeration():
             mp.setattr(many_visits, "_short_of_neighbour_visits",
                        lambda allowed, visits: False)
             mp.setattr(many_visits, "_greedy_cycle", lambda spec: None)
-            mp.setattr(many_visits, "_walk_dp", lambda allowed, visits: "out_of_range")
+            mp.setattr(many_visits, "_WALK_STATE_CAP", 0)
             mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
             mp.setattr(many_visits, "one_tree_refutes", lambda graph, budget: (False, 0))
             mp.setattr(many_visits, "_subtour_branching", counted)

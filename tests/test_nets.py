@@ -152,6 +152,10 @@ def test_grid_round_hand_values():
     assert grid_round([[-0.25]], 0.5).tolist() == [[0.0]]
     with pytest.raises(ValueError):
         grid_round(pts, 0.0)
+    # pts / inf * inf is 0 * inf: an infinite delta would round every
+    # coordinate to NaN
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        grid_round(pts, math.inf)
 
 
 def test_grid_round_error_bound_and_idempotence():

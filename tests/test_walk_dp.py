@@ -1,5 +1,5 @@
 """The walk-DP tier: the bitset sweep against the per-arc reference in
-helpers.py, walk enumeration, its state cap and its memory."""
+helpers.py, walk enumeration, the state cap that gates it and its memory."""
 
 import math
 import tracemalloc
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scatter_tsp.many_visits import _WALK_STATE_CAP, _walk_dp
+from scatter_tsp import VisitSpec, many_visits, many_visits_tour
+from scatter_tsp.many_visits import _WALK_STATE_CAP, _short_of_neighbour_visits, _walk_dp
 from helpers import closed_walk_feasible, least_closed_walk, ref_walk_dp
 
 # visits + 1 of (2, 2, 2, 2, 2, 5, 5, 5, 5, 5, 7): prod is exactly the cap
@@ -122,20 +123,36 @@ def test_hamiltonicity_matches_reference(k, density):
         assert_walk(allowed, visits, got)
 
 
-def test_state_cap_boundary():
+def test_state_cap_boundary(monkeypatch):
+    # the solver runs the walk DP on a spec at the cap, and never on one
+    # past it, whose bitsets would grow with prod(visits_v + 1); the greedy
+    # cycle, which would answer these specs first, is switched off
     assert math.prod(v + 1 for v in CAP_VISITS) == _WALK_STATE_CAP
     allowed = random_graph(len(CAP_VISITS), 0.6, np.random.default_rng(7))
-    got = _walk_dp(allowed, CAP_VISITS)
-    assert got != "out_of_range"
-    assert got == ref_walk_dp(allowed, CAP_VISITS)
-    assert got is not None
-    assert_walk(allowed, CAP_VISITS, got)
+    assert not _short_of_neighbour_visits(allowed, CAP_VISITS)
+    calls = []
+
+    def spy(allowed, visits):
+        calls.append(list(visits))
+        return _walk_dp(allowed, visits)
+
+    monkeypatch.setattr(many_visits, "_greedy_cycle", lambda spec: None)
+    monkeypatch.setattr(many_visits, "_walk_dp", spy)
+    got = many_visits_tour(VisitSpec(allowed, CAP_VISITS))
+    assert calls == [CAP_VISITS]
+    assert got.walk == ref_walk_dp(allowed, CAP_VISITS)
+    assert_walk(allowed, CAP_VISITS, got.walk)
     # one more visit anywhere, or 20 single visits, is past the cap
+    specs = [VisitSpec(~np.eye(20, dtype=bool), [1] * 20)]
     for v in range(len(CAP_VISITS)):
         more = list(CAP_VISITS)
         more[v] += 1
-        assert _walk_dp(allowed, more) == "out_of_range"
-    assert _walk_dp(~np.eye(20, dtype=bool), [1] * 20) == "out_of_range"
+        specs.append(VisitSpec(allowed, more))
+    for spec in specs:
+        assert math.prod(v + 1 for v in spec.visits) > _WALK_STATE_CAP
+        calls.clear()
+        many_visits_tour(spec)
+        assert calls == []
 
 
 def test_walk_dp_memory():
