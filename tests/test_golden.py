@@ -38,7 +38,10 @@ GRID = [("clustered", n, 2, seed, eps)
 UNIFORM = [("uniform", 20, 2, seed, eps) for seed in range(5) for eps in (0.25, 0.5)]
 HIGH_DIM = [("clustered", n, dim, seed, eps)
             for n in (100, 300) for dim in (3, 4) for seed in range(3) for eps in (0.25, 0.5)]
-CELLS = GRID + UNIFORM + HIGH_DIM
+SMALL_UNIFORM = [("uniform", n, dim, seed, eps)
+                 for n in (12, 14, 16) for dim in (1, 2, 3) for seed in range(3)
+                 for eps in (0.05, 0.3)]
+CELLS = GRID + UNIFORM + HIGH_DIM + SMALL_UNIFORM
 
 
 def cell_name(kind, n, dim, seed, eps) -> str:
@@ -79,8 +82,9 @@ def test_golden_covers_exactly_its_cells():
     assert sorted(golden) == sorted(names)
 
 
-@pytest.mark.parametrize("cells", [GRID, UNIFORM, HIGH_DIM],
-                         ids=["clustered-grid", "uniform-n20", "clustered-3d-4d"])
+@pytest.mark.parametrize("cells", [GRID, UNIFORM, HIGH_DIM, SMALL_UNIFORM],
+                         ids=["clustered-grid", "uniform-n20", "clustered-3d-4d",
+                              "uniform-small"])
 def test_outputs_match_golden(cells):
     assert mismatches(cells) == []
 
