@@ -159,13 +159,15 @@ def threshold_graph(instance: Instance, ell: float) -> ThresholdGraph:
 def components(k: int, pairs) -> list:
     """Vertex sets of the components of the graph on 0..k-1 whose edges are
     the vertex pairs `pairs`, isolated vertices included, in the order of
-    their least vertex.
+    their least vertex. A pair with an end outside 0..k-1 is refused.
 
     The neighbour lists are built once; each component is then one
     graph search from its least vertex.
     """
     nbrs = [[] for _ in range(k)]
     for u, v in pairs:
+        if not (0 <= u < k and 0 <= v < k):
+            raise ValueError(f"pair ({u}, {v}) has an end outside 0..{k - 1}")
         nbrs[u].append(v)
         nbrs[v].append(u)
     comps = []
@@ -464,7 +466,8 @@ def transport(supply, demand, tails, heads, caps):
     heads[e]; flows[e] is its flow in the maximum flow found. Senders try
     their arcs in the order given. All amounts are nonnegative Python
     integers, and the running time does not depend on them, so the
-    many-visits tiers may pass counts up to 10^9.
+    many-visits tiers may pass counts up to 10^9. Arc lists of unequal
+    lengths, or with an end out of range, are refused.
 
     Dinic's first phase is filled directly: senders in index order, each
     sender's arcs in arc order, each arc pushing min(supply left, demand
@@ -476,6 +479,8 @@ def transport(supply, demand, tails, heads, caps):
     """
     s, r, m = len(supply), len(demand), len(caps)
     tails, heads = (integer_array(x, "arc ends") for x in (tails, heads))
+    if not len(tails) == len(heads) == m:
+        raise ValueError("tails, heads and caps must have equal lengths")
     if m and not (0 <= tails.min() <= tails.max() < s and 0 <= heads.min() <= heads.max() < r):
         raise ValueError("arc ends out of range")
     if min((*supply, *demand, *caps), default=0) < 0:
@@ -590,8 +595,10 @@ def one_tree_refutes(graph, budget: int):
     pi += max(1/2 - w, 0.01) * g / |g|^2 towards the bound 1/2, with w the
     bound and g = deg - 2 the 1-tree's degrees less 2. A 1-tree with g = 0
     is a tour of cost at most 0, a Hamiltonian cycle, and ends the search.
-    Fewer than 3 vertices refute nothing.
+    Fewer than 3 vertices refute nothing. A negative budget is refused.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     n = graph.n
     if n < 3:
         return False, 0

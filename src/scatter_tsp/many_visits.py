@@ -25,7 +25,11 @@ each other, so a walk is a Hamiltonian cycle on the clones.
    miss pays for the walk DP (`_walk_dp`), a reachability sweep over
    (spent visits, current vertex) states, the states of each vertex one
    bitset in a Python int, one OR per allowed arc and layer, which is
-   exact. This covers plain Hamiltonicity of small quotients.
+   exact and only decides. Its No is final. Its Yes goes straight to the
+   subtour branching (tier 6), which builds the walk from the relaxation
+   of tier 3: that has a solution, as any closed walk orients into an
+   Eulerian digraph with out = in = visits. This covers plain
+   Hamiltonicity of small quotients.
 3. the even-flow relaxation, `_arc_flow` with out = in = visits: an
    Eulerian digraph with the prescribed degrees but without the
    connectivity requirement. No solution means no walk; a solution whose
@@ -51,8 +55,8 @@ each other, so a walk is a Hamiltonian cycle on the clones.
    most _CLONE_CAP: the greedy cycle of tier 2 answers Yes, and
    `graphs.one_tree_refutes` on the clone graph answers No when a
    Held-Karp bound, exact in integers, is positive within _TREE_STEPS
-   1-trees. A spec that fits the walk DP is decided in tier 2, so each
-   spec meets the greedy cycle at most once.
+   1-trees. A spec that fits the walk DP never reaches tiers 3 to 5, so
+   each spec meets the greedy cycle at most once.
 6. subtour branching on the relaxation (`_subtour_branching`, after
    Carpaneto & Toth). A branch node forces a multiset F of arcs and solves
    the relaxation on the residual degrees visits - out_F and
@@ -60,7 +64,8 @@ each other, so a walk is a Hamiltonian cycle on the clones.
    on each allowed arc leaving the support component C with the fewest of
    them. This is exact: a connected Eulerian X containing F has an arc
    leaving C, and F lies inside the support, so that arc is in X - F.
-   More than _NODE_CAP nodes abort, naming the 1-tree steps spent.
+   More than _NODE_CAP nodes abort, naming the 1-tree steps spent. It
+   builds every walk that the walk DP proves exists.
 
 The relaxation, the branch nodes and the hub floor each pass their arcs
 to `graphs.transport` and read the flows back.
@@ -198,7 +203,7 @@ def _repeat_bits(block, period, count):
 
 
 def _walk_dp(allowed, visits):
-    """Exact closed-walk search, for prod(visits_v + 1) at most _WALK_STATE_CAP.
+    """Whether a closed walk exists, for prod(visits_v + 1) at most _WALK_STATE_CAP.
 
     Its bitsets hold prod(visits_v + 1) bits each, so `many_visits_tour`
     calls it only within that cap.
@@ -206,15 +211,16 @@ def _walk_dp(allowed, visits):
     States are (spent visit vector, current vertex), the vector packed into
     a mixed-radix code, and the states of each vertex are one bitset held
     in a Python int: bit c of layer[v] is set when state (v, c) is reached
-    in the current layer, and seen[v] is the OR of layer[v] over all
-    layers. Each step spends one visit, so the sweep runs forward one layer
-    of equal digit sum at a time: the states at w are the codes reached at
-    a neighbour of w, one OR per allowed arc, masked by room[w], the codes
-    with a visit of w left, and shifted up by bases[w]. The walk starts at
-    vertex 0 with one visit spent, so the early layers hold low codes and
-    their ints stay narrow. Covers the small-visit regime (including plain
-    Hamiltonicity), where a No answer would take the subtour branching
-    through every node of its search.
+    in the current layer. Each step spends one visit, so the sweep runs
+    forward one layer of equal digit sum at a time: the states at w are the
+    codes reached at a neighbour of w, one OR per allowed arc, masked by
+    room[w], the codes with a visit of w left, and shifted up by bases[w].
+    The walk starts at vertex 0 with one visit spent, so the early layers
+    hold low codes and their ints stay narrow. The last layer holds only
+    the code with every visit spent, and the walk closes when it is reached
+    at a neighbour of vertex 0. Covers the small-visit regime (including
+    plain Hamiltonicity), where a No answer would take the subtour
+    branching through every node of its search.
     """
     k = len(visits)
     bases = [1] * k
@@ -222,11 +228,8 @@ def _walk_dp(allowed, visits):
     for v in range(k):
         bases[v] = prod
         prod *= visits[v] + 1
-    start_total = sum(visits) - 1
-    full = prod - 1    # every visit spent
 
-    adj = np.asarray(allowed, dtype=bool).tolist()
-    nbrs = [[u for u in range(k) if adj[u][w]] for w in range(k)]
+    nbrs = [np.flatnonzero(row).tolist() for row in np.asarray(allowed, dtype=bool)]
     # room[w]: within each period of digit w, the codes whose digit is
     # below visits[w]
     room = []
@@ -235,8 +238,7 @@ def _walk_dp(allowed, visits):
         room.append(_repeat_bits((1 << (period - bases[w])) - 1, period, prod // period))
     layer = [0] * k
     layer[0] = 1 << bases[0]
-    seen = list(layer)
-    for _ in range(start_total):
+    for _ in range(sum(visits) - 1):
         nxt = []
         for w in range(k):
             came = 0
@@ -245,30 +247,8 @@ def _walk_dp(allowed, visits):
             nxt.append((came & room[w]) << bases[w])
         layer = nxt
         if not any(layer):
-            return None
-        for v in range(k):
-            seen[v] |= layer[v]
-
-    finish = [w for w in range(k) if adj[w][0] and seen[w] >> full]
-    if not finish:
-        return None
-    cur = finish[0]
-    walk_rev = [0, cur]
-    code = full
-    for _ in range(start_total):
-        pcode = code - bases[cur]
-        prev = None
-        for cand in range(k):
-            if adj[cand][cur] and (seen[cand] >> pcode) & 1:
-                prev = cand
-                break
-        if prev is None:
-            raise ContractViolation("walk reconstruction lost its trail")
-        walk_rev.append(prev)
-        code, cur = pcode, prev
-    if cur != 0 or code != bases[0]:
-        raise ContractViolation("walk reconstruction ended off the start state")
-    return walk_rev[::-1]
+            return False
+    return any(layer[w] for w in nbrs[0])
 
 
 class _Adjacency(NamedTuple):
@@ -358,7 +338,7 @@ def _first_rotation(path, rows, bits, others):
     """
     if bits[path[-1]] & others:
         return path
-    seen = {path[-1]}
+    reached = {path[-1]}
     queue = [(path, None)]
     for q, pos in queue:  # the loop reaches rotations appended while it runs
         if pos is not None:
@@ -366,10 +346,10 @@ def _first_rotation(path, rows, bits, others):
         row = rows[q[-1]]
         for pos in compress(range(len(q) - 2), map(row.__getitem__, q)):
             e = q[pos + 1]
-            if e not in seen:
+            if e not in reached:
                 if bits[e] & others:
                     return q[:pos + 1] + q[:pos:-1]
-                seen.add(e)
+                reached.add(e)
                 queue.append((q, pos))
     return None
 
@@ -624,7 +604,7 @@ def _subtour_branching(spec, edges, root, tree_steps=0):
     """
     k, visits = spec.k, spec.visits
     stack = [((), root)]
-    seen = set()
+    queued = set()
     nodes = 0
     while stack:
         forced, flow = stack.pop()
@@ -659,8 +639,8 @@ def _subtour_branching(spec, edges, root, tree_steps=0):
         # pushed in reverse, so the children are searched in arc order
         for u, w in reversed(np.argwhere(cut).tolist()):
             child = tuple(sorted((*forced, (u, w))))
-            if child not in seen:
-                seen.add(child)
+            if child not in queued:
+                queued.add(child)
                 stack.append((child, None))
     return None
 
@@ -668,10 +648,10 @@ def _subtour_branching(spec, edges, root, tree_steps=0):
 def many_visits_tour(spec: VisitSpec):
     """A Multiwalk with the spec's visit counts, or None when infeasible.
 
-    The greedy cycle, the walk DP and the hub tier return its walk. The
-    relaxation and the branch nodes return its edge counts, which give
-    degree 2*visits[v] at every vertex and connect all k vertices: exactly
-    what an Euler walk with the prescribed visit counts requires.
+    The greedy cycle and the hub tier return its walk. The relaxation and
+    the branch nodes return its edge counts, which give degree 2*visits[v]
+    at every vertex and connect all k vertices: exactly what an Euler walk
+    with the prescribed visit counts requires.
     """
     k = spec.k
     visits = spec.visits
@@ -680,15 +660,22 @@ def many_visits_tour(spec: VisitSpec):
 
     if _short_of_neighbour_visits(spec.allowed, visits):
         return None
-    if math.prod(v + 1 for v in visits) <= _WALK_STATE_CAP:
-        walked = _greedy_cycle(spec) or _walk_dp(spec.allowed, visits)
-        return None if walked is None else Multiwalk(k, walk=walked)
+    dp_sized = math.prod(v + 1 for v in visits) <= _WALK_STATE_CAP
+    if dp_sized:
+        walked = _greedy_cycle(spec)
+        if walked is not None:
+            return Multiwalk(k, walk=walked)
+        if not _walk_dp(spec.allowed, visits):
+            return None
 
     edges = list(zip(*(x.tolist() for x in np.nonzero(np.triu(spec.allowed)))))
 
     # necessary relaxation: an Eulerian digraph with out- and in-degree
-    # visits[v] but no connectivity requirement
+    # visits[v] but no connectivity requirement; a spec the walk DP proved
+    # has one, as any closed walk orients into such a digraph
     g0 = _arc_flow(edges, visits, visits)
+    if dp_sized:
+        return _subtour_branching(spec, edges, g0)
     if g0 is None:
         return None
     if len(components(k, g0)) == 1:

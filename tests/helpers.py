@@ -66,24 +66,6 @@ def closed_walk_feasible(allowed, visits):
     return _walk_completes(allowed, visits)(0, _walk_start(visits))
 
 
-def least_closed_walk(allowed, visits):
-    """The lexicographically least closed walk from vertex 0 with exact
-    visit counts, or None: each step takes the least neighbour from which
-    closed_walk_feasible's DFS still completes the walk."""
-    allowed = np.asarray(allowed, dtype=bool)
-    reach = _walk_completes(allowed, visits)
-    cur, rem = 0, _walk_start(visits)
-    if not reach(cur, rem):
-        return None
-    walk = [0]
-    while any(rem):
-        cur = next(j for j in np.flatnonzero(allowed[cur]).tolist()
-                   if rem[j] and reach(j, rem[:j] + (rem[j] - 1,) + rem[j + 1:]))
-        rem = rem[:cur] + (rem[cur] - 1,) + rem[cur + 1:]
-        walk.append(cur)
-    return walk + [0]
-
-
 def validate_multiwalk(spec, mw):
     """Assert the walk is closed, edge-legal, hits the exact counts, and
     agrees with the walk's edge counts."""
@@ -434,7 +416,7 @@ def _ref_key(u, v):
 # Reference walk DP: every code of the state space sorted into layers of
 # equal remaining total up front, then one gather and one scatter per
 # directed arc and layer. The library's bitset sweep must reach the same
-# states and so return the same walk.
+# states and so give the same answer.
 
 def ref_walk_dp(allowed, visits):
     k = len(visits)
@@ -470,26 +452,7 @@ def ref_walk_dp(allowed, visits):
             src = src[(src // bases[w]) % (counts[w] + 1) > 0]
             reach[src - bases[w], w] = True
 
-    finish = [w for w in range(k) if allowed[w][0] and reach[0, w]]
-    if not finish:
-        return None
-    cur = finish[0]
-    walk_rev = [0, cur]
-    code = 0
-    for _ in range(start_total):
-        pcode = code + int(bases[cur])
-        prev = None
-        for cand in range(k):
-            if allowed[cand][cur] and reach[pcode, cand]:
-                prev = cand
-                break
-        if prev is None:
-            raise ContractViolation("walk reconstruction lost its trail")
-        walk_rev.append(prev)
-        code, cur = pcode, prev
-    if cur != 0 or code != start_code:
-        raise ContractViolation("walk reconstruction ended off the start state")
-    return walk_rev[::-1]
+    return any(allowed[w][0] and reach[0, w] for w in range(k))
 
 
 # Reference hub tier: every component of more than one greedy path refined

@@ -8,10 +8,17 @@ for a cell that aborts only the abort message. The cells:
   n in {60, 80, 120, 200}, seeds 0-9 and epsilon in {0.1, 0.25, 0.5}
   (25 of the 120 abort, in the hub path-cover tier);
 - `generate("uniform", 20, 2, seed)` for seeds 0-4 and epsilon in
-  {0.25, 0.5}, the cheap cells whose specs reach the subtour branching;
+  {0.25, 0.5}, cheap cells; of them only `uniform-n20-s3-e0.25` has a
+  spec that reaches the subtour branching;
 - `generate("clustered", n, dim, seed)` for n in {100, 300}, dim in
   {3, 4}, seeds 0-2 and epsilon in {0.25, 0.5} (5 of the 24 abort, in the
-  hub path-cover tier), named with their dimension.
+  hub path-cover tier), named with their dimension;
+- `generate("uniform", n, dim, seed)` for n in {12, 14, 16}, dim in
+  {1, 2, 3}, seeds 0-2 and epsilon in {0.05, 0.3}, named with their
+  dimension when it is not 2. Five of them, (n, dim, seed, epsilon) =
+  (12, 2, 0, 0.05), (14, 2, 0, 0.05), (14, 2, 0, 0.3), (16, 3, 2, 0.05)
+  and (16, 3, 2, 0.3), meet specs that the greedy cycle misses and the
+  walk DP proves feasible; the subtour branching builds their walks.
 
 A change that alters outputs on purpose regenerates the file with
 

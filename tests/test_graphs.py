@@ -147,6 +147,13 @@ def test_components_match_reference(case):
     assert components(k, iter(pairs)) == want  # pairs are read once
 
 
+def test_components_refuse_ends_out_of_range():
+    # a negative end would wrap around to vertex k - 1
+    for pairs in ([(0, -1)], [(0, 3)], [(1, 2), (3, 0)]):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            components(3, pairs)
+
+
 def test_eulerian_tour_cases():
     tri = {(0, 1): 1, (1, 2): 1, (0, 2): 1}
     assert len(_check_euler(3, tri)) == 4
@@ -371,6 +378,11 @@ def test_transport_hand_networks():
     assert transport([2], [2], [], [], []) == (0, [])
     with pytest.raises(ValueError, match="out of range"):
         transport([1], [1], [0], [1], [1])   # receiver 1 does not exist
+    # one arc with two caps, and one tail with two heads
+    with pytest.raises(ValueError, match="equal lengths"):
+        transport([2], [2], [0], [0], [1, 5])
+    with pytest.raises(ValueError, match="equal lengths"):
+        transport([1], [1], [0], [0, 0], [1])
     # a negative amount would come back as a negative "maximum flow"
     for supply, demand, caps in ([-1], [1], [1]), ([1], [-1], [1]), ([1], [1], [-1]):
         with pytest.raises(ValueError, match="must be nonnegative"):
@@ -570,6 +582,10 @@ def test_one_tree_refutation_hand_cases():
                 + [(i, 5 + i) for i in range(5)])
     assert one_tree_refutes(graph_of(10, petersen), 40) == (False, 40)
     assert one_tree_refutes(graph_of(2, [(0, 1)]), 40) == (False, 0)
+    # a negative budget would come back as a negative count of 1-trees
+    for n in (2, 6):
+        with pytest.raises(ValueError, match="budget"):
+            one_tree_refutes(graph_of(n, [(i, (i + 1) % n) for i in range(n)]), -1)
 
 
 def test_one_tree_refutes_only_non_hamiltonian_graphs():

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from scatter_tsp import (
     ContractViolation,
@@ -110,7 +110,7 @@ def test_disconnected_support_is_infeasible():
             spec = VisitSpec(adj, visits)
             assert many_visits_tour(spec) is None
             if math.prod(v + 1 for v in visits) <= _WALK_STATE_CAP:
-                assert _walk_dp(adj, visits) is None
+                assert not _walk_dp(adj, visits)
             edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(np.triu(adj)))]
             root = _arc_flow(edges, visits, visits)
             if root is not None:
@@ -234,7 +234,7 @@ def test_neighbour_visit_count_refuses_no_feasible_spec():
         short = _short_of_neighbour_visits(allowed, visits)
         refused.append(short)
         if short:
-            assert ref_walk_dp(allowed, visits) is None
+            assert not ref_walk_dp(allowed, visits)
             if sum(visits) <= 14:
                 assert not closed_walk_feasible(allowed, visits)
 
@@ -331,11 +331,14 @@ def test_branching_matches_walk_dp_and_enumeration():
         reached.append(args)
         return branching(*args)
 
+    # a fixed seed: a derandomized sample is drawn from a digest of this
+    # function's source, so any edit to it would draw other specs
+    @seed(0)
     @settings(max_examples=400, derandomize=True)
     @given(branching_specs())
     def check(spec):
         assert np.prod([v + 1 for v in spec.visits]) <= _WALK_STATE_CAP
-        want = _walk_dp(spec.allowed, spec.visits) is not None
+        want = _walk_dp(spec.allowed, spec.visits)
         if sum(spec.visits) <= 14:
             assert closed_walk_feasible(spec.allowed, spec.visits) == want
         with pytest.MonkeyPatch.context() as mp:
@@ -352,7 +355,7 @@ def test_branching_matches_walk_dp_and_enumeration():
             validate_multiwalk(spec, got)
 
     check()
-    assert len(reached) >= 40  # 60 of the 400 derandomized examples
+    assert len(reached) >= 40  # 65 of the 400 examples at seed 0
 
 
 def test_greedy_cycle_answers_only_what_the_walk_dp_answers():
@@ -365,7 +368,7 @@ def test_greedy_cycle_answers_only_what_the_walk_dp_answers():
         walk = _greedy_cycle(spec)
         if walk is not None:
             validate_multiwalk(spec, Multiwalk(spec.k, walk=walk))
-            assert _walk_dp(spec.allowed, spec.visits) is not None
+            assert _walk_dp(spec.allowed, spec.visits)
             hits.append(max(spec.visits) > 1)
             if sum(spec.visits) <= 14:
                 assert closed_walk_feasible(spec.allowed, spec.visits)
@@ -391,10 +394,14 @@ def test_one_tree_refutes_only_infeasible_specs():
         owner = np.repeat(np.arange(k), visits)
         got, steps = one_tree_refutes(ThresholdGraph(adj[np.ix_(owner, owner)]), 100)
         assert steps <= 100
-        feasible = _walk_dp(adj, visits) is not None
-        assert (ref_walk_dp(adj, visits) is not None) == feasible
+        feasible = _walk_dp(adj, visits)
+        assert ref_walk_dp(adj, visits) is feasible
         if sum(visits) <= 14:
             assert closed_walk_feasible(adj, visits) == feasible
+        tour = many_visits_tour(VisitSpec(adj, visits))
+        assert (tour is not None) == feasible
+        if tour is not None:
+            validate_multiwalk(VisitSpec(adj, visits), tour)
         assert not (got and feasible)
         refuted += got
         infeasible += not feasible
