@@ -34,6 +34,8 @@ distance, and the others are read in tiles, their flags written into one
 reused buffer.
 """
 
+import math
+
 import numpy as np
 
 from .instance import (
@@ -201,14 +203,14 @@ def eulerian_tour(k: int, counts) -> list:
         raise ValueError("need k >= 1")
     mult = {}
     for (u, v), m in counts.items():
-        if u != int(u) or v != int(v):
+        if not (_whole(u) and _whole(v)):
             raise ValueError(f"vertices must be integers, got ({u}, {v})")
         u, v = int(u), int(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < k and 0 <= v < k):
             raise ValueError(f"vertex pair ({u}, {v}) out of range")
-        if m < 0 or m != int(m):
+        if not _whole(m) or m < 0:
             raise ValueError(f"count must be a nonnegative integer, got {m}")
         if m:
             key = _key(u, v)
@@ -365,6 +367,11 @@ def _first_after(flags, i: int):
     return None
 
 
+def _whole(x) -> bool:
+    # finite before int(), which raises errors of its own on inf and NaN
+    return x == x and abs(x) != math.inf and x == int(x)
+
+
 def _key(u: int, v: int):
     return (u, v) if u < v else (v, u)
 
@@ -466,8 +473,9 @@ def transport(supply, demand, tails, heads, caps):
     heads[e]; flows[e] is its flow in the maximum flow found. Senders try
     their arcs in the order given. All amounts are nonnegative Python
     integers, and the running time does not depend on them, so the
-    many-visits tiers may pass counts up to 10^9. Arc lists of unequal
-    lengths, or with an end out of range, are refused.
+    many-visits tiers may pass any counts that `VisitSpec` admits (a total
+    below 2^62). Arc lists of unequal lengths, or with an end out of
+    range, are refused.
 
     Dinic's first phase is filled directly: senders in index order, each
     sender's arcs in arc order, each arc pushing min(supply left, demand

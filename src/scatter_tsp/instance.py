@@ -37,9 +37,10 @@ An instance of n <= BLOCK_ROWS lp or hamming points whose distances do
 not overflow holds its n x n distance matrix (at most 32 KB), computed
 once by the kernel on first read and read-only; an explicit instance
 holds its own. Every read of a held matrix, by rows, tiles or pairs,
-indexes it, and the candidate distances are its distinct values, so a
-solve's probes compute no distance twice. Larger point sets hold no
-n x n array: each read computes its distances.
+indexes it, so a solve's probes compute no distance twice. The candidate
+sweep, run once per instance, is the one exception: it reads lp power
+sums through the kernel, as the matrix holds their roots. Larger point
+sets hold no n x n array: each read computes its distances.
 """
 
 import functools
@@ -493,17 +494,9 @@ def candidate_distances(instance: Instance) -> np.ndarray:
     place and only its distinct values are kept, so the p-th root is taken
     of the distinct values of the whole matrix and nothing else. A sum is
     0 exactly when its root is, so zero pairs are counted before the root.
-    A held matrix of n <= BLOCK_ROWS points gives its distinct values
-    directly: the roots of the distinct sums are the distinct roots.
     """
     if instance.overflows:
         raise ValueError("a pairwise distance overflows to a non-finite value")
-    n = instance.n
-    held = instance._held
-    if held is not None and n <= BLOCK_ROWS:
-        # the matrix is the sweep's one tile, its roots already taken
-        vals = np.unique(held[np.triu_indices(n, 1)])
-        return np.concatenate(([0.0] if vals[0] == 0.0 else [], vals[vals > 0.0]))
     uniq = []
     zero_pairs = 0
     mask = None

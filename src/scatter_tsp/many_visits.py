@@ -2,14 +2,15 @@
 
 The solver is exact: it answers feasibility correctly for every spec, or
 aborts loudly when its search budget is genuinely exhausted; it never
-returns a wrong answer. `many_visits_tour` runs its tiers in the order
-below, each of which either decides the spec or hands it on. A
-disconnected allowed graph needs no pass of its own: each tier after the
-first answers it with None or hands it on (the greedy cycle finds no
-single path, the walk DP never reaches the far component, the relaxation
-has no solution or a disconnected support, no vertex is a hub, the 1-tree
-refutes it or runs out of steps, and a component with no allowed arc
-leaving it gives a branch node no children).
+returns a wrong answer. `many_visits_tour` gates each tier once and runs
+them in the order below; each tier answers a walk or None, or hands the
+spec on. A spec is "DP-sized" when prod(visits_v + 1) is at most
+_WALK_STATE_CAP. A disconnected allowed graph needs no pass of its own:
+each tier after the first answers it with None or hands it on (the
+relaxation has no solution or a disconnected support, no vertex is a hub,
+the greedy cycle finds no single path, the walk DP never reaches the far
+component, the 1-tree refutes it or runs out of steps, and a component
+with no allowed arc leaving it gives a branch node no children).
 
 "Clones": a vertex visited c times becomes c twin clones, not adjacent to
 each other, so a walk is a Hamiltonian cycle on the clones.
@@ -18,45 +19,46 @@ each other, so a walk is a Hamiltonian cycle on the clones.
    only answers No. The visits of v cut the walk into visits[v] gaps whose
    end entries are visits to neighbours of v, so too few of those refute
    the spec at once, whatever the size of its visit counts.
-2. greedy clone cycle, then the walk DP, when prod(visits_v + 1) is at
-   most _WALK_STATE_CAP. The greedy cycle (`_greedy_cycle`) only answers
-   Yes: the hub tier's greedy path cover over all clones, then Pósa
-   rotations of the one path, its head fixed, until it closes. Only its
-   miss pays for the walk DP (`_walk_dp`), a reachability sweep over
-   (spent visits, current vertex) states, the states of each vertex one
-   bitset in a Python int, one OR per allowed arc and layer, which is
-   exact and only decides. Its No is final. Its Yes goes straight to the
-   subtour branching (tier 6), which builds the walk from the relaxation
-   of tier 3: that has a solution, as any closed walk orients into an
-   Eulerian digraph with out = in = visits. This covers plain
-   Hamiltonicity of small quotients.
-3. the even-flow relaxation, `_arc_flow` with out = in = visits: an
-   Eulerian digraph with the prescribed degrees but without the
-   connectivity requirement. No solution means no walk; a solution whose
-   support is connected and spanning is a walk. Otherwise it is the root
-   of the subtour branching (tier 6).
-4. hub path cover (`_hub_path_cover`): when some vertex is adjacent to
-   all others, feasibility is a path-cover question on the other visits,
-   one clone per visit. Clones of one owner are twins, so the clone
-   components come from `graphs.components` on the owner graph of the
-   other vertices (`_clone_components`). A greedy cover comes first:
-   sweeps of endpoint merges run once to a fixed point, then Pósa
-   rotation merges until one fails. No sweep runs between them, as none
-   could merge: a rotation merge leaves every path's two ends ends of
+2. the even-flow relaxation, for a spec that is not DP-sized: `_arc_flow`
+   with out = in = visits, an Eulerian digraph with the prescribed
+   degrees but without the connectivity requirement. No solution means no
+   walk; a solution whose support is connected and spanning is a walk.
+   Otherwise it is the root of the subtour branching (tier 6).
+3. hub path cover (`_hub_path_cover`), for a spec that is not DP-sized:
+   when some vertex is adjacent to all others, its hub h is the one with
+   the most visits, lowest index on ties, and when the other visits
+   number at most _CLONE_CAP, feasibility is a path-cover question on
+   them, one clone per visit. Tier 1 has refuted t = visits[h] above the
+   other visits, as they are the visits next to h. Clones of one owner are
+   twins, so the clone components come from `graphs.components` on the
+   owner graph of the other vertices (`_clone_components`). A greedy cover
+   comes first: sweeps of endpoint merges run once to a fixed point, then
+   Pósa rotation merges until one fails. No sweep runs between them, as
+   none could merge: a rotation merge leaves every path's two ends ends of
    different paths before. The rotations are searched breadth first and
    stop at the first queued end that can merge with another path. When
-   the cover has more paths than the hub's visit count t, each component
-   gets a certified floor, one max flow on its owner classes
-   (`_flow_floor`, a fractional 2-matching bound), and floors summing past
-   t answer No at once. Otherwise seeded restarts refine the components
-   above their floors, in order, until the cover fits; else the tier
-   aborts.
-5. greedy clone cycle, then the integer 1-tree, when sum(visits) is at
-   most _CLONE_CAP: the greedy cycle of tier 2 answers Yes, and
-   `graphs.one_tree_refutes` on the clone graph answers No when a
-   Held-Karp bound, exact in integers, is positive within _TREE_STEPS
-   1-trees. A spec that fits the walk DP never reaches tiers 3 to 5, so
-   each spec meets the greedy cycle at most once.
+   the cover has more paths than t, each component gets a certified
+   floor, one max flow on its owner classes (`_flow_floor`, a fractional
+   2-matching bound), and floors summing past t answer No at once.
+   Otherwise seeded restarts refine the components above their floors, in
+   order, until the cover fits; else the tier aborts.
+4. greedy clone cycle (`_greedy_cycle`), when sum(visits) is at most
+   _CLONE_CAP. It only answers Yes: the hub tier's greedy path cover over
+   all clones, then Pósa rotations of the one path, its head fixed, until
+   it closes. Every DP-sized spec that passes tier 1 has at most 1,670
+   clones (K2 at 835 visits each), so it meets the cycle before the walk
+   DP. This is the cycle's one call: a spec meets it at most once.
+5. the walk DP (`_walk_dp`) for a DP-sized spec, else the integer 1-tree
+   when sum(visits) is at most _CLONE_CAP. The walk DP is a reachability
+   sweep over (spent visits, current vertex) states, the states of each
+   vertex one bitset in a Python int, one OR per allowed arc and layer,
+   which is exact and only decides. Its No is final. Its Yes goes
+   straight to the subtour branching (tier 6), which solves its own root,
+   the relaxation: that has a solution, as any closed walk orients into an
+   Eulerian digraph with out = in = visits. This covers plain
+   Hamiltonicity of small quotients. `graphs.one_tree_refutes` on the
+   clone graph answers No when a Held-Karp bound, exact in integers, is
+   positive within _TREE_STEPS 1-trees.
 6. subtour branching on the relaxation (`_subtour_branching`, after
    Carpaneto & Toth). A branch node forces a multiset F of arcs and solves
    the relaxation on the residual degrees visits - out_F and
@@ -70,10 +72,12 @@ each other, so a walk is a Hamiltonian cycle on the clones.
 The relaxation, the branch nodes and the hub floor each pass their arcs
 to `graphs.transport` and read the flows back.
 
-Visit counts may be as large as 10^9, and all arithmetic on counts and
-flows uses Python integers. A result is one `Multiwalk`, built from a
-walk or from edge counts, whichever its tier found; the other form is
-made only when read, the walk by `graphs.eulerian_tour`.
+Visit counts may total up to 2^62 - 1, and `VisitSpec` refuses more: the
+neighbour-visit count sums them in int64, where 2 * visits[v] and every
+sum then stay below 2^63. All other arithmetic on counts and flows uses
+Python integers. A result is one `Multiwalk`, built from a walk or from
+edge counts, whichever its tier found; the other form is made only when
+read, the walk by `graphs.eulerian_tour`.
 """
 
 from collections import Counter
@@ -90,11 +94,13 @@ from .graphs import ThresholdGraph, components, eulerian_tour, one_tree_refutes,
 _WALK_STATE_CAP = 700_000    # product of (visits_v + 1) admitted to the walk DP
 _NODE_CAP = 20_000           # nodes of the subtour branching
 _TREE_STEPS = 2_000          # 1-trees computed before the subtour branching
+_CLONE_CAP = 2048            # clones admitted to the hub tier, greedy cycle and 1-tree
 
 
 @dataclass
 class VisitSpec:
-    """Allowed-edge graph plus per-vertex visit counts (all >= 1)."""
+    """Allowed-edge graph plus per-vertex visit counts (all >= 1, summing
+    below 2^62)."""
 
     allowed: np.ndarray
     visits: np.ndarray
@@ -114,6 +120,8 @@ class VisitSpec:
             raise ValueError("need k >= 1")
         if any(v < 1 for v in visits):
             raise ValueError("every visit count must be >= 1")
+        if sum(visits) >= 2 ** 62:
+            raise ValueError("visit counts must sum below 2^62")
         self.allowed = adj
         self.visits = visits
 
@@ -180,7 +188,8 @@ def _short_of_neighbour_visits(allowed, visits):
     has length one only when the walk alternates between v and the rest,
     that is when sum(visits) == 2 * visits[v]. So a walk needs, at every
     v, sum over u ~ v of visits[u] >= visits[v] + [sum(visits) > 2 * visits[v]].
-    Sums are int64: k * 10^9 is far from overflow.
+    Sums are int64: `VisitSpec` keeps the visit total below 2^62, so no
+    sum and no 2 * visits[v] reaches 2^63.
     """
     vis = np.array(visits, dtype=np.int64)
     need = vis + (2 * vis < vis.sum())
@@ -502,18 +511,17 @@ def _clone_components(block, counts):
     return comps
 
 
-_CLONE_CAP = 2048            # clone count admitted to the hub path-cover tier
-
-
-def _hub_path_cover(spec):
-    """Exact tier for specs containing a vertex adjacent to everything.
+def _hub_path_cover(spec, h):
+    """A walk of a spec whose vertex h is adjacent to every other, or None.
 
     Cutting the walk at each hub visit partitions the remaining visits
-    into exactly t = visits[hub] nonempty paths, and splitting a path
+    into exactly t = visits[h] nonempty paths, and splitting a path
     raises the count by one, so feasibility means t lies between the
-    minimum path cover and the total visit count. Multi-visit vertices are
-    expanded into single-visit clones first; clones of one vertex stay
-    non-adjacent, which mirrors the ban on immediate revisits.
+    minimum path cover and the total visit count. `many_visits_tour`
+    calls the tier only when that total is at most _CLONE_CAP, and after
+    the neighbour-visit count, which refutes t above it. Multi-visit
+    vertices are expanded into single-visit clones first; clones of one
+    vertex stay non-adjacent, which mirrors the ban on immediate revisits.
 
     The minimum cover is additive over components, and the tier spends its
     work in cost order. Greedy endpoint merging covers every component.
@@ -527,17 +535,7 @@ def _hub_path_cover(spec):
     an abort.
     """
     k = spec.k
-    universal = np.flatnonzero(spec.allowed.sum(axis=1) == k - 1).tolist()
-    if not universal:
-        return "no_hub"
-    h = min(universal, key=lambda v: (-spec.visits[v], v))
     t = spec.visits[h]
-    total_rest = sum(spec.visits[v] for v in range(k) if v != h)
-    if t > total_rest:
-        return None  # hub occurrences need separators in the cycle
-    if total_rest > _CLONE_CAP:
-        return "no_hub"
-
     rest = [v for v in range(k) if v != h]
     owner = [v for v in rest for _ in range(spec.visits[v])]
     m = len(owner)
@@ -587,7 +585,7 @@ def _hub_path_cover(spec):
     return walk
 
 
-def _subtour_branching(spec, edges, root, tree_steps=0):
+def _subtour_branching(spec, root, tree_steps=0):
     """Subtour branching on the relaxation (Carpaneto & Toth 1980), or None.
 
     A node is a multiset F of forced arcs, kept as a sorted tuple, and runs
@@ -596,13 +594,15 @@ def _subtour_branching(spec, edges, root, tree_steps=0):
     undirected multigraph, has degree 2 * visits[v] at every v, so a
     connected spanning support answers Yes. Otherwise the node branches
     once on each allowed arc u->w leaving the support component C with the
-    fewest such arcs. The root is the relaxation `root`, F empty. A
+    fewest such arcs. The root, F empty, is the relaxation `root`; None,
+    as the walk DP's Yes passes, has the root solved like any child. A
     connected X containing F has an arc leaving C, and F lies inside the
     support, so that arc is in X - F and some child still lies inside X.
     Children reached twice are searched once. More than _NODE_CAP nodes
     abort; the message names `tree_steps`, the 1-trees spent before it.
     """
     k, visits = spec.k, spec.visits
+    edges = list(zip(*(x.tolist() for x in np.nonzero(np.triu(spec.allowed)))))
     stack = [((), root)]
     queued = set()
     nodes = 0
@@ -661,40 +661,36 @@ def many_visits_tour(spec: VisitSpec):
     if _short_of_neighbour_visits(spec.allowed, visits):
         return None
     dp_sized = math.prod(v + 1 for v in visits) <= _WALK_STATE_CAP
-    if dp_sized:
-        walked = _greedy_cycle(spec)
-        if walked is not None:
-            return Multiwalk(k, walk=walked)
-        if not _walk_dp(spec.allowed, visits):
+    if not dp_sized:
+        edges = list(zip(*(x.tolist() for x in np.nonzero(np.triu(spec.allowed)))))
+        # necessary relaxation: an Eulerian digraph with out- and in-degree
+        # visits[v] but no connectivity requirement
+        root = _arc_flow(edges, visits, visits)
+        if root is None:
             return None
+        if len(components(k, root)) == 1:
+            return Multiwalk(k, root)  # relaxation solution happens to work
+        universal = np.flatnonzero(spec.allowed.sum(axis=1) == k - 1).tolist()
+        if universal:
+            h = min(universal, key=lambda v: (-visits[v], v))
+            if sum(visits) - visits[h] <= _CLONE_CAP:
+                walk = _hub_path_cover(spec, h)
+                return None if walk is None else Multiwalk(k, walk=walk)
 
-    edges = list(zip(*(x.tolist() for x in np.nonzero(np.triu(spec.allowed)))))
-
-    # necessary relaxation: an Eulerian digraph with out- and in-degree
-    # visits[v] but no connectivity requirement; a spec the walk DP proved
-    # has one, as any closed walk orients into such a digraph
-    g0 = _arc_flow(edges, visits, visits)
+    small = sum(visits) <= _CLONE_CAP
+    if small:
+        walk = _greedy_cycle(spec)
+        if walk is not None:
+            return Multiwalk(k, walk=walk)
     if dp_sized:
-        return _subtour_branching(spec, edges, g0)
-    if g0 is None:
-        return None
-    if len(components(k, g0)) == 1:
-        return Multiwalk(k, g0)  # relaxation solution happens to work
-
-    hub = _hub_path_cover(spec)
-    if hub is None:
-        return None
-    if hub != "no_hub":
-        return Multiwalk(k, walk=hub)
-
+        # a spec the walk DP proves has a relaxation solution, the
+        # branching's root, as any closed walk orients into one
+        return _subtour_branching(spec, None) if _walk_dp(spec.allowed, visits) else None
     steps = 0
-    if sum(visits) <= _CLONE_CAP:
-        walked = _greedy_cycle(spec)
-        if walked is not None:
-            return Multiwalk(k, walk=walked)
+    if small:
         owner = np.repeat(np.arange(k), visits)
         refuted, steps = one_tree_refutes(ThresholdGraph(spec.allowed[np.ix_(owner, owner)]),
                                           _TREE_STEPS)
         if refuted:
             return None
-    return _subtour_branching(spec, edges, g0, steps)
+    return _subtour_branching(spec, root, steps)

@@ -22,7 +22,6 @@ import numpy as np
 from scatter_tsp import ContractViolation, CubicBipartiteGraph, Instance, threshold_graph
 from scatter_tsp.graphs import _max_flow
 from scatter_tsp.many_visits import (
-    _CLONE_CAP,
     _clone_adjacency,
     _greedy_paths,
     _restart_paths,
@@ -461,8 +460,9 @@ def ref_walk_dp(allowed, visits):
 # test_hub_path_cover.py pins to the eager reference above, so it pins the
 # order in which the library's tier stops early. Its floor is its own:
 # ref_clone_floor on the clone graph, against the library's flow on owner
-# classes. The tier must give the same answer class: a walk, None,
-# "no_hub", or the same abort message.
+# classes. Given the same hub h, whose visits t are at most the others',
+# as many_visits_tour ensures, the tier must give the same answer class: a
+# walk, None, or the same abort message.
 
 def ref_clone_floor(comp, rows):
     """Path-cover floor max(1, m - floor(f / 2)) of the clones in comp, f
@@ -480,19 +480,9 @@ def ref_clone_floor(comp, rows):
     return max(1, m - net.max_flow(src, snk) // 2)
 
 
-def ref_hub_path_cover(spec):
+def ref_hub_path_cover(spec, h):
     k = spec.k
-    universal = [v for v in range(k) if int(spec.allowed[v].sum()) == k - 1]
-    if not universal:
-        return "no_hub"
-    h = min(universal, key=lambda v: (-spec.visits[v], v))
     t = spec.visits[h]
-    total_rest = sum(spec.visits[v] for v in range(k) if v != h)
-    if t > total_rest:
-        return None
-    if total_rest > _CLONE_CAP:
-        return "no_hub"
-
     owner = []
     for v in range(k):
         if v != h:

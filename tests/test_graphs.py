@@ -97,7 +97,7 @@ def test_eulerian_tour_refuses_bad_counts():
     # integral floats and numpy integers count as integers
     walk = _check_euler(3, {(0, 1): 2.0, (1, 2): np.int64(2), (0, 2): 2})
     assert all(type(v) is int for v in walk)
-    for count in (-1, 1.5):
+    for count in (-1, 1.5, float("inf"), -float("inf"), float("nan"), np.float64("inf")):
         with pytest.raises(ValueError, match="count must be a nonnegative integer"):
             eulerian_tour(2, {(0, 1): count})
 
@@ -105,8 +105,9 @@ def test_eulerian_tour_refuses_bad_counts():
 def test_eulerian_tour_refuses_bad_ends():
     walk = _check_euler(3, {(np.int64(0), 1): 1, (1, 2.0): 1, (0, 2): 1})
     assert all(type(v) is int for v in walk)
-    with pytest.raises(ValueError, match="vertices must be integers"):
-        eulerian_tour(3, {(0.5, 1): 2})
+    for pair in ((0.5, 1), (float("inf"), 1), (0, -float("inf")), (float("nan"), 1)):
+        with pytest.raises(ValueError, match="vertices must be integers"):
+            eulerian_tour(3, {pair: 2})
     with pytest.raises(ValueError, match="self-loop"):
         eulerian_tour(3, {(1, 1): 2})
     for pair in ((0, 3), (-1, 0)):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scatter_tsp import ContractViolation, Multiwalk, VisitSpec, many_visits
+from scatter_tsp import ContractViolation, Multiwalk, VisitSpec, components, many_visits
 from scatter_tsp.many_visits import (
     _WALK_STATE_CAP,
     _arc_flow,
@@ -255,6 +255,17 @@ def test_class_floor_is_the_clone_floor(case):
     assert floor <= brute_path_cover(cverts, adj.rows)
 
 
+def solver_hub(spec):
+    """The hub many_visits_tour hands the tier: the universal vertex with
+    the most visits, lowest index on ties."""
+    universal = np.flatnonzero(spec.allowed.sum(axis=1) == spec.k - 1).tolist()
+    return min(universal, key=lambda v: (-spec.visits[v], v))
+
+
+def hub_tier(spec):
+    return _hub_path_cover(spec, solver_hub(spec))
+
+
 def test_flow_floor_refutes_a_hamiltonian_path():
     # t = 1 asks for a Hamiltonian path on the 35 clones. Greedy and every
     # restart find 13 paths, while the degree-one count and the cuts by one
@@ -266,7 +277,7 @@ def test_flow_floor_refutes_a_hamiltonian_path():
                         [1, 0, 0, 1, 0, 0, 0], [1, 0, 1, 0, 0, 0, 0],
                         [1, 1, 0, 1, 0, 0, 0]], dtype=bool)
     spec = VisitSpec(allowed, [1, 1, 4, 6, 8, 8, 8])
-    assert _hub_path_cover(spec) is None
+    assert hub_tier(spec) is None
 
 
 def test_floors_past_t_answer_before_any_search(monkeypatch):
@@ -290,7 +301,7 @@ def test_floors_past_t_answer_before_any_search(monkeypatch):
         return _restart_paths(*args)
 
     monkeypatch.setattr(many_visits, "_restart_paths", counted)
-    assert _hub_path_cover(VisitSpec(allowed, visits)) is None
+    assert hub_tier(VisitSpec(allowed, visits)) is None
     assert searches == []
 
 
@@ -299,7 +310,8 @@ def test_relaxation_without_flow_is_refuted_before_any_search(monkeypatch):
     no flow gets None from the tier before any search.
 
     Hall's condition fails for some set S of senders. If S = {h}, then
-    t > total_rest and the tier answers at its first check. Otherwise
+    t > total_rest, and the neighbour-visit count refutes the spec before
+    the solver reaches the tier: the visits next to h are the rest. Otherwise
     h is not in S, and sum_S visits > t + sum_{N'(S)} visits, N'(S) being
     the non-hub neighbours of S. The class flow of the m clones then has
     f <= 2 sum_{N'(S)} c + 2 (m - sum_S c), so the floors sum to at least
@@ -314,7 +326,7 @@ def test_relaxation_without_flow_is_refuted_before_any_search(monkeypatch):
     # visits of 1 need ten arcs into the three of 0 and three of 2
     spec = hub_spec([(1, 2), (2, 3)], [3, 10, 3, 1])
     assert _arc_flow([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], spec.visits, spec.visits) is None
-    assert _hub_path_cover(spec) is None
+    assert hub_tier(spec) is None
     rng = np.random.default_rng(5)
     refuted = 0
     for _ in range(300):
@@ -325,7 +337,7 @@ def test_relaxation_without_flow_is_refuted_before_any_search(monkeypatch):
         spec = hub_spec(edges, visits)
         all_edges = [(0, v) for v in range(1, k)] + edges
         if _arc_flow(all_edges, spec.visits, spec.visits) is None:
-            assert _hub_path_cover(spec) is None
+            assert hub_tier(spec) is None
             refuted += 1
     assert refuted >= 150  # 184 of the 300
 
@@ -342,19 +354,23 @@ def hub_spec(edges, visits):
 
 def test_pure_star_walk():
     spec = hub_spec([(1, 2)], [5, 2, 1, 2])  # t = 5 = total_rest
-    walk = _hub_path_cover(spec)
+    walk = hub_tier(spec)
     validate_multiwalk(spec, Multiwalk(spec.k, walk=walk))
     assert walk[::2] == [0] * 6  # the hub separates every other visit
 
 
 def test_hub_visits_beyond_the_rest_are_infeasible():
-    assert _hub_path_cover(hub_spec([(1, 2)], [4, 1, 2])) is None
+    # the visits next to the hub are all the rest, so the neighbour-visit
+    # count refutes t > total_rest before the solver reaches the hub tier
+    spec = hub_spec([(1, 2)], [4, 1, 2])
+    assert _short_of_neighbour_visits(spec.allowed, spec.visits)
+    assert many_visits_tour(spec) is None
 
 
 def test_more_components_than_hub_visits_is_infeasible():
     # three mutually non-adjacent leaves each need a path of their own
     spec = hub_spec([], [2, 1, 1, 1])
-    assert _hub_path_cover(spec) is None
+    assert hub_tier(spec) is None
     assert not closed_walk_feasible(spec.allowed, spec.visits)
 
 
@@ -380,10 +396,21 @@ def test_component_only_the_walk_dp_decides():
     assert not closed_walk_feasible(spec.allowed, spec.visits)
 
 
-def test_no_universal_vertex():
+def test_no_universal_vertex(monkeypatch):
+    # past the walk DP, with a disconnected relaxation ({0, 1} and {2, 3}
+    # each 200 times), the 4-cycle has no hub: the solver skips the tier
+    # and the greedy cycle walks 0, 1, 2, 3 a hundred times
     cycle = np.roll(np.eye(4, dtype=bool), 1, axis=1)
-    spec = VisitSpec(cycle | cycle.T, [1, 2, 1, 2])
-    assert _hub_path_cover(spec) == "no_hub"
+    spec = VisitSpec(cycle | cycle.T, [100] * 4)
+    assert math.prod(v + 1 for v in spec.visits) > _WALK_STATE_CAP
+    assert len(components(4, _arc_flow([(0, 1), (0, 3), (1, 2), (2, 3)],
+                                       spec.visits, spec.visits))) == 2
+
+    def refused(*args):
+        raise AssertionError("the hub tier ran on a spec with no hub")
+
+    monkeypatch.setattr(many_visits, "_hub_path_cover", refused)
+    validate_multiwalk(spec, many_visits_tour(spec))
 
 
 def test_small_hub_specs_match_walk_enumeration():
@@ -399,7 +426,11 @@ def test_small_hub_specs_match_walk_enumeration():
         spec = hub_spec(edges, visits)
         want = closed_walk_feasible(spec.allowed, spec.visits)
         try:
-            walk = _hub_path_cover(spec)
+            # the neighbour-visit count refutes a hub above the rest first
+            h = solver_hub(spec)
+            short = spec.visits[h] > sum(spec.visits) - spec.visits[h]
+            assert not short or _short_of_neighbour_visits(spec.allowed, spec.visits)
+            walk = None if short else _hub_path_cover(spec, h)
         except ContractViolation:
             assert not want
             aborted += 1
@@ -418,19 +449,24 @@ def test_small_hub_specs_match_walk_enumeration():
 
 
 def test_specs_over_the_clone_cap_fall_through(monkeypatch):
-    # above _CLONE_CAP clones the hub tier answers "no_hub" and the
-    # subtour branching decides; a walk DP capped at nothing sends these
-    # small specs that far
+    # above _CLONE_CAP clones the solver skips the hub tier, and the greedy
+    # cycle and the 1-tree too, so the subtour branching decides; a walk DP
+    # capped at nothing sends these small specs that far
     monkeypatch.setattr(many_visits, "_CLONE_CAP", 4)
     monkeypatch.setattr(many_visits, "_WALK_STATE_CAP", 1)
-    hub_answers = []
 
-    def counted(spec):
-        out = _hub_path_cover(spec)
-        hub_answers.append(out)
-        return out
+    def refused(*args):
+        raise AssertionError("the hub tier ran past _CLONE_CAP clones")
 
-    monkeypatch.setattr(many_visits, "_hub_path_cover", counted)
+    branched = []
+    branching = many_visits._subtour_branching
+
+    def counted(*args):
+        branched.append(args)
+        return branching(*args)
+
+    monkeypatch.setattr(many_visits, "_hub_path_cover", refused)
+    monkeypatch.setattr(many_visits, "_subtour_branching", counted)
     rng = np.random.default_rng(11)
     feasible = infeasible = 0
     for _ in range(100):
@@ -441,8 +477,7 @@ def test_specs_over_the_clone_cap_fall_through(monkeypatch):
         spec = hub_spec(edges, visits)
         rest = sum(visits) - max(visits)
         if rest <= 4 or max(visits) > rest:
-            continue  # whichever hub the tier picks: t <= clones, clones > 4
-        assert _hub_path_cover(spec) == "no_hub"
+            continue  # whichever hub the solver picks: t <= clones, clones > 4
         got = many_visits_tour(spec)
         if closed_walk_feasible(spec.allowed, spec.visits):
             validate_multiwalk(spec, got)
@@ -450,9 +485,9 @@ def test_specs_over_the_clone_cap_fall_through(monkeypatch):
         else:
             assert got is None
             infeasible += 1
-    # most specs are decided before the hub tier; those that reach it
+    # most specs are decided before the hub tier; those that pass it
     # are feasible and get their walks from the subtour branching
-    assert hub_answers.count("no_hub") >= 3
+    assert len(branched) >= 3  # 4 at this seed
     assert feasible >= 20 and infeasible >= 20
 
 
@@ -508,8 +543,14 @@ def answer_class(tier, spec):
 
 
 def assert_decision_matches_reference(spec):
-    got_class, got = answer_class(_hub_path_cover, spec)
-    ref_class, ref = answer_class(ref_hub_path_cover, spec)
+    h = solver_hub(spec)
+    if spec.visits[h] > sum(spec.visits) - spec.visits[h]:
+        # a universal vertex with more visits than vertex 0 took the hub
+        # role; the neighbour-visit count refutes the spec before the tier
+        assert _short_of_neighbour_visits(spec.allowed, spec.visits)
+        return "None"
+    got_class, got = answer_class(lambda spec: _hub_path_cover(spec, h), spec)
+    ref_class, ref = answer_class(lambda spec: ref_hub_path_cover(spec, h), spec)
     assert got_class == ref_class
     if got_class == "abort":
         assert got.startswith(ref + "; restarts ")
@@ -542,8 +583,7 @@ def test_hub_decisions_near_the_greedy_count(monkeypatch):
     def counted(comp, adj, initial, target=1):
         if not floors:
             # the tier's clones: one per visit of each vertex but its hub h
-            h = min(np.flatnonzero(spec.allowed.sum(axis=1) == spec.k - 1).tolist(),
-                    key=lambda v: (-spec.visits[v], v))
+            h = solver_hub(spec)
             hub_visits.append(spec.visits[h])
             owner = [v for v in range(spec.k) if v != h for _ in range(spec.visits[v])]
             for c in ref_vertex_components(range(len(owner)), adj.rows):

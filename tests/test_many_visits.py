@@ -66,6 +66,20 @@ def test_visit_spec_refuses_non_integer_visits():
         VisitSpec(allowed, [1.5, 1, 1])
 
 
+def test_visit_spec_keeps_the_visit_total_below_2_62():
+    # the neighbour-visit count sums visits in int64, where 3 * 2^62 wraps
+    # negative and once refuted this feasible spec
+    allowed = ~np.eye(3, dtype=bool)
+    x = (2 ** 62 - 1) // 3
+    for visits in ([2 ** 62] * 3, [2 ** 61] * 3, [x + 1, x, x]):
+        with pytest.raises(ValueError, match=r"visit counts must sum below 2\^62"):
+            VisitSpec(allowed, visits)
+    # the largest total left: walk 0, 1, 2 over and over
+    mw = many_visits_tour(VisitSpec(allowed, [x] * 3))
+    assert degrees(3, mw.counts) == [2 * x] * 3
+    assert len(components(3, mw.counts)) == 1
+
+
 def test_single_vertex():
     mw = many_visits_tour(spec_of([], [1]))
     assert mw is not None
@@ -115,14 +129,12 @@ def test_disconnected_support_is_infeasible():
             root = _arc_flow(edges, visits, visits)
             if root is not None:
                 roots += 1
-                assert many_visits._subtour_branching(spec, edges, root) is None
-            assert many_visits._hub_path_cover(spec) == "no_hub"
+                assert many_visits._subtour_branching(spec, root) is None
+            # no vertex is universal, so the hub tier never runs
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(many_visits, "_short_of_neighbour_visits",
                            lambda allowed, visits: False)
                 mp.setattr(many_visits, "_WALK_STATE_CAP", 0)
-                assert many_visits_tour(spec) is None
-                mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
                 assert many_visits_tour(spec) is None
     assert roots >= 10  # the branching ran from 10 disconnected roots
 
@@ -227,6 +239,8 @@ def neighbour_count_specs(draw):
 def test_neighbour_visit_count_refuses_no_feasible_spec():
     refused = []
 
+    # a fixed seed, as in test_branching_matches_walk_dp_and_enumeration
+    @seed(0)
     @settings(max_examples=400, derandomize=True)
     @given(neighbour_count_specs())
     def check(spec):
@@ -239,7 +253,8 @@ def test_neighbour_visit_count_refuses_no_feasible_spec():
                 assert not closed_walk_feasible(allowed, visits)
 
     check()
-    # the sample holds refusals and specs that pass, not only one kind
+    # the sample holds refusals and specs that pass, not only one kind (204
+    # refusals of 400 in a full run, 215 in a run of this file alone)
     assert 40 <= sum(refused) <= len(refused) - 40
 
 
@@ -271,7 +286,7 @@ def test_branch_spec_reaches_the_branching(monkeypatch):
     spec = spec_of(*BRANCH_SPEC)
     assert not _short_of_neighbour_visits(spec.allowed, spec.visits)
     assert math.prod(v + 1 for v in spec.visits) > _WALK_STATE_CAP
-    assert many_visits._hub_path_cover(spec) == "no_hub"
+    assert not np.any(spec.allowed.sum(axis=1) == spec.k - 1)  # no hub
     # the greedy cycle answers it first
     validate_multiwalk(spec, many_visits_tour(spec))
     validate_multiwalk(spec, Multiwalk(spec.k, walk=_greedy_cycle(spec)))
@@ -321,9 +336,10 @@ def branching_specs(draw):
 
 
 def test_branching_matches_walk_dp_and_enumeration():
-    # the neighbour-visit count, the greedy cycle, the walk DP, the hub tier
-    # and the 1-tree are switched off, so every spec whose relaxation has a
-    # disconnected support is decided by the subtour branching
+    # the neighbour-visit count is switched off, and caps of 0 skip the walk
+    # DP, the hub tier, the greedy cycle and the 1-tree, so every spec whose
+    # relaxation has a disconnected support is decided by the subtour
+    # branching
     reached = []
     branching = many_visits._subtour_branching
 
@@ -344,10 +360,8 @@ def test_branching_matches_walk_dp_and_enumeration():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(many_visits, "_short_of_neighbour_visits",
                        lambda allowed, visits: False)
-            mp.setattr(many_visits, "_greedy_cycle", lambda spec: None)
+            mp.setattr(many_visits, "_CLONE_CAP", 0)
             mp.setattr(many_visits, "_WALK_STATE_CAP", 0)
-            mp.setattr(many_visits, "_hub_path_cover", lambda spec: "no_hub")
-            mp.setattr(many_visits, "one_tree_refutes", lambda graph, budget: (False, 0))
             mp.setattr(many_visits, "_subtour_branching", counted)
             got = many_visits_tour(spec)
         assert (got is not None) == want
@@ -355,12 +369,16 @@ def test_branching_matches_walk_dp_and_enumeration():
             validate_multiwalk(spec, got)
 
     check()
-    assert len(reached) >= 40  # 65 of the 400 examples at seed 0
+    # 63 of the 400 examples at seed 0 in a full run, 65 in a run of this
+    # file alone
+    assert len(reached) >= 40
 
 
 def test_greedy_cycle_answers_only_what_the_walk_dp_answers():
     hits = []
 
+    # a fixed seed, as in test_branching_matches_walk_dp_and_enumeration
+    @seed(0)
     @settings(max_examples=300, derandomize=True)
     @given(branching_specs())
     def check(spec):
@@ -374,8 +392,8 @@ def test_greedy_cycle_answers_only_what_the_walk_dp_answers():
                 assert closed_walk_feasible(spec.allowed, spec.visits)
 
     check()
-    # Yes answers with twins among them, not only Hamiltonian cycles (127
-    # of 152 hits in a run of this file alone)
+    # Yes answers with twins among them, not only Hamiltonian cycles (167
+    # of 197 hits in a full run, 182 of 205 in a run of this file alone)
     assert sum(hits) >= 40
 
 

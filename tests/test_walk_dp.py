@@ -1,6 +1,7 @@
 """The walk-DP tier: the bitset sweep against the per-arc reference in
-helpers.py, walk enumeration, the state cap that gates it, its memory, and
-the subtour branching that builds the walks it proves exist."""
+helpers.py, walk enumeration, the state cap that gates it, the greedy cycle
+that every spec within that cap meets first, its memory, and the subtour
+branching that builds the walks it proves exist."""
 
 import math
 import tracemalloc
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from scatter_tsp import VisitSpec, many_visits, many_visits_tour
 from scatter_tsp.many_visits import (
+    _CLONE_CAP,
     _WALK_STATE_CAP,
-    _arc_flow,
     _greedy_cycle,
     _short_of_neighbour_visits,
     _walk_dp,
@@ -144,6 +145,33 @@ def test_state_cap_boundary(monkeypatch):
         assert calls == []
 
 
+def test_largest_dp_sized_spec_meets_the_greedy_cycle_first(monkeypatch):
+    # K2 at 835 visits each is the DP-sized spec with the most clones that
+    # passes the neighbour-visit count: the greedy cycle, gated on
+    # _CLONE_CAP clones, still runs before the walk DP
+    spec = VisitSpec(~np.eye(2, dtype=bool), [835, 835])
+    assert math.prod(v + 1 for v in spec.visits) <= _WALK_STATE_CAP
+    assert math.prod(v + 2 for v in spec.visits) > _WALK_STATE_CAP
+    assert sum(spec.visits) <= _CLONE_CAP
+    assert not _short_of_neighbour_visits(spec.allowed, spec.visits)
+    calls = []
+
+    def greedy_spy(spec):
+        calls.append("_greedy_cycle")
+        assert _greedy_cycle(spec) is not None
+        return None  # a miss, so that the walk DP runs after it
+
+    def dp_spy(allowed, visits):
+        calls.append("_walk_dp")
+        return _walk_dp(allowed, visits)
+
+    monkeypatch.setattr(many_visits, "_greedy_cycle", greedy_spy)
+    monkeypatch.setattr(many_visits, "_walk_dp", dp_spy)
+    got = many_visits_tour(spec)
+    assert calls == ["_greedy_cycle", "_walk_dp"]
+    assert got.counts == {(0, 1): 1670}
+
+
 def test_walk_dp_memory():
     # complete graph, 19 single visits: 2^19 codes, a 64 KB int per
     # vertex and table. The layer, the next layer and the room masks are 3
@@ -212,19 +240,20 @@ def test_walk_dp_yes_goes_straight_to_the_branching(monkeypatch):
             return real(*args)
         monkeypatch.setattr(many_visits, name, wrapped)
 
-    for name in ("_greedy_cycle", "_walk_dp", "_hub_path_cover", "one_tree_refutes"):
+    for name in ("_greedy_cycle", "_walk_dp", "_hub_path_cover", "one_tree_refutes",
+                 "_arc_flow"):
         spy(name)
-    roots = []
+    entered = []
     branching = many_visits._subtour_branching
 
-    def branched(spec, edges, root, *rest):
-        roots.append((edges, root))
-        return branching(spec, edges, root, *rest)
+    def branched(spec, root, *rest):
+        entered.append((list(calls), root))
+        return branching(spec, root, *rest)
 
     monkeypatch.setattr(many_visits, "_subtour_branching", branched)
     got = many_visits_tour(spec)
-    assert calls == ["_greedy_cycle", "_walk_dp"]
-    # the root is the relaxation, which a closed walk always solves
-    [(edges, root)] = roots
-    assert root is not None and root == _arc_flow(edges, spec.visits, spec.visits)
+    # no relaxation is solved before the branching, which solves its own
+    # root: a closed walk always solves it
+    assert entered == [(["_greedy_cycle", "_walk_dp"], None)]
+    assert calls[2] == "_arc_flow"
     validate_multiwalk(spec, got)
