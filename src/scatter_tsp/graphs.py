@@ -188,6 +188,9 @@ def components(k: int, pairs) -> list:
     return comps
 
 
+_EULER_STEP_CAP = 10 ** 7
+
+
 def eulerian_tour(k: int, counts) -> list:
     """Closed walk on 0..k-1 traversing each vertex pair count-many times.
 
@@ -197,7 +200,9 @@ def eulerian_tour(k: int, counts) -> list:
     number of edges equals the total count. Hierholzer construction over
     the sorted pairs. Raises ValueError for k < 1, an end that is not an
     integer in 0..k-1 or equals the other end, a count that is not a
-    nonnegative integer, an odd degree, or edges in two components.
+    nonnegative integer, a count total above _EULER_STEP_CAP = 10^7 (the
+    solver expands one step per point), an odd degree, or edges in two
+    components. The total is checked before any expansion.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -215,6 +220,9 @@ def eulerian_tour(k: int, counts) -> list:
         if m:
             key = _key(u, v)
             mult[key] = mult.get(key, 0) + int(m)
+    total = sum(mult.values())
+    if total > _EULER_STEP_CAP:
+        raise ValueError(f"count total exceeds the walk cap {_EULER_STEP_CAP}")
     deg = [0] * k
     for (u, v), m in mult.items():
         deg[u] += m
@@ -250,7 +258,7 @@ def eulerian_tour(k: int, counts) -> list:
             remaining[_key(v, lst[i])] -= 1
             stack.append(lst[i])
     circuit.reverse()
-    if len(circuit) != sum(mult.values()) + 1:
+    if len(circuit) != total + 1:
         raise ContractViolation("Euler walk failed to use every edge")
     return circuit
 

@@ -137,7 +137,9 @@ class Multiwalk:
     maps each vertex pair (u, v), u < v, to the number of times the walk
     steps between u and v. The form not given is built on first read:
     the counts from the walk's steps, the walk by `eulerian_tour`, which
-    also checks the counts. Counts may be far too large to expand.
+    also checks the counts. Counts may be far too large to expand:
+    `walk` then raises ValueError, as `eulerian_tour` refuses a total above
+    its cap before expanding any step.
     """
 
     def __init__(self, k: int, counts=None, walk=None):

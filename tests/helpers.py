@@ -9,8 +9,9 @@ end: earlier implementations of the library's own routines (the eager hub
 path search, the hub tier that refined every component in full, the
 one-center-at-a-time greedy net, the full-row candidate sweep, the dense
 Dirac path, the per-arc walk DP, the recursive max flow, the transport
-that ran every Dinic phase by search and the edge coloring through a
-bipartite matching), kept to pin their outputs.
+that ran every Dinic phase by search, the edge coloring through a
+bipartite matching and the per-vertex Hamiltonicity table), kept to pin
+their outputs.
 """
 
 import itertools
@@ -662,3 +663,73 @@ def ref_edge_color(graph):
     if remaining:
         raise ContractViolation("edge coloring left edges over")
     return colors
+
+
+# Reference Hamiltonicity table: the completion table of oracle._HamDP
+# filled by one gather per (popcount layer, vertex) pair, with the layers
+# read off a stable argsort of every index's popcount. The library's
+# one-step-per-layer table must equal it bit for bit.
+
+def ref_ham_table(adj):
+    """Table C[mask >> 1] (bit v): a path can start at v, cover exactly
+    `mask` (vertices 1..n-1 only) and stop at a neighbour of vertex 0."""
+    n = adj.shape[0]
+    adjmask = np.zeros(n, dtype=np.uint32)
+    for v in range(n):
+        adjmask[v] = np.uint32(sum(1 << u for u in range(n) if adj[v, u]))
+    size = 1 << (n - 1)
+    idx = np.arange(size, dtype=np.uint32)
+    popcount = np.bitwise_count(idx)
+    order = np.argsort(popcount, kind="stable")
+    counts = np.bincount(popcount, minlength=n)
+    layers = []
+    at = 0
+    for k in range(n):
+        layers.append(order[at:at + counts[k]].astype(np.uint32))
+        at += counts[k]
+    c = np.zeros(size, dtype=np.uint32)
+    c[0] = adjmask[0]
+    for k in range(1, n):
+        members = layers[k]
+        for u in range(1, n):
+            ubit = np.uint32(1 << (u - 1))
+            sel = members[(members & ubit) != 0]
+            if len(sel) == 0:
+                continue
+            prev = c[sel - ubit]
+            hit = sel[(prev >> np.uint32(u)) & np.uint32(1) == 1]
+            if len(hit):
+                c[hit] = c[hit] | adjmask[u]
+    return c
+
+
+def ref_brute_force(instance):
+    """(OPT, tour) by binary search over the distinct off-diagonal
+    distances, each threshold graph decided by `ref_ham_table`; the tour is
+    the graph's lexicographically smallest Hamiltonian cycle at OPT."""
+    n = instance.n
+    dist = instance.full_matrix()
+    cands = np.unique(dist[np.triu_indices(n, 1)])
+
+    def cycle(ell):
+        adj = dist >= ell
+        np.fill_diagonal(adj, False)
+        c = ref_ham_table(adj)
+        rem, tour = (1 << n) - 2, [0]
+        if not c[rem >> 1] & 1:
+            return None
+        while rem:
+            u = next(u for u in range(1, n) if rem >> u & 1 and adj[tour[-1], u]
+                     and c[(rem & ~(1 << u)) >> 1] >> u & 1)
+            rem &= ~(1 << u)
+            tour.append(u)
+        return tour
+
+    lo, hi = 0, len(cands)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cycle(cands[mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    return cands[lo], cycle(cands[lo])

@@ -1,6 +1,7 @@
 """Threshold graphs, Euler walks, Hamiltonicity machinery, max flow."""
 
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -27,6 +28,7 @@ from scatter_tsp import (
     threshold_graph,
     transport,
 )
+from scatter_tsp.graphs import _EULER_STEP_CAP
 from helpers import (
     naive_hamiltonian,
     random_dirac_adjacency,
@@ -100,6 +102,17 @@ def test_eulerian_tour_refuses_bad_counts():
     for count in (-1, 1.5, float("inf"), -float("inf"), float("nan"), np.float64("inf")):
         with pytest.raises(ValueError, match="count must be a nonnegative integer"):
             eulerian_tour(2, {(0, 1): count})
+
+
+def test_eulerian_tour_refuses_a_total_above_its_cap_before_expanding():
+    # 10^400 steps once ran for minutes and took gigabytes before any error
+    cap = _EULER_STEP_CAP
+    start = time.perf_counter()
+    for counts in ({(0, 1): 10 ** 400}, {(0, 1): cap + 2}, {(0, 1): cap // 2 + 1, (1, 0): cap // 2 + 1}):
+        with pytest.raises(ValueError, match="exceeds the walk cap"):
+            eulerian_tour(2, counts)
+    assert time.perf_counter() - start < 1.0
+    assert len(eulerian_tour(2, {(0, 1): 2000})) == 2001
 
 
 def test_eulerian_tour_refuses_bad_ends():

@@ -205,6 +205,16 @@ def test_multiwalk_takes_exactly_one_form():
     assert Multiwalk(2, walk=[0, 1, 0]).counts == {(0, 1): 2}
 
 
+def test_multiwalk_refuses_to_expand_counts_of_visit_spec_size():
+    # a VisitSpec admits totals up to 2^62 - 1; expanding one used to run
+    # until memory ran out
+    start = time.perf_counter()
+    for counts in ({(0, 1): 2 ** 61}, {(0, 1): 2 ** 20, (1, 2): 2 ** 62, (0, 2): 2 ** 20}):
+        with pytest.raises(ValueError, match="exceeds the walk cap"):
+            Multiwalk(3, counts).walk
+    assert time.perf_counter() - start < 1.0
+
+
 def test_visit_counts_match_walk():
     spec = spec_of([(0, 1), (1, 2), (0, 2)], [2, 1, 1])
     mw = many_visits_tour(spec)

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,17 @@ from scatter_tsp import (
     meets_threshold,
     scatter,
 )
-from helpers import brute_scatter, naive_hamiltonian
+from scatter_tsp.oracle import _HamDP, _layer_plan
+from helpers import (
+    brute_scatter,
+    cube_graph,
+    k33,
+    naive_hamiltonian,
+    ref_brute_force,
+    ref_ham_table,
+    ring10,
+    two_k33,
+)
 
 
 def test_oracle_matches_permutation_search():
@@ -119,7 +130,7 @@ def test_is_hamiltonian_matches_naive_search():
     rng = np.random.default_rng(14)
     found = 0
     for _ in range(30):
-        n = int(rng.integers(4, 8))
+        n = int(rng.integers(4, 11))
         adj = np.triu(rng.random((n, n)) < 0.5, 1)
         adj = adj | adj.T
         got = is_hamiltonian(adj)
@@ -136,3 +147,81 @@ def test_is_hamiltonian_input_validation():
         is_hamiltonian(np.zeros((25, 25), dtype=bool))
     with pytest.raises(ValueError):
         is_hamiltonian(np.zeros((2, 2), dtype=bool))
+
+
+def _random_graph(n, p, rng):
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    return adj | adj.T
+
+
+@pytest.mark.parametrize("chunk", [oracle._CHUNK, 64])
+def test_layer_steps_match_the_per_vertex_table(monkeypatch, chunk):
+    # at the module's chunk a step is a whole layer up to n = 16 and a run
+    # of masks sharing their top bits at n = 17 and 18; at 64 masks a step
+    # every layer of more than 64 masks is split
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rng = np.random.default_rng(8)
+    graphs = [_random_graph(n, p, rng) for n in range(3, 19) for p in (0.3, 0.6, 0.9)]
+    for build in (k33, cube_graph, ring10, two_k33):
+        g = build()
+        adj = np.zeros((g.n, g.n), dtype=bool)
+        for u, v in g.edges:
+            adj[u, v] = adj[v, u] = True
+        graphs.append(adj)
+    for adj in graphs:
+        assert np.array_equal(_HamDP(adj, _layer_plan(len(adj))).c, ref_ham_table(adj))
+
+
+def test_layer_plan_covers_every_mask_once_in_small_steps():
+    for n in (3, 9, 16, 17, 18):
+        dtype = np.uint16 if n <= 17 else np.uint32
+        plan = list(_layer_plan(n))
+        for masks, members, subs in plan:
+            assert masks.dtype == subs.dtype == dtype and members.dtype == np.uint8
+            assert len(masks) <= oracle._CHUNK
+            # row i: each mask's i-th smallest vertex u, and mask - u
+            assert np.all(members[:-1] < members[1:])
+            assert np.array_equal(subs, masks - (1 << (members.astype(masks.dtype) - 1)))
+        masks = np.concatenate([m for m, _, _ in plan])
+        assert np.array_equal(np.sort(masks), np.arange(1, 1 << (n - 1)))
+    # brute_force_mstsp holds one step per layer, built once per call
+    plan = list(_layer_plan(16))
+    assert [len(masks) for masks, _, _ in plan] == [math.comb(15, k) for k in range(1, 16)]
+    assert sum(a.nbytes for step in plan for a in step) < 2 ** 20
+
+
+def test_oracle_matches_reference_binary_search():
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in (3, 5, 8, 11, 14, 16):
+        cases.append(generate("uniform", n, 2, seed=n))
+        cases.append(generate("clustered", n, 3, seed=n, p=1.0))
+        cases.append(generate("uniform", n, 2, seed=n + 1, p=math.inf))
+        cases.append(Instance.hamming(rng.integers(0, 2, size=(n, 6))))
+        # small integer entries: many ties, no triangle inequality
+        m = np.triu(rng.integers(1, 6, size=(n, n)).astype(float), 1)
+        cases.append(Instance.explicit(m + m.T))
+    for inst in cases:
+        got = brute_force_mstsp(inst)
+        want_opt, want_tour = ref_brute_force(inst)
+        assert got.opt == want_opt
+        assert got.tour.tolist() == want_tour
+
+
+def test_is_hamiltonian_at_the_cap():
+    # 24 vertices, a table of 2^23 masks: the plan is streamed in steps of
+    # at most _CHUNK masks; the per-(layer, vertex) loop it replaced peaked
+    # at 181 MiB on this graph, the table alone takes 32 MiB
+    adj = _random_graph(24, 0.3, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        got = is_hamiltonian(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(got.tolist()) == list(range(24))
+    assert all(adj[got[i], got[(i + 1) % 24]] for i in range(24))
+    # the lexicographically smallest cycle, as the per-vertex loop found it
+    assert got.tolist() == [0, 3, 7, 1, 2, 9, 5, 10, 11, 4, 6, 12, 18, 21, 14,
+                            15, 20, 16, 23, 19, 17, 13, 22, 8]
+    assert peak < 96 * 2 ** 20
